@@ -1,19 +1,16 @@
 #pragma once
 
 /// \file bench_common.h
-/// Shared helpers for the auxiliary benches. The figure benches themselves
-/// are thin wrappers over the ScenarioSuite (core/scenario.h); what lives
-/// here is the sweep-config plumbing the non-figure benches reuse.
+/// Shared helpers for the auxiliary benches. The paper figures run as
+/// registered scenarios (`spr_cli run <scenario>`, core/scenario.h); what
+/// lives here is the sweep-config plumbing the non-figure benches reuse.
 ///
 /// Environment overrides for quick passes:
 ///   SPR_NETWORKS  networks per point (default 100, the paper's count)
 ///   SPR_PAIRS     source/destination pairs per network (default 20)
 ///   SPR_SEED      base seed (default 2009)
 ///   SPR_THREADS   sweep worker threads (default 0 = hardware, 1 = serial)
-///   SPR_FORMATS   report sinks for scenarios ("console,json,csv,svg")
-///   SPR_JSON      when set, scenarios also write a JSON report there
-///   SPR_CSV       when set, scenarios also export their tables as CSV there
-///   SPR_SVG       when set, scenarios also write an SVG sweep plot there
+///   SPR_CSV       when set, the bench also exports its tables as CSV there
 
 #include <cstdio>
 #include <cstdlib>
@@ -40,9 +37,8 @@ inline const char* model_name(DeployModel model) {
   return spr::model_name(model);
 }
 
-/// Exports a non-scenario bench's tables as CSV when SPR_CSV is set (the
-/// scenario-backed benches get this via the sink selection in
-/// ScenarioSuite::run). Returns false after printing when the write fails.
+/// Exports a bench's tables as CSV when SPR_CSV is set. Returns false after
+/// printing when the write fails.
 inline bool export_csv_from_env(const ScenarioReport& report) {
   const char* csv = std::getenv("SPR_CSV");
   if (csv == nullptr || *csv == '\0') return true;

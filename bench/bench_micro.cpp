@@ -18,6 +18,7 @@
 #include "safety/distributed.h"
 #include "shard/sharded_network.h"
 #include "sim/stream_sim.h"
+#include "support/safety_oracles.h"
 #include "util/task_pool.h"
 
 namespace {
@@ -97,7 +98,7 @@ void safety_labeling_bench(benchmark::State& state, LabelMode mode) {
   for (auto _ : state) {
     SafetyInfo info =
         mode == LabelMode::kScalar
-            ? compute_safety_scalar(g, area, &stats)
+            ? test::compute_safety_scalar(g, area, &stats)
             : compute_safety(g, area,
                              mode == LabelMode::kParallel ? &pool : nullptr,
                              &stats);
@@ -442,18 +443,13 @@ void BM_StreamSimCell(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamSimCell);
 
-/// The streaming engines head to head at traffic scale: `packets`
-/// injections at packet_interval 0 — every flight concurrent — of one
-/// scheme (GF: no labeling cost, pure stepping + scheduling) over 16 far
-/// pairs of a constant-degree 10^4-node field. The legacy engine pays one
-/// heap event per flight-hop; the flight-record engine pays one tick event
-/// per distinct hop instant and advances each tick's batch over SoA
-/// records with pooled steppers (optionally in parallel). Network
+/// The streaming engine at traffic scale: `packets` injections at
+/// packet_interval 0 — every flight concurrent — of one scheme (GF: no
+/// labeling cost, pure stepping + scheduling) over 16 far pairs of a
+/// constant-degree 10^4-node field, serial or on a 4-worker pool. Network
 /// construction is excluded from the timed region; the `events` counter
-/// shows the heap-traffic collapse.
-enum class StreamEngineMode { kPerHop, kFlightRecord, kFlightRecordParallel };
-
-void stream_engine_bench(benchmark::State& state, StreamEngineMode mode) {
+/// shows the heap traffic (one tick event per distinct hop instant).
+void stream_sim_bench(benchmark::State& state, int threads) {
   const int packets = static_cast<int>(state.range(0));
   Deployment dep = make_scaled_deployment(10000, DeployModel::kForbiddenAreas);
   std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -475,8 +471,8 @@ void stream_engine_bench(benchmark::State& state, StreamEngineMode mode) {
     Network net(dep);
     // Materialize GF's lazy recovery structures outside the timed region:
     // the first local minimum would otherwise charge the planar overlay +
-    // BOUNDHOLE build (seconds, identical for every engine) to whichever
-    // engine ran, drowning the engine-cost ratio this bench exists to show.
+    // BOUNDHOLE build (seconds) to the stream, drowning the stepping and
+    // scheduling cost this bench exists to show.
     net.force(Network::kNeedsOverlay | Network::kNeedsBoundhole);
     state.ResumeTiming();
     StreamConfig sc;
@@ -487,9 +483,7 @@ void stream_engine_bench(benchmark::State& state, StreamEngineMode mode) {
     sc.packets = packets;
     sc.packet_interval = 0.0;  // all flights in the air at once
     sc.hop_delay = 0.25;
-    sc.engine = mode == StreamEngineMode::kPerHop ? StreamEngine::kPerHopEvents
-                                                  : StreamEngine::kFlightRecord;
-    sc.threads = mode == StreamEngineMode::kFlightRecordParallel ? 4 : 1;
+    sc.threads = threads;
     StreamSim sim(std::move(net), sc);
     StreamStats stats = sim.run();
     events = stats.events;
@@ -498,13 +492,8 @@ void stream_engine_bench(benchmark::State& state, StreamEngineMode mode) {
   state.counters["events"] = static_cast<double>(events);
 }
 
-void BM_StreamSimPerHop(benchmark::State& state) {
-  stream_engine_bench(state, StreamEngineMode::kPerHop);
-}
-BENCHMARK(BM_StreamSimPerHop)->Arg(100000)->Unit(benchmark::kMillisecond);
-
 void BM_StreamSimFlightRecord(benchmark::State& state) {
-  stream_engine_bench(state, StreamEngineMode::kFlightRecord);
+  stream_sim_bench(state, 1);
 }
 BENCHMARK(BM_StreamSimFlightRecord)
     ->Arg(100000)
@@ -512,7 +501,7 @@ BENCHMARK(BM_StreamSimFlightRecord)
     ->Unit(benchmark::kMillisecond);
 
 void BM_StreamSimFlightRecordParallel(benchmark::State& state) {
-  stream_engine_bench(state, StreamEngineMode::kFlightRecordParallel);
+  stream_sim_bench(state, 4);
 }
 BENCHMARK(BM_StreamSimFlightRecordParallel)
     ->Arg(100000)

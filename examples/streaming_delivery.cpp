@@ -16,16 +16,11 @@
 
 #include "core/network.h"
 #include "graph/graph_algos.h"
-#include "radio/energy.h"
 #include "report/serialize.h"
 #include "report/sink.h"
 #include "sim/stream_sim.h"
 #include "stats/table.h"
 #include "util/flags.h"
-
-namespace {
-constexpr double kPacketBits = 8.0 * 1024.0;  // 1 kB payload
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace spr;
@@ -102,32 +97,23 @@ int main(int argc, char** argv) {
   StreamSim sim(std::move(net), sc);
   StreamStats stats = sim.run();
 
-  EnergyModel model;
-  std::printf("%-8s %9s %7s %9s %9s %9s %8s %11s\n", "scheme", "delivered",
-              "hops", "length_m", "stretch", "latency_s", "replans",
-              "energy_mJ*");
+  std::printf("%-8s %9s %7s %9s %9s %9s %8s\n", "scheme", "delivered",
+              "hops", "length_m", "stretch", "latency_s", "replans");
   Table csv_table({"scheme", "injected", "delivered", "hops", "length_m",
-                   "stretch", "latency_s", "replans", "energy_mJ"});
+                   "stretch", "latency_s", "replans"});
   for (const StreamSchemeStats& s : stats.schemes) {
     double hops = s.hops.empty() ? 0.0 : s.hops.mean();
     double length = s.length.empty() ? 0.0 : s.length.mean();
     double stretch = s.stretch_hops.empty() ? 0.0 : s.stretch_hops.mean();
     double latency = s.latency.empty() ? 0.0 : s.latency.mean();
     double replans = s.replans.empty() ? 0.0 : s.replans.mean();
-    // First-order estimate from the stream totals, assuming uniform hop
-    // length within each delivered packet's walk (*: estimate, not a
-    // per-hop account — the paths are not retained across the stream).
-    double mean_hop_m = hops > 0.0 ? length / hops : 0.0;
-    double per_packet_j = hops * model.hop_energy(mean_hop_m, kPacketBits);
-    double stream_mj = per_packet_j * static_cast<double>(s.delivered) * 1e3;
-    std::printf("%-8s %4zu/%-4zu %7.1f %9.1f %9.2f %9.2f %8.2f %11.2f\n",
+    std::printf("%-8s %4zu/%-4zu %7.1f %9.1f %9.2f %9.2f %8.2f\n",
                 s.label.c_str(), s.delivered, s.injected, hops, length,
-                stretch, latency, replans, stream_mj);
+                stretch, latency, replans);
     csv_table.add_row({s.label, std::to_string(s.injected),
                        std::to_string(s.delivered), Table::fmt(hops, 1),
                        Table::fmt(length, 1), Table::fmt(stretch, 2),
-                       Table::fmt(latency, 2), Table::fmt(replans, 2),
-                       Table::fmt(stream_mj, 2)});
+                       Table::fmt(latency, 2), Table::fmt(replans, 2)});
   }
   for (const WaveRecord& record : stats.waves) {
     std::printf("wave t=%.1f: %zu casualties, %zu in-flight re-planned, %zu "

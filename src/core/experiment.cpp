@@ -347,13 +347,4 @@ int env_int_or(const char* name, int fallback) {
   return value;
 }
 
-std::uint64_t env_uint64_or(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  std::uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(raw, raw + std::strlen(raw), value);
-  if (ec != std::errc() || ptr != raw + std::strlen(raw)) return fallback;
-  return value;
-}
-
 }  // namespace spr

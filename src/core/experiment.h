@@ -167,14 +167,10 @@ std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
 std::uint64_t sweep_cell_seed(const SweepConfig& config, int node_count,
                               int net_index);
 
-/// Reads an integer override from the environment (used by the benches so
-/// `SPR_NETWORKS=5 ./bench_fig6_avg_hops` gives a quick pass); returns
-/// `fallback` when unset or unparsable.
+/// Reads an integer override from the environment (used by the auxiliary
+/// benches so `SPR_NETWORKS=5 ./bench_delivery` gives a quick pass);
+/// returns `fallback` when unset or unparsable.
 int env_int_or(const char* name, int fallback);
-
-/// env_int_or's 64-bit sibling for seeds: any valid uint64 is accepted;
-/// malformed, negative or overflowing values return `fallback`.
-std::uint64_t env_uint64_or(const char* name, std::uint64_t fallback);
 
 /// Seconds elapsed since `start` — the wall-clock helper behind
 /// SweepTimings and the scenario reports.

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstring>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "graph/graph_algos.h"
@@ -483,7 +482,7 @@ void merge_stream_scheme(StreamSchemeStats& into,
 ///
 /// The report is a pure function of (options, seeds): no wall-clock or
 /// thread-count values are recorded, so the JSON/CSV artifacts are
-/// byte-identical across reruns and across SPR_THREADS (tests enforce
+/// byte-identical across reruns and across thread counts (tests enforce
 /// this).
 int run_streaming_delivery(const ScenarioOptions& opts,
                            ScenarioReport& report) {
@@ -763,7 +762,7 @@ int run_streaming_delivery(const ScenarioOptions& opts,
 ///
 /// The report is a pure function of (options, seeds): no wall-clock or
 /// thread-count values are recorded, so the JSON/CSV artifacts are
-/// byte-identical across reruns and across SPR_THREADS (tests enforce
+/// byte-identical across reruns and across thread counts (tests enforce
 /// this).
 int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
   const int networks = opts.networks > 0 ? opts.networks : 2;
@@ -1329,25 +1328,6 @@ const char* model_name(DeployModel model) noexcept {
   return model == DeployModel::kIdeal ? "IA (uniform)" : "FA (forbidden areas)";
 }
 
-ScenarioOptions scenario_options_from_env() {
-  ScenarioOptions opts;
-  // Malformed and overflowing values already fall back inside env_int_or;
-  // negative counts are meaningless, so they fall back to the defaults too.
-  opts.networks = std::max(0, env_int_or("SPR_NETWORKS", 0));
-  opts.pairs = std::max(0, env_int_or("SPR_PAIRS", 0));
-  opts.seed = env_uint64_or("SPR_SEED", 0);
-  opts.threads = std::max(0, env_int_or("SPR_THREADS", 0));
-  auto env_string = [](const char* name) -> std::string {
-    const char* raw = std::getenv(name);
-    return raw != nullptr ? std::string(raw) : std::string();
-  };
-  opts.formats = env_string("SPR_FORMATS");
-  opts.json_path = env_string("SPR_JSON");
-  opts.csv_path = env_string("SPR_CSV");
-  opts.svg_path = env_string("SPR_SVG");
-  return opts;
-}
-
 void ScenarioSuite::add(Scenario scenario) {
   scenarios_.push_back(std::move(scenario));
 }
@@ -1380,7 +1360,7 @@ std::vector<std::unique_ptr<ReportSink>> make_sinks(
     return std::find(formats.begin(), formats.end(), f) != formats.end();
   };
   // An empty list means console; an explicit output path enables its sink
-  // either way (SPR_JSON / --json predate --format and keep working).
+  // either way (--json predates --format and keeps working).
   if (formats.empty()) formats.push_back(ReportFormat::kConsole);
   if (!options.json_path.empty() && !enabled(ReportFormat::kJson)) {
     formats.push_back(ReportFormat::kJson);

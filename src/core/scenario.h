@@ -1,15 +1,14 @@
 #pragma once
 
 /// \file scenario.h
-/// ScenarioSuite: the shared runner behind the figure benches, the CLI and
-/// CI. A scenario is a named, parameterized experiment (a paper figure, a
+/// ScenarioSuite: the shared runner behind `spr_cli run` and CI. A
+/// scenario is a named, parameterized experiment (a paper figure, a
 /// hole-field study, failure dynamics, a mobile stream, the parallel-sweep
 /// scaling check). Scenarios don't print: each builds a typed
 /// ScenarioReport (report/report.h) and the suite renders it through the
 /// selected ReportSink backends (report/sink.h) — console tables by
 /// default, plus JSON / CSV / SVG when requested via
-/// `ScenarioOptions::formats` (`--format`, `SPR_FORMATS`) or an explicit
-/// output path.
+/// `ScenarioOptions::formats` (`--format`) or an explicit output path.
 ///
 /// Trade-off of the report model: the console stream renders after the
 /// scenario completes, so a paper-scale sweep prints nothing while it
@@ -17,7 +16,8 @@
 /// `networks`/`pairs` for interactive runs, or watch the JSON/CSV
 /// artifacts.
 ///
-///   spr::ScenarioOptions opts = spr::scenario_options_from_env();
+///   spr::ScenarioOptions opts;
+///   opts.networks = 5;
 ///   return spr::ScenarioSuite::builtin().run("fig6-avg-hops", opts);
 
 #include <functional>
@@ -44,12 +44,6 @@ struct ScenarioOptions {
   std::string csv_path;   ///< non-empty: write CSV table exports here
   std::string svg_path;   ///< non-empty: write the SVG sweep plot here
 };
-
-/// Options from the environment: SPR_NETWORKS, SPR_PAIRS, SPR_SEED,
-/// SPR_THREADS, SPR_FORMATS, SPR_JSON, SPR_CSV, SPR_SVG. Unset variables
-/// leave the scenario defaults; malformed, negative or overflowing numbers
-/// fall back to the defaults too (never UB, never silent garbage).
-ScenarioOptions scenario_options_from_env();
 
 /// One registered scenario. `build` fills the report and returns a process
 /// exit code; it must not print (the suite renders the report through the

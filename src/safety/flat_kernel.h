@@ -26,8 +26,8 @@
 ///    union is order-invariant) and the independent per-type anchor passes
 ///    of Algorithm 2 all fan out. Every merge is id-ordered, so results are
 ///    bit-identical (statuses *and* anchors) to the serial kernel and to
-///    the scalar oracle `compute_safety_scalar` for every thread count;
-///    tests enforce this.
+///    the scalar oracle in tests/support/safety_oracles.h for every thread
+///    count; tests enforce this.
 ///
 /// (node, type) pairs travel as packed keys `u*4 + zone_index(t)`.
 

@@ -47,26 +47,13 @@ class SafetyInfo {
 /// quadrant CSR, packed status bits and arena scratch. With a `build_pool`
 /// the initialization round, large demotion frontiers and the anchor pass
 /// fan out; every merge is id-ordered, so the result is bit-identical —
-/// statuses and anchors — for every thread count and to
-/// `compute_safety_scalar` (tests enforce both). Callers running *on* a
-/// pool worker must pass nullptr (see UnitDiskGraph). `stats`, when
+/// statuses and anchors — for every thread count and to the scalar oracle
+/// in tests/support/safety_oracles.h (tests enforce both). Callers running
+/// *on* a pool worker must pass nullptr (see UnitDiskGraph). `stats`, when
 /// non-null, receives the kernel's work counters.
 SafetyInfo compute_safety(const UnitDiskGraph& g, const InterestArea& area,
                           TaskPool* build_pool = nullptr,
                           LabelingStats* stats = nullptr);
-
-/// The scalar reference path: per-node SafetyTuple records, geometry tests
-/// in every inner loop, recursive anchor resolution — the shape the flat
-/// kernel is benchmarked against and the oracle its bit-identity tests
-/// compare to. Always serial.
-SafetyInfo compute_safety_scalar(const UnitDiskGraph& g,
-                                 const InterestArea& area,
-                                 LabelingStats* stats = nullptr);
-
-/// As above but evaluates the fixpoint in synchronous rounds (the paper's
-/// Fig. 3 narration). Exists to test order-independence of the fixpoint.
-SafetyInfo compute_safety_round_based(const UnitDiskGraph& g,
-                                      const InterestArea& area);
 
 /// Convenience: one node's connected unsafe area of type `t` (the connected
 /// component of type-t unsafe nodes containing `u`, via UDG edges).

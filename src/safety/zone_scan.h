@@ -3,7 +3,7 @@
 /// \file zone_scan.h
 /// The first/last-path successor selection of Algorithm 2, shared between
 /// the flat labeling kernel (safety/flat_kernel.h), the scalar oracle
-/// (safety/labeling.cpp) and the distributed protocol's per-node tuple
+/// (tests/support/safety_oracles.cpp) and the distributed protocol's per-node tuple
 /// recompute (safety/distributed.cpp) so none of the paths can drift: all
 /// feed the type-t unsafe quadrant members in ascending id order and read
 /// off the same winners.

@@ -31,6 +31,30 @@ WaypointConfig pin_field(WaypointConfig wc, const Rect& field) {
 
 constexpr std::size_t kNoOracle = static_cast<std::size_t>(-1);
 
+/// The flight records of one run: per-packet and per-flight state in
+/// parallel arrays. Flight f = p * n_schemes + k is scheme k's copy of
+/// packet p, so one tick-batch id addresses one copy and the final
+/// reduction walks the arrays in packet-major order. Stepper slots are
+/// pooled: armed in place via Router::restart_stepper at injection and at
+/// re-plans, released when the flight terminates — after the ramp-up the
+/// steady state allocates nothing.
+struct FlightRecords {
+  // Per packet.
+  std::vector<double> inject_time;
+  std::vector<NodeId> src;
+  std::vector<NodeId> dst;
+  std::vector<std::size_t> oracle_hops;  ///< BFS optimum; 0 = unreachable
+  std::vector<unsigned char> injected;
+  // Per flight (packet-major).
+  std::vector<StreamOutcome> outcome;
+  std::vector<std::uint32_t> hops;          ///< across re-planned segments
+  std::vector<std::uint32_t> local_minima;  ///< across re-planned segments
+  std::vector<std::uint32_t> replans;
+  std::vector<double> length;  ///< across re-planned segments, meters
+  std::vector<double> finish_time;
+  std::vector<RouteStepper> steppers;  ///< pooled slots, released when done
+};
+
 }  // namespace
 
 std::vector<StreamWave> spread_failure_waves(
@@ -69,51 +93,6 @@ std::vector<StreamWave> spread_failure_waves(
   return out;
 }
 
-/// One scheme's copy of one packet.
-struct StreamSim::Flight {
-  StreamOutcome outcome = StreamOutcome::kInFlight;
-  std::unique_ptr<RouteStepper> stepper;  ///< null once finished
-  std::size_t hops = 0;          ///< across re-planned segments
-  double length = 0.0;           ///< across re-planned segments, meters
-  std::size_t local_minima = 0;  ///< across re-planned segments
-  std::size_t replans = 0;       ///< steppers rebuilt mid-flight
-  double finish_time = 0.0;
-};
-
-/// One injected packet: shared endpoints + oracle, one Flight per scheme.
-struct StreamSim::Packet {
-  double inject_time = 0.0;
-  NodeId src = kInvalidNode;
-  NodeId dst = kInvalidNode;
-  std::size_t oracle_hops = 0;  ///< BFS optimum at injection; 0 = unreachable
-  bool injected = false;
-  std::vector<Flight> flights;
-};
-
-/// The flight-record engine's state: Flight/Packet unrolled into parallel
-/// arrays. Flight f = p * n_schemes + k is scheme k's copy of packet p, so
-/// one tick-batch id addresses one copy and the final reduction walks the
-/// arrays in exactly the legacy packet-major order. Stepper slots are
-/// pooled: armed in place via Router::restart_stepper at injection and at
-/// re-plans, released when the flight terminates — after the ramp-up the
-/// steady state allocates nothing.
-struct StreamSim::Records {
-  // Per packet.
-  std::vector<double> inject_time;
-  std::vector<NodeId> src;
-  std::vector<NodeId> dst;
-  std::vector<std::size_t> oracle_hops;  ///< BFS optimum; 0 = unreachable
-  std::vector<unsigned char> injected;
-  // Per flight (packet-major).
-  std::vector<StreamOutcome> outcome;
-  std::vector<std::uint32_t> hops;          ///< across re-planned segments
-  std::vector<std::uint32_t> local_minima;  ///< across re-planned segments
-  std::vector<std::uint32_t> replans;
-  std::vector<double> length;  ///< across re-planned segments, meters
-  std::vector<double> finish_time;
-  std::vector<RouteStepper> steppers;  ///< pooled slots, released when done
-};
-
 StreamSim::StreamSim(Network initial, StreamConfig config)
     : net_(std::move(initial)),
       config_(std::move(config)),
@@ -146,60 +125,9 @@ void StreamSim::rebuild_routers() {
   }
 }
 
-void StreamSim::harvest(Flight& flight) {
-  PathResult segment = flight.stepper->take_result();
-  flight.hops += segment.hops();
-  flight.length += segment.length;
-  flight.local_minima += segment.local_minima;
-}
-
-void StreamSim::finalize(Flight& flight, StreamOutcome outcome, double now) {
-  flight.stepper.reset();
-  flight.outcome = outcome;
-  flight.finish_time = now;
-}
-
-void StreamSim::replan_flights(double now, std::size_t* in_flight,
-                               std::size_t* dropped) {
-  for (auto& packet : packets_) {
-    if (!packet.injected) continue;
-    for (std::size_t k = 0; k < packet.flights.size(); ++k) {
-      Flight& flight = packet.flights[k];
-      if (flight.outcome != StreamOutcome::kInFlight ||
-          flight.stepper == nullptr) {
-        continue;
-      }
-      // The header state is gone with the old substrate; the packet
-      // re-plans from wherever it is, with whatever TTL it has left.
-      NodeId at = flight.stepper->current();
-      std::size_t budget = flight.stepper->ttl_remaining();
-      harvest(flight);
-      if (!net_.graph().alive(at)) {
-        if (dropped != nullptr) ++*dropped;
-        finalize(flight, StreamOutcome::kNodeFailed, now);
-        --live_;
-        continue;
-      }
-      if (in_flight != nullptr) ++*in_flight;
-      ++flight.replans;
-      flight.stepper = routers_[k]->make_stepper(at, packet.dst,
-                                                 config_.route_options, budget);
-      if (!flight.stepper->in_flight()) {
-        // Degenerate re-plan (already at the destination / spent budget).
-        RouteStatus status = flight.stepper->result().status;
-        harvest(flight);
-        finalize(flight, outcome_of(status), now);
-        --live_;
-      }
-      // The flight's pending hop event keeps firing and will step the new
-      // stepper — no event surgery needed.
-    }
-  }
-}
-
 void StreamSim::build_epoch_oracle() {
   oracle_ready_ = true;
-  // Eligibility is exactly the legacy per-pair guard at injection time:
+  // Eligibility is exactly the per-pair guard at injection time:
   // in-range endpoints and a live source. It depends only on the pair and
   // the substrate, so it is constant within a topology epoch.
   std::vector<std::pair<NodeId, NodeId>> eligible;
@@ -234,252 +162,8 @@ StreamStats StreamSim::run() {
   for (std::size_t k = 0; k < config_.schemes.size(); ++k) {
     stats_.schemes[k].label = config_.schemes[k].display_label();
   }
-  if (config_.engine == StreamEngine::kPerHopEvents) {
-    run_per_hop();
-  } else {
-    run_flight_record();
-  }
+  run_flight_record();
   return stats_;
-}
-
-void StreamSim::run_per_hop() {
-  struct Ev {
-    enum class Kind : unsigned char { kInject, kHop, kWave, kRepin };
-    Kind kind = Kind::kInject;
-    std::size_t index = 0;  ///< packet / flight / wave id (kind-dependent)
-  };
-  EventQueue<Ev> queue;
-  SimClock clock;
-
-  const std::size_t n_schemes = config_.schemes.size();
-  packets_.resize(static_cast<std::size_t>(config_.packets));
-  for (std::size_t p = 0; p < packets_.size(); ++p) {
-    Packet& packet = packets_[p];
-    packet.flights.resize(n_schemes);
-    const auto& pair = config_.pairs[p % config_.pairs.size()];
-    packet.src = pair.first;
-    packet.dst = pair.second;
-  }
-
-  // Flight ids are packet-major so one hop event addresses one copy.
-  auto flight_id = [n_schemes](std::size_t p, std::size_t k) {
-    return p * n_schemes + k;
-  };
-
-  // Schedule the whole input timeline up front: injections, then the
-  // failure waves (in time order), then the first mobility re-pin.
-  // Same-instant ties resolve deterministically by push order: an
-  // injection due exactly at a wave's timestamp fires before it (pushed
-  // here, earlier), while a hop event due at that instant fires after it
-  // (hops are pushed mid-run, so they carry later sequence numbers) — the
-  // packet steps its re-planned stepper on the degraded substrate.
-  if (!config_.pairs.empty()) {
-    oracle_cache_.assign(config_.pairs.size(), kNoOracle);
-    oracle_ready_ = false;
-    for (std::size_t p = 0; p < packets_.size(); ++p) {
-      queue.push(static_cast<double>(p) * config_.packet_interval,
-                 Ev{Ev::Kind::kInject, p});
-    }
-  }
-  std::vector<std::size_t> wave_order(config_.waves.size());
-  std::iota(wave_order.begin(), wave_order.end(), std::size_t{0});
-  std::stable_sort(wave_order.begin(), wave_order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return config_.waves[a].time < config_.waves[b].time;
-                   });
-  for (std::size_t wi : wave_order) {
-    queue.push(config_.waves[wi].time, Ev{Ev::Kind::kWave, wi});
-  }
-  if (config_.mobility_interval > 0.0 && !packets_.empty()) {
-    queue.push(config_.mobility_interval, Ev{Ev::Kind::kRepin, 0});
-  }
-
-  std::size_t injected_count = 0;
-  live_ = 0;  // maintained at inject/finalize; replaces the O(packets x
-              // schemes) any_in_flight rescan the repin loop used to do
-
-  while (!queue.empty()) {
-    auto timed = queue.pop();
-    clock.advance_to(timed.time);
-    const double now = clock.now();
-    ++stats_.events;
-
-    switch (timed.event.kind) {
-      case Ev::Kind::kInject: {
-        Packet& packet = packets_[timed.event.index];
-        packet.injected = true;
-        packet.inject_time = now;
-        ++injected_count;
-        // The hop-optimal baseline is pinned at injection time: stretch
-        // measures what the scheme paid relative to the network the packet
-        // was handed to, before any mid-flight wave degraded it. Packets
-        // cycle over few pairs, so the whole epoch's oracles are batched
-        // at the first injection after each topology change (one BFS per
-        // distinct source).
-        if (packet.src < net_.graph().size() &&
-            packet.dst < net_.graph().size() &&
-            net_.graph().alive(packet.src)) {
-          if (!oracle_ready_) build_epoch_oracle();
-          std::size_t cached =
-              oracle_cache_[timed.event.index % config_.pairs.size()];
-          packet.oracle_hops = cached == kNoOracle ? 0 : cached;
-        }
-        for (std::size_t k = 0; k < n_schemes; ++k) {
-          Flight& flight = packet.flights[k];
-          if (packet.src >= net_.graph().size() ||
-              !net_.graph().alive(packet.src)) {
-            finalize(flight, StreamOutcome::kNodeFailed, now);
-            continue;
-          }
-          flight.stepper = routers_[k]->make_stepper(packet.src, packet.dst,
-                                                     config_.route_options);
-          if (!flight.stepper->in_flight()) {
-            RouteStatus status = flight.stepper->result().status;
-            harvest(flight);
-            finalize(flight, outcome_of(status), now);
-            continue;
-          }
-          queue.push(now + config_.hop_delay,
-                     Ev{Ev::Kind::kHop, flight_id(timed.event.index, k)});
-          ++live_;
-        }
-        break;
-      }
-      case Ev::Kind::kHop: {
-        std::size_t p = timed.event.index / n_schemes;
-        std::size_t k = timed.event.index % n_schemes;
-        Flight& flight = packets_[p].flights[k];
-        // Stale events for copies dropped by a wave just evaporate.
-        if (flight.outcome != StreamOutcome::kInFlight ||
-            flight.stepper == nullptr) {
-          break;
-        }
-        if (flight.stepper->step()) {
-          queue.push(now + config_.hop_delay,
-                     Ev{Ev::Kind::kHop, timed.event.index});
-        } else {
-          RouteStatus status = flight.stepper->result().status;
-          harvest(flight);
-          finalize(flight, outcome_of(status), now);
-          --live_;
-        }
-        break;
-      }
-      case Ev::Kind::kWave: {
-        const StreamWave& wave = config_.waves[timed.event.index];
-        std::vector<NodeId> casualties;
-        casualties.reserve(wave.casualties.size());
-        for (NodeId u : wave.casualties) {
-          if (u < net_.graph().size() && net_.graph().alive(u)) {
-            casualties.push_back(u);
-          }
-        }
-        WaveRecord record;
-        record.time = now;
-        record.casualties = casualties.size();
-        if (casualties.empty()) {
-          // Nothing actually died (already dead / out of range / an empty
-          // schedule slot): record the wave but leave the substrate and
-          // every in-flight header untouched — a no-op wave must not
-          // force phantom re-plans.
-          stats_.waves.push_back(std::move(record));
-          break;
-        }
-        routers_.clear();  // routers reference the outgoing substrate
-        Network degraded = net_.with_failures(casualties, &record.relabel);
-        if (config_.verify_relabeling && degraded.has_safety()) {
-          SafetyInfo fresh =
-              compute_safety(degraded.graph(), degraded.interest_area());
-          record.verified = true;
-          record.matches_full_recompute = fresh == degraded.safety();
-        }
-        net_ = std::move(degraded);
-        std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
-        oracle_ready_ = false;
-        rebuild_routers();
-        replan_flights(now, &record.packets_in_flight,
-                       &record.packets_dropped);
-        stats_.waves.push_back(std::move(record));
-        break;
-      }
-      case Ev::Kind::kRepin: {
-        // Positions changed: the snapshot *continues incrementally*
-        // (Network::with_moves) — the spatial grid relocates, the
-        // adjacency is patched from the edge delta, and the safety
-        // labeling continues bidirectionally from the previous fixpoint
-        // (update_safety_after_moves: removals demote, additions promote).
-        // The paper's periodic reconstruction regime collapsed into a
-        // local update wave. Nodes killed by earlier failure waves stay
-        // dead (aliveness carries over) and the interest-area band
-        // carries over.
-        mobility_.advance(config_.mobility_dt);
-        routers_.clear();
-        RepinRecord record;
-        record.time = now;
-        EdgeDiff diff;
-        Network moved =
-            net_.with_moves(mobility_.positions(), &record.relabel, &diff);
-        record.moved = diff.moved_nodes;
-        record.edges_added = diff.added.size();
-        record.edges_removed = diff.removed.size();
-        if (config_.verify_relabeling && moved.has_safety()) {
-          SafetyInfo fresh =
-              compute_safety(moved.graph(), moved.interest_area());
-          record.verified = true;
-          record.matches_full_recompute = fresh == moved.safety();
-        }
-        net_ = std::move(moved);
-        std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
-        oracle_ready_ = false;
-        rebuild_routers();
-        replan_flights(now, &record.packets_in_flight,
-                       &record.packets_dropped);
-        ++stats_.repins;
-        stats_.repin_records.push_back(std::move(record));
-        if (injected_count < packets_.size() || live_ > 0) {
-          queue.push(now + config_.mobility_interval, Ev{Ev::Kind::kRepin, 0});
-        }
-        break;
-      }
-    }
-  }
-
-  stats_.virtual_time = clock.now();
-
-  // Per-scheme totals, accumulated in packet order — a deterministic
-  // reduction independent of how the event timeline interleaved.
-  for (const auto& packet : packets_) {
-    if (!packet.injected) continue;
-    for (std::size_t k = 0; k < n_schemes; ++k) {
-      const Flight& flight = packet.flights[k];
-      StreamSchemeStats& s = stats_.schemes[k];
-      ++s.injected;
-      s.replans.add(static_cast<double>(flight.replans));
-      s.local_minima.add(static_cast<double>(flight.local_minima));
-      switch (flight.outcome) {
-        case StreamOutcome::kDelivered:
-          ++s.delivered;
-          s.hops.add(static_cast<double>(flight.hops));
-          s.length.add(flight.length);
-          if (packet.oracle_hops > 0) {
-            s.stretch_hops.add(static_cast<double>(flight.hops) /
-                               static_cast<double>(packet.oracle_hops));
-          }
-          s.latency.add(flight.finish_time - packet.inject_time);
-          break;
-        case StreamOutcome::kTtlExpired:
-          ++s.ttl_expired;
-          break;
-        case StreamOutcome::kNodeFailed:
-          ++s.node_failed;
-          break;
-        case StreamOutcome::kDeadEnd:
-        case StreamOutcome::kInFlight:  // unreachable: the queue drained
-          ++s.dead_end;
-          break;
-      }
-    }
-  }
 }
 
 void StreamSim::run_flight_record() {
@@ -495,8 +179,7 @@ void StreamSim::run_flight_record() {
   const std::size_t n_packets = static_cast<std::size_t>(config_.packets);
   const std::size_t n_flights = n_packets * n_schemes;
 
-  rec_ = std::make_unique<Records>();
-  Records& rec = *rec_;
+  FlightRecords rec;
   rec.inject_time.assign(n_packets, 0.0);
   rec.src.assign(n_packets, kInvalidNode);
   rec.dst.assign(n_packets, kInvalidNode);
@@ -538,14 +221,14 @@ void StreamSim::run_flight_record() {
                                 double when) {
     rec.outcome[f] = outcome;
     rec.finish_time[f] = when;
-    rec.steppers[f].release();  // header + buffers, like the legacy reset
+    rec.steppers[f].release();  // header + buffers
   };
 
   // The tick ring: flights due at the same exact instant share one bucket
   // and one kTick heap event, pushed when the bucket is created — i.e. at
-  // the same pop instant the legacy engine pushed that time's first hop
-  // event, so tick-vs-control tie order inherits the legacy (time, seq)
-  // semantics.
+  // the same pop instant a one-event-per-hop schedule would push that
+  // time's first hop event, so tick-vs-control tie order keeps the
+  // (time, seq) semantics of the file comment.
   TickBuckets ticks(256);
   auto schedule_flight = [&ticks, &queue](std::size_t f, double when) {
     TickBuckets::Scheduled scheduled =
@@ -555,9 +238,11 @@ void StreamSim::run_flight_record() {
     }
   };
 
-  // Re-plans on a new substrate, mirroring the legacy replan_flights over
-  // the SoA records. Pending tick-batch entries keep firing and are
-  // filtered as stale once a flight finalizes — no ring surgery.
+  // Re-plans on a new substrate: the header state is gone with the old
+  // substrate, so each in-flight copy re-plans from wherever it is with
+  // whatever TTL it has left, or drops if its carrier died. Pending
+  // tick-batch entries keep firing and are filtered as stale once a flight
+  // finalizes — no ring surgery.
   auto replan_records = [&](double when, std::size_t* in_flight,
                             std::size_t* dropped) {
     for (std::size_t p = 0; p < n_packets; ++p) {
@@ -591,8 +276,11 @@ void StreamSim::run_flight_record() {
     }
   };
 
-  // The input timeline, scheduled up front exactly as in the legacy
-  // engine: injections, failure waves in time order, the first re-pin.
+  // The whole input timeline, scheduled up front: injections, then the
+  // failure waves in time order, then the first re-pin. Same-instant ties
+  // resolve by push order: an injection due exactly at a wave's timestamp
+  // fires before it, while a tick due at that instant (pushed mid-run,
+  // later sequence number) fires after it.
   if (!config_.pairs.empty()) {
     oracle_cache_.assign(config_.pairs.size(), kNoOracle);
     oracle_ready_ = false;
@@ -620,11 +308,11 @@ void StreamSim::run_flight_record() {
   // every flight's walk is a pure function of its own state, so a tick
   // batch may fast-forward each flight through ALL its hop instants
   // strictly before the barrier instead of one hop per tick. The instant
-  // sequence accumulates iteratively (t = t + hop_delay), exactly as the
-  // per-hop engine pushes hop events, so finish times stay bit-identical;
-  // a hop instant that lands exactly on the barrier is not taken — the
-  // survivor parks there and the barrier event (earlier seq, pushed at
-  // setup / the previous re-pin) fires first, as in the legacy heap order.
+  // sequence accumulates iteratively (t = t + hop_delay), exactly as a
+  // one-event-per-hop schedule pushes hop events, so finish times stay
+  // bit-identical; a hop instant that lands exactly on the barrier is not
+  // taken — the survivor parks there and the barrier event (earlier seq,
+  // pushed at setup / the previous re-pin) fires first.
   constexpr double kNoBarrier = std::numeric_limits<double>::infinity();
   std::vector<double> wave_times;
   wave_times.reserve(wave_order.size());
@@ -676,10 +364,10 @@ void StreamSim::run_flight_record() {
   live_ = 0;
   std::vector<std::uint32_t> active;  // this tick's surviving batch
   std::vector<double> finish_at;      // per-active final-step instant
-  // The latest fast-forwarded terminal instant. The legacy engine's clock
-  // ends on its last heap event — the slowest flight's terminal hop — but
-  // fast-forwarded hops never become heap events, so that instant is
-  // tracked here and folded into virtual_time after the drain.
+  // The latest fast-forwarded terminal instant. The run ends at the
+  // slowest flight's terminal hop, but fast-forwarded hops never become
+  // heap events, so that instant is tracked here and folded into
+  // virtual_time after the drain.
   double final_instant = 0.0;
 
   while (!queue.empty()) {
@@ -694,6 +382,11 @@ void StreamSim::run_flight_record() {
         rec.injected[p] = 1;
         rec.inject_time[p] = now;
         ++injected_count;
+        // The hop-optimal baseline is pinned at injection time: stretch
+        // measures what the scheme paid relative to the network the packet
+        // was handed to, before any mid-flight wave degraded it. The
+        // epoch's oracles are batched at the first injection after each
+        // topology change (one BFS per distinct source).
         if (rec.src[p] < net_.graph().size() &&
             rec.dst[p] < net_.graph().size() &&
             net_.graph().alive(rec.src[p])) {
@@ -786,7 +479,7 @@ void StreamSim::run_flight_record() {
         // One epoch round: every copy due at this instant advances through
         // every hop instant strictly before the next barrier (see above).
         // Stale ids (finalized by a wave/re-pin since they were scheduled)
-        // evaporate, like the legacy engine's stale hop events.
+        // just evaporate.
         const std::vector<std::uint32_t>& batch =
             ticks.take(static_cast<std::uint32_t>(timed.event.index));
         active.clear();
@@ -834,12 +527,12 @@ void StreamSim::run_flight_record() {
         // same iterative accumulation as advance_flight. Only needed when a
         // survivor exists, which requires a finite barrier and a growing
         // instant sequence (hop_delay 0 steps flights to terminal at one
-        // instant, as the legacy engine's same-time event chain does).
+        // instant).
         double park = now + hop_delay;
         if (hop_delay > 0.0 && barrier != kNoBarrier) {
           while (park < barrier) park += hop_delay;
         }
-        // Merge phase, serial in batch (= legacy pop) order: survivors
+        // Merge phase, serial in batch (= schedule) order: survivors
         // reschedule at the park instant, finished flights finalize at
         // their recorded terminal instants.
         for (std::size_t i = 0; i < active.size(); ++i) {
@@ -871,8 +564,10 @@ void StreamSim::run_flight_record() {
         record.time = now;
         record.casualties = casualties.size();
         if (casualties.empty()) {
-          // A no-op wave leaves the substrate and every in-flight header
-          // untouched (see run_per_hop).
+          // Nothing actually died (already dead / out of range / an empty
+          // schedule slot): record the wave but leave the substrate and
+          // every in-flight header untouched — a no-op wave must not
+          // force phantom re-plans.
           stats_.waves.push_back(std::move(record));
           break;
         }
@@ -895,8 +590,13 @@ void StreamSim::run_flight_record() {
         break;
       }
       case Ev::Kind::kRepin: {
-        // Incremental substrate continuation under mobility — identical to
-        // run_per_hop's handler (see the comment there).
+        // Positions changed: the snapshot *continues incrementally*
+        // (Network::with_moves) — the spatial grid relocates, the
+        // adjacency is patched from the edge delta, and the safety
+        // labeling continues bidirectionally from the previous fixpoint
+        // (update_safety_after_moves: removals demote, additions promote).
+        // Nodes killed by earlier failure waves stay dead (aliveness
+        // carries over) and the interest-area band carries over.
         mobility_.advance(config_.mobility_dt);
         routers_.clear();
         RepinRecord record;
@@ -935,8 +635,8 @@ void StreamSim::run_flight_record() {
 
   stats_.virtual_time = std::max(clock.now(), final_instant);
 
-  // Per-scheme totals in packet-major order — the same deterministic
-  // reduction as run_per_hop, over the SoA arrays.
+  // Per-scheme totals in packet-major order — a deterministic reduction
+  // independent of how the event timeline interleaved.
   for (std::size_t p = 0; p < n_packets; ++p) {
     if (!rec.injected[p]) continue;
     for (std::size_t k = 0; k < n_schemes; ++k) {

@@ -52,26 +52,25 @@
 /// — byte-identical reports across reruns and across sweep thread counts
 /// (tests enforce this).
 ///
-/// Two interchangeable engines advance the in-flight copies
-/// (StreamConfig::engine):
+/// Engine: per-flight state lives in SoA flight records, and stepper slots
+/// are pooled (reset in place on re-plan; zero steady-state allocation).
+/// Because every hop costs the same `hop_delay`, all copies due at the
+/// same instant advance in one *tick* batch (sim/tick_scheduler.h): the
+/// event heap carries one event per distinct tick time plus the sparse
+/// control events, not one event per flight-hop. Between two topology
+/// barriers (waves, re-pins) a flight's walk depends on nothing else, so a
+/// batch fast-forwards each flight up to the next barrier, and copies with
+/// the same (scheme, source, destination) in one epoch replay a memoized
+/// walk. With StreamConfig::threads > 1 each tick's batch is stepped in
+/// parallel on a TaskPool and merged in flight-id order; results are
+/// bit-identical across thread counts. StreamStats::events counts the
+/// heap events actually popped (ticks + control events).
 ///
-///  * kFlightRecord (default) — the flight-record engine: per-flight state
-///    lives in SoA arrays, stepper slots are pooled (reset in place on
-///    re-plan; zero steady-state allocation), and because every hop costs
-///    the same `hop_delay`, all copies due at the same instant advance in
-///    one *tick* batch (sim/tick_scheduler.h) — the event heap carries one
-///    event per distinct tick time plus the sparse control events, not one
-///    event per flight-hop. With StreamConfig::threads > 1 each tick's
-///    batch is stepped in parallel on a TaskPool and merged in flight-id
-///    order; results are bit-identical across thread counts.
-///  * kPerHopEvents — the legacy reference engine: one heap event per
-///    flight per hop. Kept as the oracle for the equivalence property
-///    tests.
-///
-/// Everything in StreamStats except `events` is byte-identical between the
-/// two engines (tests enforce this across seeds, waves, mobility and
-/// thread counts); `events` counts what the chosen engine actually popped
-/// (per-hop events vs ticks + control events).
+/// The direct one-heap-event-per-hop execution of the same semantics lives
+/// in tests/support/per_hop_stream.h as the reference this engine is
+/// property-tested against: everything in StreamStats except `events` is
+/// byte-identical between the two across seeds, waves, mobility and thread
+/// counts.
 
 #include <cstddef>
 #include <cstdint>
@@ -179,13 +178,6 @@ struct StreamStats {
   std::vector<StreamSchemeStats> schemes;  ///< in StreamConfig::schemes order
 };
 
-/// Which internal engine advances the in-flight copies (see the file
-/// comment). Both produce byte-identical StreamStats except `events`.
-enum class StreamEngine : unsigned char {
-  kFlightRecord,  ///< tick-batched SoA flight records (default)
-  kPerHopEvents,  ///< legacy one-heap-event-per-hop reference engine
-};
-
 /// Parameters of a stream run.
 struct StreamConfig {
   /// Schemes to race over the same packets; empty = the paper's four.
@@ -212,10 +204,8 @@ struct StreamConfig {
   /// against a from-scratch compute_safety on the changed graph
   /// (WaveRecord::verified / RepinRecord::verified).
   bool verify_relabeling = false;
-  StreamEngine engine = StreamEngine::kFlightRecord;
-  /// Flight-record engine only: worker threads stepping each tick's batch
-  /// (<= 1 = serial on the calling thread). Bit-identical results across
-  /// thread counts.
+  /// Worker threads stepping each tick's batch (<= 1 = serial on the
+  /// calling thread). Bit-identical results across thread counts.
   int threads = 1;
 };
 
@@ -239,16 +229,7 @@ class StreamSim {
   const Network& network() const noexcept { return net_; }
 
  private:
-  struct Flight;
-  struct Packet;
-  struct Records;
-
   void rebuild_routers();
-  void harvest(Flight& flight);
-  void finalize(Flight& flight, StreamOutcome outcome, double now);
-  void replan_flights(double now, std::size_t* in_flight,
-                      std::size_t* dropped);
-  void run_per_hop();
   void run_flight_record();
   /// Fills oracle_cache_ for the current topology epoch: one hops-only
   /// OracleBatch over the eligible pairs (one BFS per distinct source).
@@ -257,8 +238,6 @@ class StreamSim {
   Network net_;
   StreamConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;  ///< one per scheme
-  std::vector<Packet> packets_;       ///< kPerHopEvents engine only
-  std::unique_ptr<Records> rec_;      ///< kFlightRecord engine only
   WaypointModel mobility_;
   /// Per-pair BFS optimum for the current topology epoch (packets cycle
   /// over few pairs; the graph only changes at waves/re-pins, which

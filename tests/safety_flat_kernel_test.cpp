@@ -1,9 +1,9 @@
 /// \file safety_flat_kernel_test.cpp
 /// The flat SoA labeling kernel against its scalar oracle: the default
 /// `compute_safety`, both incremental updaters and the anchor pass must be
-/// bit-identical — statuses AND anchors — to `compute_safety_scalar` across
-/// property seeds, deployment models, thread counts and staged
-/// failure+move chains. Also pins the quadrant CSR itself: bucket contents
+/// bit-identical — statuses AND anchors — to `compute_safety_scalar`
+/// (tests/support/safety_oracles.h) across property seeds, deployment
+/// models, thread counts and staged failure+move chains. Also pins the quadrant CSR itself: bucket contents
 /// against a brute-force `zone_type` filter, and the patched epoch-to-epoch
 /// view against a fresh build.
 
@@ -18,6 +18,7 @@
 #include "graph/quadrant_csr.h"
 #include "safety/incremental.h"
 #include "safety/labeling.h"
+#include "support/safety_oracles.h"
 #include "test_helpers.h"
 #include "util/task_pool.h"
 
@@ -64,7 +65,7 @@ TEST(FlatKernel, MatchesScalarOracleAcrossSeedsAndModels) {
       LabelingStats flat_stats, scalar_stats;
       SafetyInfo flat = compute_safety(net.graph(), net.interest_area(),
                                        nullptr, &flat_stats);
-      SafetyInfo scalar = compute_safety_scalar(
+      SafetyInfo scalar = test::compute_safety_scalar(
           net.graph(), net.interest_area(), &scalar_stats);
       EXPECT_EQ(flat, scalar) << "seed " << seed;
       EXPECT_EQ(flat_stats.init_flips, scalar_stats.init_flips);
@@ -101,7 +102,7 @@ TEST(FlatKernel, FailureUpdaterIdenticalAcrossThreadCounts) {
   Network degraded = net.with_failures(casualties);
   ASSERT_TRUE(degraded.has_safety());
   SafetyInfo oracle =
-      compute_safety_scalar(degraded.graph(), degraded.interest_area());
+      test::compute_safety_scalar(degraded.graph(), degraded.interest_area());
   EXPECT_EQ(degraded.safety(), oracle);
 
   for (int threads : {2, 4}) {
@@ -125,7 +126,7 @@ TEST(FlatKernel, MovesUpdaterIdenticalAcrossThreadCounts) {
   Network moved = net.with_moves(moved_positions);
   ASSERT_TRUE(moved.has_safety());
   SafetyInfo oracle =
-      compute_safety_scalar(moved.graph(), moved.interest_area());
+      test::compute_safety_scalar(moved.graph(), moved.interest_area());
   EXPECT_EQ(moved.safety(), oracle);
 
   for (int threads : {2, 3}) {
@@ -164,7 +165,7 @@ TEST(FlatKernel, StagedFailureAndMoveChainMatchesScalarEveryEpoch) {
       }
       ASSERT_TRUE(net.has_safety());
       SafetyInfo oracle =
-          compute_safety_scalar(net.graph(), net.interest_area());
+          test::compute_safety_scalar(net.graph(), net.interest_area());
       EXPECT_EQ(net.safety(), oracle)
           << "seed " << seed << " epoch " << epoch << " (serial chain)";
       EXPECT_EQ(pooled.safety(), oracle)

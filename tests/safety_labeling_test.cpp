@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "geometry/angle.h"
+#include "support/safety_oracles.h"
 #include "test_helpers.h"
 
 namespace spr {
@@ -141,7 +142,7 @@ TEST(SafetyLabeling, WorklistMatchesRoundBased) {
   for (std::uint64_t seed : test::property_seeds()) {
     Network net = test::random_network(300, seed, DeployModel::kForbiddenAreas);
     SafetyInfo round_based =
-        compute_safety_round_based(net.graph(), net.interest_area());
+        test::compute_safety_round_based(net.graph(), net.interest_area());
     EXPECT_EQ(net.safety(), round_based) << "seed " << seed;
   }
 }

@@ -6,6 +6,7 @@
 #include "graph/graph_algos.h"
 #include "report/serialize.h"
 #include "report/sink.h"
+#include "support/per_hop_stream.h"
 #include "test_helpers.h"
 
 namespace spr {
@@ -370,7 +371,7 @@ TEST(StreamSim, StreamStatsJsonRoundTrip) {
 
 /// The acceptance contract of the flight-record engine: everything in
 /// StreamStats except `events` is byte-identical to the per-hop reference
-/// engine — across seeds, failure waves, mobility re-pins, their
+/// (tests/support/per_hop_stream.h) — across seeds, failure waves, mobility re-pins, their
 /// combination, and thread counts — and tick batching pops strictly fewer
 /// heap events than one-event-per-hop.
 TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
@@ -384,7 +385,7 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
       {23, true, true},   {61, true, true},  {83, false, true},
   };
   for (const Case& c : cases) {
-    auto run = [&c](StreamEngine engine, int threads, std::size_t* events) {
+    auto run = [&c](bool per_hop, int threads, std::size_t* events) {
       Network net =
           test::random_network(500, c.seed, DeployModel::kForbiddenAreas);
       auto [s, d] = far_pair(net, c.seed);
@@ -405,10 +406,10 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
         config.mobility_interval = 2.5;
         config.mobility_dt = 10.0;
       }
-      config.engine = engine;
       config.threads = threads;
-      StreamSim sim(std::move(net), config);
-      StreamStats stats = sim.run();
+      StreamStats stats =
+          per_hop ? test::run_stream_per_hop(std::move(net), config)
+                  : StreamSim(std::move(net), config).run();
       *events = stats.events;
       stats.events = 0;  // the one field the engines legitimately differ on
       return stream_json(stats);
@@ -416,9 +417,9 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
     std::size_t ref_events = 0;
     std::size_t tick_events = 0;
     std::size_t threaded_events = 0;
-    std::string ref = run(StreamEngine::kPerHopEvents, 1, &ref_events);
-    std::string tick = run(StreamEngine::kFlightRecord, 1, &tick_events);
-    std::string threaded = run(StreamEngine::kFlightRecord, 4, &threaded_events);
+    std::string ref = run(true, 1, &ref_events);
+    std::string tick = run(false, 1, &tick_events);
+    std::string threaded = run(false, 4, &threaded_events);
     const char* shape = c.waves ? (c.mobility ? "waves+mobility" : "waves")
                                 : (c.mobility ? "mobility" : "plain");
     EXPECT_EQ(tick, ref) << "seed " << c.seed << " " << shape;

@@ -27,6 +27,7 @@
 /// `sweep --tiles`.)
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -63,6 +64,25 @@ void add_common(FlagSet& flags, CommonArgs& args) {
   flags.add_double("range", &args.range, "transmission radius (m)");
 }
 
+/// Rejects common-flag values no network can be built from (a negative
+/// node count, a zero / negative / non-finite radius), naming the flag on
+/// stderr like the parser's own usage errors. Every command that takes the
+/// common flags calls this right after parsing.
+bool validate_common(const CommonArgs& args) {
+  if (args.nodes < 1) {
+    std::fprintf(stderr, "bad value '%d' for flag --nodes: need >= 1\n",
+                 args.nodes);
+    return false;
+  }
+  if (!std::isfinite(args.range) || args.range <= 0.0) {
+    std::fprintf(stderr,
+                 "bad value '%g' for flag --range: need a finite radius > 0\n",
+                 args.range);
+    return false;
+  }
+  return true;
+}
+
 Network build_network(const CommonArgs& args) {
   NetworkConfig config;
   config.deployment.node_count = args.nodes;
@@ -77,7 +97,7 @@ int cmd_info(int argc, const char* const* argv) {
   CommonArgs args;
   FlagSet flags("spr_cli info: network structure summary");
   add_common(flags, args);
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
   Network net = build_network(args);
   const auto& g = net.graph();
   auto degrees = degree_stats(g);
@@ -131,7 +151,7 @@ int cmd_label(int argc, const char* const* argv) {
                  "run the distributed construction and report its cost");
   flags.add_string("tiles", &tiles_spec,
                    "also label via an RxC spatial-tile grid and compare");
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
   int tile_rows = 0, tile_cols = 0;
   if (!parse_tile_grid(tiles_spec, tile_rows, tile_cols)) return 1;
   Network net = build_network(args);
@@ -196,7 +216,7 @@ int cmd_route(int argc, const char* const* argv) {
   CommonArgs args;
   FlagSet flags("spr_cli route <s> <d>: route one pair with every scheme");
   add_common(flags, args);
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
   Network net = build_network(args);
   NodeId s, d;
   if (flags.positional().size() >= 2) {
@@ -290,7 +310,7 @@ int cmd_sweep(int argc, const char* const* argv) {
                    "label each cell via an RxC spatial-tile grid");
   flags.add_string("json", &json_path,
                    "write the per-cell aggregates as a slice JSON here");
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
   if (slice_spec.empty()) slice_spec = shard_spec;  // --shard alias
   int slice_index = 0, slice_count = 1;
   if (!parse_slice_spec(slice_spec, slice_index, slice_count)) return 1;
@@ -494,7 +514,7 @@ int cmd_render(int argc, const char* const* argv) {
   CommonArgs args;
   FlagSet flags("spr_cli render <out.svg>: render the deployment");
   add_common(flags, args);
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
   if (flags.positional().empty()) {
     std::fprintf(stderr, "usage: spr_cli render [flags] <out.svg>\n");
     return 1;
