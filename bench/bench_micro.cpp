@@ -215,6 +215,39 @@ void BM_IncrementalFailureWave(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalFailureWave)->Arg(0)->Arg(1);
 
+/// The interest-area classification (deploy/interest_area.h) over a
+/// constant-degree scaled FA field: the hull plus the edge-band test, where
+/// nodes deep inside the hull skip the exact boundary distances.
+void BM_InterestArea(benchmark::State& state) {
+  Deployment dep = make_scaled_deployment(static_cast<int>(state.range(0)),
+                                          DeployModel::kForbiddenAreas);
+  UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
+  for (auto _ : state) {
+    InterestArea area(g, g.range());
+    benchmark::DoNotOptimize(area.interior_nodes().size());
+  }
+}
+BENCHMARK(BM_InterestArea)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+/// One whole Network::with_failures for a 1% wave on a labeled scaled FA
+/// world: the patched adjacency and quadrant view, the carried interest
+/// area, the labeling copy and the incremental update together.
+void BM_NetworkFailureWave(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Network net(make_scaled_deployment(n, DeployModel::kForbiddenAreas));
+  net.force(Network::kNeedsSafety);
+  Rng rng(5);
+  std::vector<NodeId> casualties;
+  for (int i = 0; i < n / 100; ++i) {
+    casualties.push_back(static_cast<NodeId>(rng.next_below(net.graph().size())));
+  }
+  for (auto _ : state) {
+    Network degraded = net.with_failures(casualties);
+    benchmark::DoNotOptimize(degraded.safety().unsafe_node_count());
+  }
+}
+BENCHMARK(BM_NetworkFailureWave)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 void BM_DistributedSafety(benchmark::State& state) {
   Deployment dep = make_deployment(static_cast<int>(state.range(0)),
                                    DeployModel::kForbiddenAreas);

@@ -2,7 +2,7 @@
 # from must be rejected as usage errors — exit code 1 with the offending
 # flag named on stderr — instead of aborting on an uncaught exception
 # (--nodes=-5) or building a grid with a zero / non-finite cell size
-# (--range=0|-1|nan).
+# (--range=0|-1|nan). A tiny finite range (--range=1e-300) is valid.
 #
 # Invoked as:
 #   cmake -DSPR_CLI=<path-to-spr_cli> -P cli_args_gate.cmake
@@ -37,11 +37,15 @@ foreach(case IN LISTS cases)
   endif()
 endforeach()
 
-# Valid values still build and label.
-execute_process(
-  COMMAND "${SPR_CLI}" label --nodes=50 --range=20
-  RESULT_VARIABLE ok_result
-  OUTPUT_QUIET)
-if(NOT ok_result EQUAL 0)
-  message(FATAL_ERROR "spr_cli label --nodes=50 --range=20 failed (exit ${ok_result})")
-endif()
+# Valid values still build and label — including a vanishing but finite
+# range, whose spatial grid must cap its cell count instead of casting
+# ~1e302 columns to int.
+foreach(args IN ITEMS "--nodes=50;--range=20" "--range=1e-300;--nodes=50")
+  execute_process(
+    COMMAND "${SPR_CLI}" label ${args}
+    RESULT_VARIABLE ok_result
+    OUTPUT_QUIET)
+  if(NOT ok_result EQUAL 0)
+    message(FATAL_ERROR "spr_cli label ${args} failed (exit ${ok_result})")
+  endif()
+endforeach()

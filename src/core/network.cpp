@@ -46,7 +46,8 @@ Network::Network(Deployment deployment, double edge_band, TaskPool* build_pool)
   interest_area_ = std::make_unique<InterestArea>(*graph_, band_);
 }
 
-Network::Network(DerivedTag, const Network& base, UnitDiskGraph graph)
+Network::Network(DerivedTag, const Network& base, UnitDiskGraph graph,
+                 InterestArea area)
     : deployment_(base.deployment_),
       build_pool_(base.build_pool_),
       band_(base.band_),
@@ -55,12 +56,15 @@ Network::Network(DerivedTag, const Network& base, UnitDiskGraph graph)
   // Moved siblings carry new coordinates; keep the deployment in sync (a
   // no-op copy for failure siblings, whose positions are identical).
   deployment_.positions = graph_->positions();
-  interest_area_ = std::make_unique<InterestArea>(*graph_, band_);
+  interest_area_ = std::make_unique<InterestArea>(std::move(area));
 }
 
 Network Network::with_failures(const std::vector<NodeId>& failed,
                                IncrementalStats* stats) const {
-  Network degraded(DerivedTag{}, *this, graph_->with_failures(failed, build_pool_));
+  UnitDiskGraph graph = graph_->with_failures(failed);
+  // Failures move no position, so the hull and edge flags carry over.
+  InterestArea area = interest_area_->with_failures(graph);
+  Network degraded(DerivedTag{}, *this, std::move(graph), std::move(area));
   if (stats != nullptr) *stats = IncrementalStats{};
   if (has_safety()) {
     // Continue the old fixpoint instead of recomputing it: failures only
@@ -82,8 +86,9 @@ Network Network::with_failures(const std::vector<NodeId>& failed,
 
 Network Network::with_moves(const std::vector<Vec2>& positions,
                             IncrementalStats* stats, EdgeDiff* diff) const {
-  Network moved(DerivedTag{}, *this,
-                graph_->with_moves(positions, diff, build_pool_));
+  UnitDiskGraph graph = graph_->with_moves(positions, diff, build_pool_);
+  InterestArea area(graph, band_);  // the hull moves with the nodes
+  Network moved(DerivedTag{}, *this, std::move(graph), std::move(area));
   if (stats != nullptr) *stats = IncrementalStats{};
   if (has_safety()) {
     // Continue the old fixpoint through the bidirectional updater instead

@@ -127,9 +127,11 @@ class Network {
                                       Slgf2Options slgf2_options = {}) const;
 
   /// A degraded copy of this network: `failed` nodes marked dead (positions
-  /// kept, edges removed — UnitDiskGraph::with_failures, sharing the
-  /// spatial grid) and the interest area recomputed over the degraded
-  /// graph. If this network's safety labeling has been built, the copy's
+  /// kept, edges removed — UnitDiskGraph::with_failures patches the
+  /// adjacency and shares the spatial grid) and the interest area carried
+  /// over (InterestArea::with_failures: failures move no position, so the
+  /// hull and edge flags stay; only the interior list drops the dead). If
+  /// this network's safety labeling has been built, the copy's
   /// labeling is derived from it by the *incremental* updater
   /// (update_safety_after_failures) instead of a from-scratch
   /// compute_safety — identical statuses and anchors (tests enforce
@@ -171,10 +173,12 @@ class Network {
       Rng& rng, int max_tries = 64) const;
 
  private:
-  /// Tag-dispatched constructor behind with_failures: adopts a pre-built
-  /// (degraded) graph instead of building one from the deployment.
+  /// Tag-dispatched constructor behind with_failures/with_moves: adopts a
+  /// pre-built (degraded or moved) graph and its interest area instead of
+  /// building them from the deployment.
   struct DerivedTag {};
-  Network(DerivedTag, const Network& base, UnitDiskGraph graph);
+  Network(DerivedTag, const Network& base, UnitDiskGraph graph,
+          InterestArea area);
 
   /// Heap-allocated so Network stays movable (std::once_flag is not).
   /// The `*_built` flags let has_*() observe without racing the builders.

@@ -300,13 +300,13 @@ int run_failure_dynamics(const ScenarioOptions& opts, ScenarioReport& report) {
       }
     }
 
-    // Shares the original graph's spatial grid — no re-bucketing.
-    UnitDiskGraph dead_graph =
-        before.graph().with_failures(casualties, &build_pool);
+    // Patched from the original graph, sharing its spatial grid.
+    UnitDiskGraph dead_graph = before.graph().with_failures(casualties);
     if (!connected(dead_graph, s, d)) continue;
     ++connected_trials;
 
-    InterestArea degraded_area(dead_graph, dead_graph.range());
+    InterestArea degraded_area =
+        before.interest_area().with_failures(dead_graph);
     SafetyInfo degraded_info = before.safety();
     auto inc_stats = update_safety_after_failures(dead_graph, degraded_area,
                                                   casualties, degraded_info);

@@ -3,13 +3,39 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/check.h"
+
 namespace spr {
 
 SpatialGrid::SpatialGrid(std::vector<Vec2> points, Rect bounds,
                          double cell_size)
     : points_(std::move(points)), bounds_(bounds), cell_size_(cell_size) {
-  cols_ = std::max(1, static_cast<int>(std::ceil(bounds.width() / cell_size_)));
-  rows_ = std::max(1, static_cast<int>(std::ceil(bounds.height() / cell_size_)));
+  SPR_CHECK(std::isfinite(cell_size) && cell_size > 0.0,
+            "SpatialGrid: cell size ", cell_size, " is not finite and positive");
+  // Counted in double, then capped at kMaxCells by growing the cell side:
+  // a tiny cell size (a 1e-300 radio range) must neither overflow the int
+  // cast nor allocate a cell array per picometer. Queries filter by exact
+  // distance, so coarser cells only widen the candidate scan.
+  const double width = bounds.width();
+  const double height = bounds.height();
+  auto count = [&](double extent) {
+    return std::max(1.0, std::ceil(extent / cell_size_));
+  };
+  double cols = count(width);
+  double rows = count(height);
+  if (!(cols * rows <= kMaxCells)) {
+    // Twice the side at which width×height, width and height alone fill
+    // kMaxCells: before rounding up each count is <= kMaxCells/2 and their
+    // product <= kMaxCells/4, so the rounded-up product stays <= kMaxCells.
+    cell_size_ = 2.0 * std::max({std::sqrt(width * height / kMaxCells),
+                                 width / kMaxCells, height / kMaxCells});
+    cols = count(width);
+    rows = count(height);
+    SPR_CHECK(cols * rows <= kMaxCells, "SpatialGrid: ", cols, "x", rows,
+              " cells over the cap");
+  }
+  cols_ = static_cast<int>(cols);
+  rows_ = static_cast<int>(rows);
   const std::size_t cell_count =
       static_cast<size_t>(cols_) * static_cast<size_t>(rows_);
 
@@ -113,14 +139,23 @@ void SpatialGrid::relocate(std::span<const NodeId> ids,
   cell_ids_ = std::move(new_ids);
 }
 
+namespace {
+
+/// Truncates `cells` to a cell index in [0, last], clamping in double so
+/// far-outside (or NaN) coordinates never reach an out-of-range int cast.
+int clamp_cell(double cells, int last) noexcept {
+  if (!(cells >= 0.0)) return 0;
+  return static_cast<int>(std::min(cells, static_cast<double>(last)));
+}
+
+}  // namespace
+
 int SpatialGrid::cell_col(double x) const noexcept {
-  int c = static_cast<int>((x - bounds_.lo().x) / cell_size_);
-  return std::clamp(c, 0, cols_ - 1);
+  return clamp_cell((x - bounds_.lo().x) / cell_size_, cols_ - 1);
 }
 
 int SpatialGrid::cell_row(double y) const noexcept {
-  int r = static_cast<int>((y - bounds_.lo().y) / cell_size_);
-  return std::clamp(r, 0, rows_ - 1);
+  return clamp_cell((y - bounds_.lo().y) / cell_size_, rows_ - 1);
 }
 
 void SpatialGrid::query_radius(Vec2 center, double radius, NodeId exclude,

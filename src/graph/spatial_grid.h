@@ -25,8 +25,13 @@ namespace spr {
 /// instead of a vector header each.
 class SpatialGrid {
  public:
+  /// At most this many cells: a `cell_size` too small for the bounds is
+  /// grown so that the grid fits.
+  static constexpr double kMaxCells = 16777216.0;  // 2^24
+
   /// Builds the grid over all `points`. `cell_size` should be >= the query
-  /// radius for single-ring neighbor queries (we use the radio range).
+  /// radius for single-ring neighbor queries (we use the radio range); it
+  /// must be finite and positive (checked).
   SpatialGrid(std::vector<Vec2> points, Rect bounds, double cell_size);
 
   /// Appends to `out` the ids of all points within `radius` of `center`

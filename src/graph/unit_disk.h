@@ -114,11 +114,15 @@ class UnitDiskGraph {
   std::size_t edge_count() const noexcept { return adjacency_.size() / 2; }
   double average_degree() const noexcept;
 
-  /// A copy of this graph with the given nodes marked dead (edges removed).
-  /// Reuses this graph's spatial grid (positions are identical), so repeated
-  /// failure batches never re-bucket the point set.
-  UnitDiskGraph with_failures(const std::vector<NodeId>& failed,
-                              TaskPool* build_pool = nullptr) const;
+  /// A copy of this graph with the given nodes marked dead (edges removed),
+  /// built by *patching* the CSR rather than re-running radius queries:
+  /// casualty rows empty out, the rows of their old neighbors drop the dead
+  /// ids, and every other row block-copies. Positions are unchanged, so the
+  /// copy shares this graph's spatial grid and a built quadrant view is
+  /// patched over the same rows. The result is bit-identical to a fresh
+  /// build over the new aliveness mask (tests enforce offsets, adjacency
+  /// and zones equality across wave chains). Ids out of range are ignored.
+  UnitDiskGraph with_failures(const std::vector<NodeId>& failed) const;
 
   /// A copy of this graph over moved node positions, built *incrementally*:
   /// the spatial grid is copied and `SpatialGrid::relocate`d (unmoved points
@@ -139,11 +143,8 @@ class UnitDiskGraph {
   const SpatialGrid& grid() const noexcept { return *grid_; }
 
  private:
-  UnitDiskGraph(std::vector<Vec2> positions, double range, Rect bounds,
-                const std::vector<bool>& alive,
-                std::shared_ptr<const SpatialGrid> grid, TaskPool* build_pool);
-
-  /// Adopts fully built CSR arrays (the with_moves patch path).
+  /// Adopts fully built CSR arrays (the with_failures/with_moves patch
+  /// paths).
   struct PatchedTag {};
   UnitDiskGraph(PatchedTag, std::vector<Vec2> positions, double range,
                 Rect bounds, std::shared_ptr<const SpatialGrid> grid,

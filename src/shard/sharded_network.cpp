@@ -339,8 +339,9 @@ void ShardedNetwork::apply_failures(const std::vector<NodeId>& failed) {
   const std::size_t n = global_->size();
 
   auto next_global =
-      std::make_unique<UnitDiskGraph>(global_->with_failures(failed, pool_));
-  auto next_area = std::make_unique<InterestArea>(*next_global, band_);
+      std::make_unique<UnitDiskGraph>(global_->with_failures(failed));
+  auto next_area =
+      std::make_unique<InterestArea>(area_->with_failures(*next_global));
   for (const NodeId f : failed) {
     if (f < n) info_.tuple(f) = SafetyTuple{};
   }
@@ -363,7 +364,7 @@ void ShardedNetwork::apply_failures(const std::vector<NodeId>& failed) {
           }
           if (local.empty()) continue;
           tile.labeler.reset();
-          UnitDiskGraph patched = tile.graph->with_failures(local, nullptr);
+          UnitDiskGraph patched = tile.graph->with_failures(local);
           *tile.graph = std::move(patched);
         }
       });

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/graph_algos.h"
 #include "test_helpers.h"
 
@@ -199,6 +201,44 @@ TEST(Network, FaModelPropagatesToDeployment) {
   config.seed = 4;
   Network net = Network::create(config);
   EXPECT_FALSE(net.deployment().forbidden_areas.empty());
+}
+
+/// The area a derived network carries equals a fresh InterestArea over its
+/// graph at the same band: flags, hull and interior list.
+void expect_fresh_area(const Network& net) {
+  const InterestArea fresh(net.graph(), net.edge_band());
+  const InterestArea& area = net.interest_area();
+  EXPECT_EQ(area.hull(), fresh.hull());
+  EXPECT_EQ(area.interior_nodes(), fresh.interior_nodes());
+  for (NodeId u = 0; u < net.graph().size(); ++u) {
+    ASSERT_EQ(area.is_edge_node(u), fresh.is_edge_node(u)) << "node " << u;
+  }
+}
+
+TEST(Network, FailureAndMoveChainsKeepTheFreshInterestArea) {
+  Network net = test::random_network(600, 41, DeployModel::kForbiddenAreas);
+  net.force(Network::kNeedsSafety);
+  Rng rng(17);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    std::vector<NodeId> failed;
+    for (int k = 0; k < 12; ++k) {
+      failed.push_back(static_cast<NodeId>(rng.next_below(net.graph().size())));
+    }
+    net = net.with_failures(failed);
+    expect_fresh_area(net);
+
+    std::vector<Vec2> positions = net.graph().positions();
+    const Rect field = net.deployment().field;
+    for (int k = 0; k < 30; ++k) {
+      Vec2& p = positions[rng.next_below(positions.size())];
+      p.x = std::clamp(p.x + rng.uniform(-8.0, 8.0), field.lo().x, field.hi().x);
+      p.y = std::clamp(p.y + rng.uniform(-8.0, 8.0), field.lo().y, field.hi().y);
+    }
+    // An interior node jumps to the field corner: the hull moves too.
+    positions[net.interest_area().interior_nodes().front()] = field.lo();
+    net = net.with_moves(positions);
+    expect_fresh_area(net);
+  }
 }
 
 TEST(Network, TinyNetworkNoInterior) {

@@ -51,6 +51,48 @@ TEST(SpatialGrid, QueryRadiusMatchesBruteForce) {
   }
 }
 
+/// A 1e-300 cell size (what `spr_cli label --range=1e-300` builds) is
+/// finite and positive, so it is accepted: the grid caps its cell count
+/// rather than casting ~1e302 columns to int, and both the grid and the
+/// unit-disk graph over it still answer exactly.
+TEST(SpatialGrid, TinyCellSizeMatchesBruteForce) {
+  Deployment d = random_deployment(80, 4, DeployModel::kIdeal);
+  for (int i = 0; i < 10; ++i) {
+    d.positions.push_back(d.positions[static_cast<std::size_t>(3 * i)]);
+  }
+  const double tiny = 1e-300;
+  SpatialGrid grid(d.positions, d.field, tiny);
+  EXPECT_LE(static_cast<double>(grid.cols()) * grid.rows(),
+            SpatialGrid::kMaxCells);
+  for (double radius : {tiny, d.radio_range}) {
+    for (NodeId center_id = 0; center_id < d.positions.size(); ++center_id) {
+      const Vec2 center = d.positions[center_id];
+      std::vector<NodeId> fast;
+      grid.query_radius(center, radius, center_id, fast);
+      std::vector<NodeId> brute;
+      for (NodeId v = 0; v < d.positions.size(); ++v) {
+        if (v != center_id && distance(d.positions[v], center) <= radius) {
+          brute.push_back(v);
+        }
+      }
+      EXPECT_EQ(sorted(fast), brute) << "radius " << radius;
+    }
+  }
+
+  UnitDiskGraph g(d.positions, tiny, d.field);
+  std::size_t directed = 0;
+  for (NodeId u = 0; u < g.size(); ++u) {
+    for (NodeId v = 0; v < g.size(); ++v) {
+      if (u == v) continue;
+      const bool expected = distance(d.positions[u], d.positions[v]) <= tiny;
+      EXPECT_EQ(g.are_neighbors(u, v), expected) << u << "," << v;
+      directed += expected ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(g.directed_edge_count(), directed);
+  EXPECT_GE(directed, 20u);  // the duplicated positions
+}
+
 TEST(SpatialGrid, QueryRadiusKeepsEverythingWithInvalidExclude) {
   Deployment d = random_deployment(200, 5, DeployModel::kIdeal);
   SpatialGrid grid(d.positions, d.field, d.radio_range);

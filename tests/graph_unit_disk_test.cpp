@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "deploy/rng.h"
+#include "graph/quadrant_csr.h"
 #include "test_helpers.h"
 
 namespace spr {
@@ -83,6 +86,65 @@ TEST(UnitDisk, WithFailuresRemovesEdges) {
   EXPECT_FALSE(g2.alive(1));
   EXPECT_TRUE(g2.alive(0));
   EXPECT_EQ(g2.position(1), Vec2(10.0, 0.0));  // position retained
+}
+
+/// `patched` equals a fresh build over its positions and the expected
+/// aliveness `alive`: liveness, CSR offsets, adjacency rows and quadrant
+/// rows. A graph whose quadrant view is not built yet stays that way (its
+/// rows are bucketed on the side).
+void expect_equals_fresh_build(const UnitDiskGraph& patched,
+                               const std::vector<bool>& alive) {
+  UnitDiskGraph fresh(patched.positions(), patched.range(), patched.bounds(),
+                      alive);
+  ASSERT_EQ(patched.size(), fresh.size());
+  ASSERT_EQ(patched.directed_edge_count(), fresh.directed_edge_count());
+  for (NodeId u = 0; u < patched.size(); ++u) {
+    ASSERT_EQ(patched.alive(u), alive[u]) << u;
+  }
+  for (NodeId u = 0; u <= patched.size(); ++u) {
+    ASSERT_EQ(patched.neighbor_offset(u), fresh.neighbor_offset(u)) << u;
+  }
+  for (NodeId u = 0; u < patched.size(); ++u) {
+    auto a = patched.neighbors(u);
+    auto b = fresh.neighbors(u);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << u;
+  }
+  if (patched.has_zones()) {
+    EXPECT_TRUE(patched.zones() == fresh.zones());
+  } else {
+    EXPECT_TRUE(QuadrantZones::build(patched) == fresh.zones());
+  }
+}
+
+/// A chain of patched failure waves stays bit-identical to fresh builds,
+/// whether or not the parent had built its quadrant view (patched vs lazy
+/// zones). Waves repeat ids, re-kill dead nodes and pass out-of-range ids.
+TEST(UnitDisk, PatchedFailureChainEqualsFreshBuild) {
+  for (bool warm_zones : {true, false}) {
+    Network net =
+        test::random_network(600, warm_zones ? 6 : 7, DeployModel::kForbiddenAreas);
+    UnitDiskGraph current = net.graph();
+    if (warm_zones) current.zones();
+    std::vector<bool> alive(current.size(), true);
+    Rng rng(warm_zones ? 31 : 32);
+    NodeId last_casualty = kInvalidNode;
+    for (int wave = 0; wave < 4; ++wave) {
+      std::vector<NodeId> failed;
+      for (int k = 0; k < 25; ++k) {
+        failed.push_back(static_cast<NodeId>(rng.next_below(current.size())));
+      }
+      failed.push_back(failed.front());  // duplicate id
+      if (last_casualty != kInvalidNode) failed.push_back(last_casualty);
+      last_casualty = failed.front();
+      failed.push_back(static_cast<NodeId>(current.size() + 5));  // ignored
+      for (NodeId u : failed) {
+        if (u < alive.size()) alive[u] = false;
+      }
+      current = current.with_failures(failed);
+      EXPECT_EQ(current.has_zones(), warm_zones);
+      expect_equals_fresh_build(current, alive);
+    }
+  }
 }
 
 TEST(UnitDisk, EmptyGraph) {

@@ -38,15 +38,6 @@ TEST(ParallelBuild, AdjacencyIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(ParallelBuild, AdjacencyWithFailuresIdentical) {
-  Deployment d = test::dense_grid_deployment(600, 6);
-  UnitDiskGraph base(d.positions, d.radio_range, d.field);
-  std::vector<NodeId> failed = {3, 50, 51, 52, 200, 333};
-  TaskPool pool(3);
-  expect_same_graph(base.with_failures(failed),
-                    base.with_failures(failed, &pool));
-}
-
 TEST(ParallelBuild, SafetyLabelingIdenticalAcrossPoolSizes) {
   Deployment d = test::dense_grid_deployment(600, 7);
   UnitDiskGraph g(d.positions, d.radio_range, d.field);
