@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <vector>
 
 #include "core/network.h"
@@ -81,10 +82,15 @@ BENCHMARK(BM_GabrielOverlay)->Arg(400)->Arg(800);
 ///
 ///  * BM_SafetyLabeling        — the flat kernel, serial (the default path);
 ///  * BM_SafetyLabelingScalar  — the per-node tuple oracle it replaced;
-///  * BM_SafetyLabelingParallel — the flat kernel on a 4-worker pool.
+///  * BM_SafetyLabelingParallel — the flat kernel on a 4-worker pool: the
+///    status fixpoint stays one serial FIFO schedule and only the four
+///    per-type anchor passes fan out (the zones are warm). Pooled demotion
+///    rounds were slower than the serial drain at 10^6 nodes on 4 vCPU;
+///    the anchor pass is the pooled part that pays (flat_kernel.h).
 ///
 /// `flips`/`pushes` counters expose the kernel's work volume (identical
-/// between flat and scalar at the same size: the fixpoint is unique).
+/// between flat and scalar at the same size: the fixpoint is unique, and
+/// identical between serial and pooled: the schedule is the same).
 enum class LabelMode { kFlat, kScalar, kParallel };
 
 void safety_labeling_bench(benchmark::State& state, LabelMode mode) {
@@ -214,6 +220,51 @@ void BM_IncrementalFailureWave(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncrementalFailureWave)->Arg(0)->Arg(1);
+
+/// One localized 1% re-pin on a labeled scaled FA world (1% of the nodes
+/// each drift up to 8 m) through update_safety_after_moves. Args are
+/// {nodes, pooled}: serial (0) or on a 4-worker pool (1), which fans out
+/// the four per-type anchor passes. The moved graph (with_moves patches the
+/// zones the base labeling built), its interest area and the per-iteration
+/// copy of the base labeling stay outside the timed region.
+void BM_MovesUpdater(benchmark::State& state) {
+  const bool pooled = state.range(1) != 0;
+  Deployment dep = make_scaled_deployment(static_cast<int>(state.range(0)),
+                                          DeployModel::kForbiddenAreas);
+  UnitDiskGraph before(dep.positions, dep.radio_range, dep.field);
+  InterestArea area_before(before, before.range());
+  const SafetyInfo base = compute_safety(before, area_before);
+  Rng rng(11);
+  std::vector<Vec2> moved = before.positions();
+  for (std::size_t k = 0; k < moved.size() / 100; ++k) {
+    const auto u = static_cast<NodeId>(rng.next_below(moved.size()));
+    const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    const double radius = rng.uniform(0.0, 8.0);
+    moved[u].x = std::clamp(moved[u].x + radius * std::cos(angle),
+                            dep.field.lo().x, dep.field.hi().x);
+    moved[u].y = std::clamp(moved[u].y + radius * std::sin(angle),
+                            dep.field.lo().y, dep.field.hi().y);
+  }
+  UnitDiskGraph after = before.with_moves(moved);
+  InterestArea area_after(after, after.range());
+  TaskPool pool(4);
+  IncrementalStats last{};
+  for (auto _ : state) {
+    state.PauseTiming();
+    SafetyInfo info = base;
+    state.ResumeTiming();
+    last = update_safety_after_moves(before, area_before, after, area_after,
+                                     info, pooled ? &pool : nullptr);
+    benchmark::DoNotOptimize(info.unsafe_node_count());
+  }
+  state.counters["seeds"] = static_cast<double>(last.seeds);
+  state.counters["flips"] = static_cast<double>(last.flips);
+  state.counters["promotions"] = static_cast<double>(last.promotions);
+}
+BENCHMARK(BM_MovesUpdater)
+    ->Args({100000, 0})
+    ->Args({100000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 /// The interest-area classification (deploy/interest_area.h) over a
 /// constant-degree scaled FA field: the hull plus the edge-band test, where

@@ -55,11 +55,12 @@ struct NetworkConfig {
   /// Edge-node band around the hull; negative means one radio range.
   double edge_band = -1.0;
   /// Non-owning pool for *within-network* build parallelism: unit-disk
-  /// adjacency and the safety-labeling initialization fan out over it with
-  /// deterministic (node-id-ordered) merges, so the network is bit-identical
-  /// for every thread count. Must outlive the Network (lazy structures may
-  /// build late). Leave null when networks are themselves built on pool
-  /// workers (the sweep cells do) — nesting would deadlock the pool.
+  /// adjacency, the quadrant zones and the safety labeling's per-type
+  /// anchor passes fan out over it with deterministic (node-id-ordered)
+  /// merges, so the network is bit-identical for every thread count. Must
+  /// outlive the Network (lazy structures may build late). Leave null when
+  /// networks are themselves built on pool workers (the sweep cells do) —
+  /// nesting would deadlock the pool.
   TaskPool* build_pool = nullptr;
 };
 

@@ -205,7 +205,8 @@ int run_hole_field(const ScenarioOptions& opts, ScenarioReport& report) {
   // Unsafe-node share, sampled over this sweep's own networks (the sweep
   // itself never builds the labeling for GF/LGF — that's the point of the
   // lazy Network — so sample it here explicitly). These builds run on the
-  // main thread, so the adjacency and labeling fan out within each network.
+  // main thread, so the adjacency, zones and anchor passes fan out within
+  // each network.
   TaskPool build_pool(opts.threads);
   Table table({"nodes", "unsafe%", "GF deliv", "LGF deliv", "SLGF deliv",
                "SLGF2 deliv", "SLGF2 perim"});
@@ -278,7 +279,8 @@ int run_failure_dynamics(const ScenarioOptions& opts, ScenarioReport& report) {
   int connected_trials = 0;
 
   // Single-network trials on the main thread: build-parallelize within
-  // each network (adjacency + labeling init fan out; results identical).
+  // each network (adjacency, zones and anchor passes fan out; results
+  // identical).
   TaskPool build_pool(opts.threads);
   for (int trial = 0; trial < trials; ++trial) {
     NetworkConfig config;

@@ -1,7 +1,5 @@
 #include "safety/flat_kernel.h"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <vector>
@@ -14,13 +12,6 @@
 namespace spr {
 
 namespace {
-
-/// Frontier size above which a demotion step runs as a synchronous parallel
-/// round instead of a serial pop; below it, task dispatch costs more than
-/// the evaluations.
-constexpr std::size_t kParallelFrontier = 2048;
-/// Source count above which promotion flood fills fan out.
-constexpr std::size_t kParallelSources = 8;
 
 std::uint64_t* alloc_words(Arena& arena, std::size_t words, bool zero) {
   auto* p = static_cast<std::uint64_t*>(
@@ -46,7 +37,6 @@ FlatLabeler::FlatLabeler(const UnitDiskGraph& g, const InterestArea* area,
       n_(g.size()),
       node_words_((g.size() + 63) / 64),
       key_words_((4 * g.size() + 63) / 64),
-      round_(ArenaAllocator<std::uint32_t>(arena)),
       flips_(ArenaAllocator<std::uint32_t>(arena)),
       raised_(ArenaAllocator<std::uint32_t>(arena)) {
   for (int ti = 0; ti < 4; ++ti) {
@@ -139,44 +129,23 @@ bool FlatLabeler::enqueue(NodeId u, int ti) {
   return true;
 }
 
-void FlatLabeler::initial_round(TaskPool* pool) {
+void FlatLabeler::initial_round() {
   // The vacuous flips are a pure function of the topology — Q_t(u) holds no
-  // neighbor at all — so evaluation order is irrelevant; the scan fans out
-  // and the flips apply in key order below. The grain keeps each block's
-  // key range word-aligned (grain * 4 divisible by 64), so blocks never
-  // share an output word.
-  std::uint64_t* init = alloc_words(arena_, key_words_, true);
-  parallel_for_blocked(
-      pool, n_, 1024, [&](std::size_t range_begin, std::size_t range_end) {
-        for (NodeId u = static_cast<NodeId>(range_begin);
-             u < static_cast<NodeId>(range_end); ++u) {
-          if (!eligible(u)) continue;
-          for (int ti = 0; ti < 4; ++ti) {
-            if (zones_.members(u, kAllZoneTypes[ti]).empty()) {
-              const std::uint32_t k = key(u, ti);
-              init[k >> 6] |= 1ull << (k & 63);
-            }
-          }
-        }
-      });
-  for (std::size_t w = 0; w < key_words_; ++w) {
-    std::uint64_t bits = init[w];
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
+  // neighbor at all — so one ascending scan applies them in key order,
+  // enqueueing their observers exactly like the scalar oracle.
+  for (NodeId u = 0; u < n_; ++u) {
+    if (!eligible(u)) continue;
+    for (int ti = 0; ti < 4; ++ti) {
+      if (!zones_.members(u, kAllZoneTypes[ti]).empty()) continue;
       ++stats_.init_flips;
-      apply_flip(static_cast<std::uint32_t>(w * 64 + b));
+      apply_flip(key(u, ti));
     }
   }
 }
 
-std::size_t FlatLabeler::drain(TaskPool* pool) {
+std::size_t FlatLabeler::drain() {
   const std::size_t before = flips_.size();
   while (fifo_count_ != 0) {
-    if (pool != nullptr && fifo_count_ >= kParallelFrontier) {
-      parallel_round(pool);
-      continue;
-    }
     const std::uint32_t k = fifo_[fifo_head_];
     if (++fifo_head_ >= fifo_cap_) fifo_head_ = 0;
     --fifo_count_;
@@ -196,78 +165,29 @@ std::size_t FlatLabeler::drain(TaskPool* pool) {
   return flips_.size() - before;
 }
 
-std::size_t FlatLabeler::parallel_round(TaskPool* pool) {
-  // Synchronous round: evaluate the whole frontier against the pre-round
-  // bits (a pure function, so any partition yields the same outcomes), then
-  // apply the flips serially in frontier order. Monotonicity keeps a
-  // pre-round must-flip valid after this round's earlier applications. The
-  // pend bits of the frontier clear *before* the applications, so an
-  // observer that evaluated "no flip" here is re-enqueued by the fan-out of
-  // a later flip — no transitively-required flip is ever lost. Outcomes per
-  // slot make the stats deterministic for every worker count.
-  if (round_state_ == nullptr) {
-    round_state_ = static_cast<std::uint8_t*>(arena_.allocate(4 * n_, 1));
-  }
-  if (round_.capacity() == 0) round_.reserve(4 * n_);
-  round_.clear();
-  for (std::size_t i = 0, pos = fifo_head_; i < fifo_count_; ++i) {
-    round_.push_back(fifo_[pos]);
-    if (++pos >= fifo_cap_) pos = 0;
-  }
-  fifo_head_ = 0;
-  fifo_count_ = 0;
-  for (const std::uint32_t k : round_) {
-    pend_[k >> 6] &= ~(1ull << (k & 63));
-  }
-  const std::size_t m = round_.size();
-  parallel_for_blocked(
-      pool, m, 256, [&](std::size_t range_begin, std::size_t range_end) {
-        for (std::size_t i = range_begin; i < range_end; ++i) {
-          const std::uint32_t k = round_[i];
-          const NodeId u = key_node(k);
-          const int ti = key_type(k);
-          std::uint8_t outcome = 0;  // guard skip
-          if (eligible(u) && safe_bit(u, ti)) {
-            outcome = must_flip(u, ti) ? 2 : 1;  // flip : re-eval, no flip
-          }
-          round_state_[i] = outcome;
-        }
-      });
-  std::size_t flipped = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (round_state_[i] == 0) continue;
-    ++stats_.reevaluations;
-    if (round_state_[i] != 2) continue;
-    apply_flip(round_[i]);
-    ++stats_.flips;
-    ++flipped;
-  }
-  return flipped;
-}
-
 std::span<const std::uint32_t> FlatLabeler::raise_clusters(
-    std::span<const std::uint32_t> sources, TaskPool* pool) {
+    std::span<const std::uint32_t> sources) {
   raised_.clear();
   if (raised_.capacity() == 0) raised_.reserve(4 * n_);
   if (mark_ == nullptr) mark_ = alloc_words(arena_, key_words_, false);
   std::memset(mark_, 0, key_words_ * sizeof(std::uint64_t));
 
-  // First-claim wins via fetch_or; a flood that loses a claim stops there
-  // while the claimer keeps expanding, so the marked set is always the full
-  // union of the touched clusters no matter how claims interleave.
+  // Test-and-set on the mark bits: a flood stops at pairs an earlier flood
+  // already claimed, so the marked set is the union of the touched clusters.
   auto claim = [&](std::uint32_t k) {
-    std::atomic_ref<std::uint64_t> word(mark_[k >> 6]);
+    std::uint64_t& word = mark_[k >> 6];
     const std::uint64_t bit = 1ull << (k & 63);
-    return (word.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
   };
-  auto flood = [&](std::uint32_t src) {
+  static thread_local std::vector<NodeId> stack;
+  for (const std::uint32_t src : sources) {
     const NodeId su = key_node(src);
     const int ti = key_type(src);
     // Dead nodes hold fresh all-safe tuples, so the unsafe guard also
     // filters them.
-    if (safe_bit(su, ti)) return;
-    if (!claim(src)) return;
-    static thread_local std::vector<NodeId> stack;
+    if (safe_bit(su, ti) || !claim(src)) continue;
     stack.clear();
     stack.push_back(su);
     while (!stack.empty()) {
@@ -278,19 +198,9 @@ std::span<const std::uint32_t> FlatLabeler::raise_clusters(
         if (claim(key(v, ti))) stack.push_back(v);
       }
     }
-  };
-  if (pool != nullptr && sources.size() >= kParallelSources) {
-    parallel_for_blocked(pool, sources.size(), 1,
-                         [&](std::size_t range_begin, std::size_t range_end) {
-                           for (std::size_t i = range_begin; i < range_end; ++i)
-                             flood(sources[i]);
-                         });
-  } else {
-    for (const std::uint32_t src : sources) flood(src);
   }
 
-  // Collect ascending from the bit words — claim-order invariant — and
-  // re-raise the bits.
+  // Collect ascending from the bit words and re-raise the bits.
   for (std::size_t w = 0; w < key_words_; ++w) {
     std::uint64_t bits = mark_[w];
     while (bits != 0) {

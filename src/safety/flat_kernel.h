@@ -14,20 +14,26 @@
 ///    The fixpoint loop probes single bits of a 4·n/8-byte working set
 ///    instead of reading ~168-byte SafetyTuple records; eligibility
 ///    (alive ∧ ¬edge-pinned) is a fifth word array; worklist dedup and
-///    round masks are per-(node,type) keyed bit arrays.
+///    cluster marks are per-(node,type) keyed bit arrays.
 ///  * **Arena-backed scratch**: every worklist, flip list, bitmap and
 ///    cluster walk allocates from a caller-owned Arena (util/arena.h) with
 ///    exact reservations, so a steady-state repin epoch does zero general
 ///    heap allocation inside the kernel.
-///  * **Parallel sweeps** (optional TaskPool): the initialization round,
-///    large demotion frontiers (evaluated as synchronous rounds — the flip
-///    set of a round is data-determined and applied in key order),
-///    promotion cluster raises (independent per-cluster flood fills whose
-///    union is order-invariant) and the independent per-type anchor passes
-///    of Algorithm 2 all fan out. Every merge is id-ordered, so results are
-///    bit-identical (statuses *and* anchors) to the serial kernel and to
-///    the scalar oracle in tests/support/safety_oracles.h for every thread
-///    count; tests enforce this.
+///  * **Parallel sweeps** (optional TaskPool): the status fixpoint is one
+///    serial schedule — the ascending init scan, the FIFO drain and, for
+///    promotions, the cluster raises. Only `compute_anchors` takes a pool:
+///    its four per-type passes of Algorithm 2 fan out. The quadrant-zones
+///    build the kernel reads fans out too, outside the kernel
+///    (graph/quadrant_csr.h). Definition 1's fixpoint is unique, so a
+///    second schedule must earn its place with speed. Measured medians on
+///    4 vCPU over three scaled-FA worlds of 10^6 nodes: pooled demotion
+///    rounds made the drain slower (422 / 247 / 759 ms serial, 613 / 381 /
+///    1045 ms pooled), while the pooled anchor pass is faster (312 / 210 /
+///    603 ms serial, 112 / 108 / 296 ms pooled). Within a type the anchor
+///    pass keeps the serial ascending schedule, so statuses, anchors and
+///    `LabelingStats` are identical for every thread count and
+///    bit-identical to the scalar oracle in tests/support/safety_oracles.h;
+///    tests enforce this.
 ///
 /// (node, type) pairs travel as packed keys `u*4 + zone_index(t)`.
 
@@ -82,21 +88,19 @@ class FlatLabeler {
   bool must_flip(NodeId u, int type_index) const noexcept;
 
   /// The initialization round against the all-safe labeling: S_t(u) flips
-  /// iff Q_t(u) holds no neighbor at all. Evaluation fans out over `pool`;
-  /// flips apply in key order and enqueue their observers, exactly like the
-  /// scalar oracle.
-  void initial_round(TaskPool* pool);
+  /// iff Q_t(u) holds no neighbor at all. Flips apply in ascending key order
+  /// and enqueue their observers, exactly like the scalar oracle.
+  void initial_round();
 
   /// Demotion seed; deduplicated. Returns whether the pair was newly queued.
   bool enqueue(NodeId u, int type_index);
 
   std::size_t queued() const noexcept { return fifo_count_; }
 
-  /// Runs the demotion worklist to the greatest fixpoint. Serial FIFO drain
-  /// (breadth-first coalesces re-enqueues of a pending pair into one visit),
-  /// or synchronous parallel rounds over `pool` while the frontier is
-  /// large. Returns the number of flips this call performed.
-  std::size_t drain(TaskPool* pool);
+  /// Runs the demotion worklist to the greatest fixpoint as a serial FIFO
+  /// drain (breadth-first coalesces re-enqueues of a pending pair into one
+  /// visit). Returns the number of flips this call performed.
+  std::size_t drain();
 
   /// Every key flipped 1 -> 0 so far (initial_round + drain), in
   /// application order; apply to SafetyInfo tuples at the API boundary.
@@ -125,13 +129,12 @@ class FlatLabeler {
 
   /// Promotion: re-raises to safe the connected type-t unsafe cluster (full
   /// adjacency, unsafe members) of every given source key that is currently
-  /// unsafe — the touched-cluster relabel. Independent flood fills fan out
-  /// over `pool`; the raised set is the union of the touched clusters, so
-  /// it is claim-order invariant. Returns the raised keys ascending. The
-  /// raised pairs' safe bits are set; the caller re-seeds them for demotion
-  /// and syncs the tuples.
+  /// unsafe — the touched-cluster relabel. The raised set is the union of
+  /// the touched clusters; returns the raised keys ascending. The raised
+  /// pairs' safe bits are set; the caller re-seeds them for demotion and
+  /// syncs the tuples.
   std::span<const std::uint32_t> raise_clusters(
-      std::span<const std::uint32_t> sources, TaskPool* pool);
+      std::span<const std::uint32_t> sources);
 
   /// Algorithm 2: recomputes the shape anchors of every currently-unsafe
   /// pair, written into `info` (statuses there must already match the
@@ -159,7 +162,6 @@ class FlatLabeler {
     safe_[type_index][u >> 6] |= 1ull << (u & 63);
   }
   void apply_flip(std::uint32_t k);
-  std::size_t parallel_round(TaskPool* pool);
 
   const UnitDiskGraph& g_;
   const QuadrantZones& zones_;
@@ -176,8 +178,6 @@ class FlatLabeler {
   std::size_t fifo_cap_ = 0;
   std::size_t fifo_head_ = 0;
   std::size_t fifo_count_ = 0;
-  ArenaVector<std::uint32_t> round_;       ///< parallel-round frontier
-  std::uint8_t* round_state_ = nullptr;    ///< per-frontier-slot outcome
   ArenaVector<std::uint32_t> flips_;
   ArenaVector<std::uint32_t> raised_;
   std::uint64_t* mark_ = nullptr;  ///< keyed visited bits (raise / clusters)

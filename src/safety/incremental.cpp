@@ -93,7 +93,7 @@ IncrementalStats update_safety_after_failures(const UnitDiskGraph& degraded,
   // Monotone continuation: losing neighbors can only remove support, so
   // the old fixpoint bounds the new one from above and the worklist closes
   // over exactly the region the failures influence.
-  labeler.drain(pool);
+  labeler.drain();
   stats.reevaluations = labeler.stats().reevaluations;
   stats.flips = labeler.stats().flips;
   apply_flips(labeler, info);
@@ -243,7 +243,7 @@ IncrementalStats update_safety_after_moves(const UnitDiskGraph& before,
   for_each_key(promote_src, key_words,
                [&](std::uint32_t k) { sources.push_back(k); });
   for (const std::uint32_t k :
-       labeler.raise_clusters({sources.data(), sources.size()}, pool)) {
+       labeler.raise_clusters({sources.data(), sources.size()})) {
     const NodeId u = FlatLabeler::key_node(k);
     const ZoneType t = kAllZoneTypes[FlatLabeler::key_type(k)];
     info.tuple(u).set_safe(t, true);
@@ -261,7 +261,7 @@ IncrementalStats update_safety_after_moves(const UnitDiskGraph& before,
     if (labeler.enqueue(u, FlatLabeler::key_type(k))) ++stats.seeds;
   });
 
-  labeler.drain(pool);
+  labeler.drain();
   stats.reevaluations = labeler.stats().reevaluations;
   stats.flips = labeler.stats().flips;
   apply_flips(labeler, info);

@@ -39,7 +39,9 @@ struct IncrementalStats {
   std::size_t reevaluations = 0;    ///< flip-condition evaluations performed
   std::size_t flips = 0;            ///< demotions: statuses that went 1 -> 0
   std::size_t promotions = 0;       ///< statuses that went 0 -> 1 (moves only)
-  std::size_t anchor_recomputes = 0;///< nodes whose anchors were rebuilt
+  /// Unsafe (node, type) pairs whose anchors were rewritten: the anchor
+  /// pass is global, so this is every unsafe pair after the update.
+  std::size_t anchor_recomputes = 0;
   /// Peak scratch-arena bytes of *this* update: the arena is monotonic and
   /// reset when the update starts, so its end-of-update `bytes_allocated()`
   /// is the update's own high water. Deterministic (unlike the arena's
@@ -54,15 +56,16 @@ struct IncrementalStats {
 /// nodes dead (`UnitDiskGraph::with_failures`). `area` is the interest area
 /// of the degraded graph. Returns what the update touched.
 ///
-/// Postcondition: `info == compute_safety(degraded, area)` up to the
-/// anchors of unaffected nodes, which are recomputed only where reachable
-/// from a change (tests assert full equality of statuses and anchors).
+/// Postcondition: `info == compute_safety(degraded, area)`, statuses and
+/// anchors: the anchor pass re-resolves every unsafe pair (tests assert
+/// full equality).
 ///
 /// Runs on the flat kernel (safety/flat_kernel.h): statuses pack into bits,
 /// the seed set comes from one spatial-grid disc query per failed node, and
 /// all scratch is arena-retained, so steady-state waves stay off the heap.
-/// With a `pool` large frontiers and the anchor pass fan out; results are
-/// bit-identical for every worker count.
+/// The demotion worklist is one serial FIFO drain; a `pool` fans out the
+/// zones build (when not patched forward) and the four per-type anchor
+/// passes. Results and stats are identical for every worker count.
 IncrementalStats update_safety_after_failures(const UnitDiskGraph& degraded,
                                               const InterestArea& area,
                                               const std::vector<NodeId>& failed,
@@ -90,8 +93,10 @@ IncrementalStats update_safety_after_failures(const UnitDiskGraph& degraded,
 /// its bitmaps, the cluster raises, the demotion worklist and the anchor
 /// pass all run on the flat kernel with arena-retained scratch — a
 /// steady-state repin epoch does no general-heap allocation inside the
-/// updater. With a `pool` the cluster raises, large frontiers and the
-/// anchor pass fan out; results are bit-identical for every worker count.
+/// updater. The cluster raises and the demotion worklist run serially; a
+/// `pool` fans out the zones build (when not patched forward) and the four
+/// per-type anchor passes. Results and stats are identical for every
+/// worker count.
 IncrementalStats update_safety_after_moves(const UnitDiskGraph& before,
                                            const InterestArea& area_before,
                                            const UnitDiskGraph& after,

@@ -33,8 +33,8 @@ SafetyInfo compute_safety(const UnitDiskGraph& g, const InterestArea& area,
   arena.reset();
   FlatLabeler labeler(g, &area, arena);
   labeler.start_all_safe();
-  labeler.initial_round(build_pool);
-  labeler.drain(build_pool);
+  labeler.initial_round();
+  labeler.drain();
 
   // Back to the tuple form only at the boundary: default tuples are all
   // safe with cleared anchors, so replaying the flip list lands on the

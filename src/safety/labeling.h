@@ -44,13 +44,15 @@ class SafetyInfo {
 /// per Algorithm 2 for every unsafe (node, type).
 ///
 /// Runs on the flat kernel (safety/flat_kernel.h): the graph's cached
-/// quadrant CSR, packed status bits and arena scratch. With a `build_pool`
-/// the initialization round, large demotion frontiers and the anchor pass
-/// fan out; every merge is id-ordered, so the result is bit-identical —
-/// statuses and anchors — for every thread count and to the scalar oracle
-/// in tests/support/safety_oracles.h (tests enforce both). Callers running
-/// *on* a pool worker must pass nullptr (see UnitDiskGraph). `stats`, when
-/// non-null, receives the kernel's work counters.
+/// quadrant CSR, packed status bits and arena scratch. The status fixpoint
+/// is one serial FIFO schedule; a `build_pool` fans out the quadrant-zones
+/// build and the four per-type anchor passes, the two parts that pay for
+/// it at 10^6 nodes (see flat_kernel.h). The result — statuses, anchors and
+/// `stats` — is identical for every thread count and bit-identical to the
+/// scalar oracle in tests/support/safety_oracles.h (tests enforce both).
+/// Callers running *on* a pool worker must pass nullptr (see
+/// UnitDiskGraph). `stats`, when non-null, receives the kernel's work
+/// counters.
 SafetyInfo compute_safety(const UnitDiskGraph& g, const InterestArea& area,
                           TaskPool* build_pool = nullptr,
                           LabelingStats* stats = nullptr);
@@ -64,9 +66,9 @@ std::vector<NodeId> unsafe_area_members(const UnitDiskGraph& g,
 /// Recomputes the shape anchors u(1)/u(2) for every unsafe (node, type) of
 /// `info` from its current statuses (Algorithm 2 step 3). Used by the
 /// incremental updater after statuses changed; `compute_safety` calls the
-/// same code internally. Runs on the flat kernel; with a `pool` the
-/// per-cluster resolutions fan out (bit-identical results). Returns the
-/// number of (node,type) anchor sets written.
+/// same code internally. Runs on the flat kernel; with a `pool` the zones
+/// build and the four per-type anchor passes fan out (bit-identical
+/// results). Returns the number of unsafe (node,type) anchor sets written.
 std::size_t recompute_all_anchors(const UnitDiskGraph& g, SafetyInfo& info,
                                   TaskPool* pool = nullptr);
 

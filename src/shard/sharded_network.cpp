@@ -208,7 +208,7 @@ void ShardedNetwork::begin_epoch(bool from_info) {
               }
             }
           } else {
-            tile.labeler->initial_round(nullptr);
+            tile.labeler->initial_round();
           }
           tile.flip_cursor = 0;
           tile.inbox.clear();
@@ -245,7 +245,7 @@ void ShardedNetwork::demotion_exchange() {
                                             FlatLabeler::key_type(k));
             }
             tile.inbox.clear();
-            tile.labeler->drain(nullptr);
+            tile.labeler->drain();
           }
         });
     // Serial routing barrier, tile order: new owned flips apply to the
@@ -579,7 +579,7 @@ void ShardedNetwork::apply_moves(const std::vector<Vec2>& positions,
             tile.raised_out.clear();
             if (tile.raise_inbox.empty()) continue;
             const auto raised = tile.labeler->raise_clusters(
-                {tile.raise_inbox.data(), tile.raise_inbox.size()}, nullptr);
+                {tile.raise_inbox.data(), tile.raise_inbox.size()});
             tile.raised_out.assign(raised.begin(), raised.end());
             tile.raise_inbox.clear();
           }

@@ -1,8 +1,8 @@
 /// \file parallel_build_test.cpp
-/// Within-network build parallelism: unit-disk adjacency and the
-/// safety-labeling initialization fan out over a TaskPool with node-id-
-/// ordered merges, so the built structures must be bit-identical to a
-/// serial build for every pool size.
+/// Within-network build parallelism: unit-disk adjacency, the quadrant
+/// zones and the safety labeling's four per-type anchor passes fan out over
+/// a TaskPool with node-id-ordered merges, so the built structures must be
+/// bit-identical to a serial build for every pool size.
 
 #include <gtest/gtest.h>
 
@@ -51,8 +51,8 @@ TEST(ParallelBuild, SafetyLabelingIdenticalAcrossPoolSizes) {
 }
 
 TEST(ParallelBuild, SafetyLabelingWithHolesIdentical) {
-  // A punched-out void produces real unsafe areas, exercising the worklist
-  // propagation seeded by the parallel initialization round.
+  // A punched-out void produces real unsafe areas, so the pooled anchor
+  // pass has unsafe chains to resolve.
   Deployment d = test::grid_with_void(
       26, 12.0, Rect::from_bounds({120.0, 120.0}, {200.0, 200.0}));
   UnitDiskGraph g(d.positions, d.radio_range, d.field);

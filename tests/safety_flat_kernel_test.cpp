@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/network.h"
@@ -54,6 +55,15 @@ std::vector<NodeId> draw_casualties(const UnitDiskGraph& g, Rng& rng,
   return out;
 }
 
+void expect_same_incremental_stats(const IncrementalStats& a,
+                                   const IncrementalStats& b, int threads) {
+  EXPECT_EQ(a.seeds, b.seeds) << "threads " << threads;
+  EXPECT_EQ(a.reevaluations, b.reevaluations) << "threads " << threads;
+  EXPECT_EQ(a.flips, b.flips) << "threads " << threads;
+  EXPECT_EQ(a.promotions, b.promotions) << "threads " << threads;
+  EXPECT_EQ(a.anchor_recomputes, b.anchor_recomputes) << "threads " << threads;
+}
+
 /// The default (flat) compute_safety must equal the scalar oracle bit for
 /// bit on both deployment models. The fixpoint is unique, so the flip
 /// totals must agree too, even though the evaluation orders differ.
@@ -75,8 +85,9 @@ TEST(FlatKernel, MatchesScalarOracleAcrossSeedsAndModels) {
   }
 }
 
-/// Serial kernel vs pool-backed kernel, several worker counts. 1200 nodes
-/// keeps the parallel-round and per-cluster anchor fan-outs reachable.
+/// Serial kernel vs pool-backed kernel, several worker counts. What is
+/// pooled is the zones build (when not yet cached) and the four per-type
+/// anchor passes; statuses and anchors must not change.
 TEST(FlatKernel, ComputeSafetyIdenticalAcrossThreadCounts) {
   for (std::uint64_t seed : test::property_seeds()) {
     Network net = test::random_network(1200, seed, DeployModel::kForbiddenAreas);
@@ -90,9 +101,10 @@ TEST(FlatKernel, ComputeSafetyIdenticalAcrossThreadCounts) {
   }
 }
 
-/// A heavy failure wave (frontier past the parallel-round threshold) must
-/// produce the same continuation serially and on pools of any size, and
-/// both must equal the from-scratch scalar oracle.
+/// A heavy failure wave (400 of 1500 nodes) must produce the same
+/// continuation and the same counters serially and on pools of any size
+/// (what is pooled is the zones build, when not patched forward, and the
+/// anchor pass), and both must equal the from-scratch scalar oracle.
 TEST(FlatKernel, FailureUpdaterIdenticalAcrossThreadCounts) {
   Network net = test::random_network(1500, 23, DeployModel::kForbiddenAreas);
   net.force(Network::kNeedsSafety);
@@ -105,17 +117,25 @@ TEST(FlatKernel, FailureUpdaterIdenticalAcrossThreadCounts) {
       test::compute_safety_scalar(degraded.graph(), degraded.interest_area());
   EXPECT_EQ(degraded.safety(), oracle);
 
+  SafetyInfo serial = net.safety();
+  const IncrementalStats serial_stats = update_safety_after_failures(
+      degraded.graph(), degraded.interest_area(), casualties, serial);
+  EXPECT_EQ(serial, oracle);
+
   for (int threads : {2, 4}) {
     TaskPool pool(threads);
     SafetyInfo continued = net.safety();
-    update_safety_after_failures(degraded.graph(), degraded.interest_area(),
-                                 casualties, continued, &pool);
+    const IncrementalStats stats = update_safety_after_failures(
+        degraded.graph(), degraded.interest_area(), casualties, continued,
+        &pool);
     EXPECT_EQ(continued, oracle) << "threads " << threads;
+    expect_same_incremental_stats(stats, serial_stats, threads);
   }
 }
 
 /// Whole-field motion (many promotion sources, added and removed edges)
-/// through the moves updater: serial == pooled == scalar oracle.
+/// through the moves updater: serial == pooled == scalar oracle, with the
+/// same counters serially and pooled.
 TEST(FlatKernel, MovesUpdaterIdenticalAcrossThreadCounts) {
   Network net = test::random_network(900, 31, DeployModel::kForbiddenAreas);
   net.force(Network::kNeedsSafety);
@@ -129,12 +149,54 @@ TEST(FlatKernel, MovesUpdaterIdenticalAcrossThreadCounts) {
       test::compute_safety_scalar(moved.graph(), moved.interest_area());
   EXPECT_EQ(moved.safety(), oracle);
 
+  SafetyInfo serial = net.safety();
+  const IncrementalStats serial_stats =
+      update_safety_after_moves(net.graph(), net.interest_area(),
+                                moved.graph(), moved.interest_area(), serial);
+  EXPECT_EQ(serial, oracle);
+
   for (int threads : {2, 3}) {
     TaskPool pool(threads);
     SafetyInfo continued = net.safety();
-    update_safety_after_moves(net.graph(), net.interest_area(), moved.graph(),
-                              moved.interest_area(), continued, &pool);
+    const IncrementalStats stats = update_safety_after_moves(
+        net.graph(), net.interest_area(), moved.graph(), moved.interest_area(),
+        continued, &pool);
     EXPECT_EQ(continued, oracle) << "threads " << threads;
+    expect_same_incremental_stats(stats, serial_stats, threads);
+  }
+}
+
+/// The status fixpoint runs one serial schedule whatever pool is passed, so
+/// the kernel's work counters are thread-count invariant. A 2*10^4-node
+/// constant-degree FA field (side grows with sqrt(n/600), as in bench_micro)
+/// whose demotion worklist holds thousands of pairs at once.
+TEST(FlatKernel, LabelingStatsIdenticalAcrossThreadCounts) {
+  DeploymentConfig config;
+  config.node_count = 20000;
+  config.model = DeployModel::kForbiddenAreas;
+  const double scale = std::sqrt(config.node_count / 600.0);
+  config.field = Rect::from_bounds({0.0, 0.0}, {200.0 * scale, 200.0 * scale});
+  config.min_forbidden_extent *= scale;
+  config.max_forbidden_extent *= scale;
+  config.forbidden_margin *= scale;
+  Rng rng(2);
+  Network net(deploy(config, rng));
+
+  LabelingStats serial;
+  SafetyInfo info =
+      compute_safety(net.graph(), net.interest_area(), nullptr, &serial);
+  ASSERT_GT(serial.flips, 0u);
+  for (int threads : {1, 2, 4}) {
+    TaskPool pool(threads);
+    LabelingStats pooled;
+    EXPECT_EQ(compute_safety(net.graph(), net.interest_area(), &pool, &pooled),
+              info)
+        << "threads " << threads;
+    EXPECT_EQ(pooled.init_flips, serial.init_flips) << "threads " << threads;
+    EXPECT_EQ(pooled.flips, serial.flips) << "threads " << threads;
+    EXPECT_EQ(pooled.pushes, serial.pushes) << "threads " << threads;
+    EXPECT_EQ(pooled.reevaluations, serial.reevaluations)
+        << "threads " << threads;
   }
 }
 
