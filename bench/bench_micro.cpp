@@ -1,7 +1,8 @@
 /// \file bench_micro.cpp
 /// google-benchmark microbenchmarks for the substrate: unit-disk graph
 /// construction, planarization, safety labeling (centralized fixpoint and
-/// distributed protocol), BOUNDHOLE, and per-packet routing of each scheme.
+/// distributed protocol), BOUNDHOLE, per-packet routing of each scheme, and
+/// the streaming simulator with its per-epoch hop oracle.
 
 #include <benchmark/benchmark.h>
 
@@ -590,6 +591,52 @@ void BM_StreamSimFlightRecordParallel(benchmark::State& state) {
 BENCHMARK(BM_StreamSimFlightRecordParallel)
     ->Arg(100000)
     ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The streaming simulator's per-epoch stretch oracle (hop_distances) at
+/// the shape of perfbench's stream workload: 64 far pairs (interior nodes
+/// of the main component, at least half the field width apart) on a
+/// constant-degree 10^5-node field. Args are {nodes, pooled}: serial (0)
+/// or on a 4-worker pool (1). Field and pairs are built outside the timed
+/// region.
+void BM_EpochHopOracle(benchmark::State& state) {
+  const bool pooled = state.range(1) != 0;
+  Deployment dep = make_scaled_deployment(static_cast<int>(state.range(0)),
+                                          DeployModel::kForbiddenAreas);
+  Network net(dep);
+  const UnitDiskGraph& g = net.graph();
+  std::vector<bool> in_main(g.size(), false);
+  for (NodeId u : largest_component(g)) in_main[u] = true;
+  std::vector<NodeId> candidates;
+  for (NodeId u : net.interest_area().interior_nodes()) {
+    if (in_main[u]) candidates.push_back(u);
+  }
+  const double min_distance = 0.5 * dep.field.width();
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  Rng rng(77);
+  for (int tries = 0;
+       tries < 100000 && pairs.size() < 64 && candidates.size() > 1; ++tries) {
+    const NodeId s = candidates[rng.next_below(candidates.size())];
+    const NodeId d = candidates[rng.next_below(candidates.size())];
+    if (distance(g.position(s), g.position(d)) >= min_distance) {
+      pairs.emplace_back(s, d);
+    }
+  }
+  if (pairs.size() < 64) {
+    state.SkipWithError("too few far pairs");
+    return;
+  }
+  TaskPool pool(4);
+  for (auto _ : state) {
+    std::vector<std::size_t> hops =
+        hop_distances(g, pairs, pooled ? &pool : nullptr);
+    benchmark::DoNotOptimize(hops.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EpochHopOracle)
+    ->Args({100000, 0})
+    ->Args({100000, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "util/arena.h"
+#include "util/task_pool.h"
 
 namespace spr {
 
@@ -25,8 +26,7 @@ void reset_oracle_search_counts() noexcept {
 }
 
 std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source) {
-  constexpr auto kUnreached = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> dist(g.size(), kUnreached);
+  std::vector<std::size_t> dist(g.size(), kUnreachableHops);
   std::queue<NodeId> frontier;
   dist[source] = 0;
   frontier.push(source);
@@ -34,7 +34,7 @@ std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source) {
     NodeId u = frontier.front();
     frontier.pop();
     for (NodeId v : g.neighbors(u)) {
-      if (dist[v] == kUnreached) {
+      if (dist[v] == kUnreachableHops) {
         dist[v] = dist[u] + 1;
         frontier.push(v);
       }
@@ -118,11 +118,9 @@ std::size_t build_oracles(const UnitDiskGraph& g,
                           SizeVec slot_of, SizeVec count, SizeVec grouped,
                           NodeVec sources,
                           std::vector<ShortestPath>& hop_optimal,
-                          std::vector<ShortestPath>& length_optimal,
-                          OracleBatch::Metrics metrics) {
-  bool want_length = metrics == OracleBatch::Metrics::kBoth;
+                          std::vector<ShortestPath>& length_optimal) {
   hop_optimal.resize(pairs.size());
-  if (want_length) length_optimal.resize(pairs.size());
+  length_optimal.resize(pairs.size());
 
   slot_of.assign(g.size(), SIZE_MAX);
   std::size_t valid = 0;
@@ -165,19 +163,12 @@ std::size_t build_oracles(const UnitDiskGraph& g,
                                               : kInvalidNode;
     ShortestPathTree hop_tree(g, sources[si], ShortestPathTree::Metric::kHops,
                               stop_at);
-    if (want_length) {
-      ShortestPathTree len_tree(g, sources[si],
-                                ShortestPathTree::Metric::kLength, stop_at);
-      for (std::size_t gi = seg_begin; gi < seg_end; ++gi) {
-        std::size_t i = grouped[gi];
-        hop_optimal[i] = hop_tree.extract(pairs[i].second);
-        length_optimal[i] = len_tree.extract(pairs[i].second);
-      }
-    } else {
-      for (std::size_t gi = seg_begin; gi < seg_end; ++gi) {
-        std::size_t i = grouped[gi];
-        hop_optimal[i] = hop_tree.extract(pairs[i].second);
-      }
+    ShortestPathTree len_tree(g, sources[si], ShortestPathTree::Metric::kLength,
+                              stop_at);
+    for (std::size_t gi = seg_begin; gi < seg_end; ++gi) {
+      std::size_t i = grouped[gi];
+      hop_optimal[i] = hop_tree.extract(pairs[i].second);
+      length_optimal[i] = len_tree.extract(pairs[i].second);
     }
   }
   return sources.size();
@@ -191,13 +182,13 @@ OracleBatch::OracleBatch(const UnitDiskGraph& g,
 
 OracleBatch::OracleBatch(const UnitDiskGraph& g,
                          std::span<const std::pair<NodeId, NodeId>> pairs,
-                         Arena* scratch, Metrics metrics) {
+                         Arena* scratch) {
   if (scratch == nullptr) {
     distinct_sources_ = build_oracles(g, pairs, std::vector<std::size_t>{},
                                       std::vector<std::size_t>{},
                                       std::vector<std::size_t>{},
                                       std::vector<NodeId>{}, hop_optimal_,
-                                      length_optimal_, metrics);
+                                      length_optimal_);
     return;
   }
   ArenaAllocator<std::size_t> salloc(*scratch);
@@ -205,7 +196,73 @@ OracleBatch::OracleBatch(const UnitDiskGraph& g,
   distinct_sources_ = build_oracles(
       g, pairs, ArenaVector<std::size_t>(salloc),
       ArenaVector<std::size_t>(salloc), ArenaVector<std::size_t>(salloc),
-      ArenaVector<NodeId>(nalloc), hop_optimal_, length_optimal_, metrics);
+      ArenaVector<NodeId>(nalloc), hop_optimal_, length_optimal_);
+}
+
+std::size_t hop_distance(const UnitDiskGraph& g, NodeId source, NodeId target,
+                         HopSearchScratch& scratch) {
+  const std::size_t n = g.size();
+  if (source >= n || target >= n) return kUnreachableHops;
+  if (source == target) return 0;
+  if (scratch.stamp_.size() < n) scratch.stamp_.resize(n, 0);
+  // Stamps of earlier queries are all below this query's pair; on wrap,
+  // clear once and restart the count.
+  if (scratch.query_ >= std::numeric_limits<std::uint32_t>::max() / 2 - 1) {
+    std::fill(scratch.stamp_.begin(), scratch.stamp_.end(), 0);
+    scratch.query_ = 0;
+  }
+  ++scratch.query_;
+  const std::uint32_t mark[2] = {2 * scratch.query_, 2 * scratch.query_ + 1};
+  std::uint32_t* stamp = scratch.stamp_.data();
+  stamp[source] = mark[0];
+  stamp[target] = mark[1];
+  scratch.frontier_[0].assign(1, source);
+  scratch.frontier_[1].assign(1, target);
+  std::size_t depth[2] = {0, 0};
+  // Before any meeting each side is a plain BFS, so a ball holds exactly
+  // the nodes within its depth and every expanded node has all of its
+  // neighbors inside its own ball. The first edge found between the balls
+  // therefore joins the two frontiers, and no shorter path can exist.
+  while (!scratch.frontier_[0].empty() && !scratch.frontier_[1].empty()) {
+    const int side =
+        scratch.frontier_[0].size() <= scratch.frontier_[1].size() ? 0 : 1;
+    const std::uint32_t own = mark[side];
+    const std::uint32_t other = mark[1 - side];
+    std::vector<NodeId>& next = scratch.next_;
+    next.clear();
+    for (NodeId u : scratch.frontier_[side]) {
+      for (NodeId v : g.neighbors(u)) {
+        if (stamp[v] == other) return depth[0] + depth[1] + 1;
+        if (stamp[v] != own) {
+          stamp[v] = own;
+          next.push_back(v);
+        }
+      }
+    }
+    scratch.frontier_[side].swap(next);
+    ++depth[side];
+  }
+  return kUnreachableHops;
+}
+
+std::vector<std::size_t> hop_distances(
+    const UnitDiskGraph& g, std::span<const std::pair<NodeId, NodeId>> pairs,
+    TaskPool* pool) {
+  std::vector<std::size_t> out(pairs.size(), kUnreachableHops);
+  // A few blocks per worker: far-pair costs vary with the holes between
+  // the endpoints, and work stealing evens out blocks, not single pairs.
+  const std::size_t workers = pool != nullptr ? pool->thread_count() : 1;
+  const std::size_t grain =
+      std::max<std::size_t>(1, pairs.size() / (4 * workers));
+  parallel_for_blocked(pool, pairs.size(), grain,
+                       [&](std::size_t begin, std::size_t end) {
+                         HopSearchScratch scratch;
+                         for (std::size_t i = begin; i < end; ++i) {
+                           out[i] = hop_distance(g, pairs[i].first,
+                                                 pairs[i].second, scratch);
+                         }
+                       });
+  return out;
 }
 
 ShortestPath bfs_path(const UnitDiskGraph& g, NodeId source, NodeId target) {
@@ -244,7 +301,7 @@ std::vector<int> connected_components(const UnitDiskGraph& g) {
 bool connected(const UnitDiskGraph& g, NodeId u, NodeId v) {
   if (u == v) return true;
   auto dist = bfs_hops(g, u);
-  return dist[v] != std::numeric_limits<std::size_t>::max();
+  return dist[v] != kUnreachableHops;
 }
 
 std::vector<NodeId> largest_component(const UnitDiskGraph& g) {

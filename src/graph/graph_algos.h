@@ -6,12 +6,18 @@
 /// oracles the benches use to compute stretch; the routers never consult
 /// them (they are strictly local, as in the paper).
 ///
-/// The oracle machinery is batched: a `ShortestPathTree` is one full
-/// single-source search whose parent array answers *every* target via
-/// `extract`, and an `OracleBatch` groups a span of (s, d) pairs by source
-/// so each distinct source costs exactly one BFS and one Dijkstra shared by
-/// all of its destinations. The per-pair `bfs_path` / `dijkstra_path`
-/// entry points are thin wrappers over a single-use tree.
+/// Two oracle shapes serve the two consumers:
+///  * paths — a `ShortestPathTree` is one full single-source search whose
+///    parent array answers *every* target via `extract`, and an
+///    `OracleBatch` groups a span of (s, d) pairs by source so each
+///    distinct source costs exactly one BFS and one Dijkstra shared by all
+///    of its destinations (the sweep cells, which need both optima). The
+///    per-pair `bfs_path` / `dijkstra_path` entry points are thin wrappers
+///    over a single-use tree.
+///  * hop counts only — `hop_distance` is a bidirectional, level-synchronous
+///    BFS that stops where the two balls meet, and `hop_distances` fans a
+///    span of pairs out over a TaskPool (the streaming simulator's
+///    per-epoch stretch oracle, whose far pairs make a full tree wasteful).
 
 #include <cstdint>
 #include <span>
@@ -23,6 +29,8 @@
 
 namespace spr {
 
+class TaskPool;
+
 /// Result of a single-source search.
 struct ShortestPath {
   std::vector<NodeId> path;  ///< s ... d inclusive; empty when unreachable
@@ -33,8 +41,8 @@ struct ShortestPath {
 /// Process-wide count of single-source tree searches, the hook behind the
 /// "one search per distinct source" assertions in tests and the sweep
 /// benches. Every `ShortestPathTree` construction increments one counter
-/// (the per-pair wrappers build a tree, so they count too); `bfs_hops` and
-/// the connectivity helpers do not.
+/// (the per-pair wrappers build a tree, so they count too); `bfs_hops`,
+/// `hop_distance` and the connectivity helpers do not.
 struct OracleSearchCounts {
   std::uint64_t bfs_trees = 0;
   std::uint64_t dijkstra_trees = 0;
@@ -93,13 +101,6 @@ class Arena;
 /// two-searches-per-pair loop in the sweep cells.
 class OracleBatch {
  public:
-  /// Which per-pair optima to compute. `kHopsOnly` skips the Dijkstra
-  /// trees entirely — one BFS per distinct source is the whole cost, and
-  /// `length_optimal` must not be consulted. The streaming simulator's
-  /// stretch oracle only needs hop counts, so it halves the search work
-  /// this way; the sweep cells need both.
-  enum class Metrics { kBoth, kHopsOnly };
-
   OracleBatch(const UnitDiskGraph& g,
               std::span<const std::pair<NodeId, NodeId>> pairs);
 
@@ -109,7 +110,7 @@ class OracleBatch {
   /// identical; null falls back to heap scratch.
   OracleBatch(const UnitDiskGraph& g,
               std::span<const std::pair<NodeId, NodeId>> pairs,
-              Arena* scratch, Metrics metrics = Metrics::kBoth);
+              Arena* scratch);
 
   std::size_t size() const noexcept { return hop_optimal_.size(); }
   std::size_t distinct_sources() const noexcept { return distinct_sources_; }
@@ -118,7 +119,6 @@ class OracleBatch {
   const ShortestPath& hop_optimal(std::size_t i) const noexcept {
     return hop_optimal_[i];
   }
-  /// Only valid for a `kBoth` batch.
   const ShortestPath& length_optimal(std::size_t i) const noexcept {
     return length_optimal_[i];
   }
@@ -129,8 +129,46 @@ class OracleBatch {
   std::size_t distinct_sources_ = 0;
 };
 
-/// Hop counts from `source` to every node (SIZE_MAX when unreachable).
+/// Hop count of an unreachable target (`bfs_hops`, `hop_distance`).
+inline constexpr std::size_t kUnreachableHops = static_cast<std::size_t>(-1);
+
+/// Hop counts from `source` to every node (kUnreachableHops when
+/// unreachable).
 std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source);
+
+/// Reusable state of `hop_distance`: per-node visit stamps plus flat
+/// frontier vectors. A query stamps only the nodes it visits, so reuse
+/// costs no O(n) clear; the stamp array grows to the largest graph seen
+/// and one scratch may serve graphs of different sizes. Not shareable
+/// between threads — `hop_distances` keeps one per block.
+class HopSearchScratch {
+  friend std::size_t hop_distance(const UnitDiskGraph& g, NodeId source,
+                                  NodeId target, HopSearchScratch& scratch);
+  /// 2 * query + side of the last query that reached the node; the side
+  /// is 0 for the source ball and 1 for the target ball.
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t query_ = 0;
+  std::vector<NodeId> frontier_[2];
+  std::vector<NodeId> next_;
+};
+
+/// BFS hop distance from `source` to `target` (kUnreachableHops when
+/// unreachable or either id is out of range; 0 when source == target),
+/// equal to `bfs_hops(g, source)[target]`. A bidirectional,
+/// level-synchronous search: each round expands all of the smaller of the
+/// two frontiers, and the first edge that joins the two balls ends it at
+/// depth_source + depth_target + 1 — exact because unit-disk adjacency is
+/// symmetric. Far pairs visit two balls of about half the radius instead
+/// of one full one.
+std::size_t hop_distance(const UnitDiskGraph& g, NodeId source, NodeId target,
+                         HopSearchScratch& scratch);
+
+/// `hop_distance` of every pair, in pair order. With a `pool`, pairs run in
+/// blocks across its workers, one HopSearchScratch per block; every result
+/// lands in its own slot, so the output does not depend on the pool.
+std::vector<std::size_t> hop_distances(
+    const UnitDiskGraph& g, std::span<const std::pair<NodeId, NodeId>> pairs,
+    TaskPool* pool = nullptr);
 
 /// Hop-optimal path (BFS tree); empty path when unreachable.
 ShortestPath bfs_path(const UnitDiskGraph& g, NodeId source, NodeId target);

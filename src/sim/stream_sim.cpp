@@ -1,13 +1,16 @@
 #include "sim/stream_sim.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <sstream>
 
 #include "graph/graph_algos.h"
 #include "sim/event_queue.h"
 #include "sim/tick_scheduler.h"
+#include "util/check.h"
 #include "util/flat_map.h"
 #include "util/task_pool.h"
 
@@ -28,8 +31,6 @@ WaypointConfig pin_field(WaypointConfig wc, const Rect& field) {
   wc.field = field;  // the waypoint process roams exactly the deployed field
   return wc;
 }
-
-constexpr std::size_t kNoOracle = static_cast<std::size_t>(-1);
 
 /// The flight records of one run: per-packet and per-flight state in
 /// parallel arrays. Flight f = p * n_schemes + k is scheme k's copy of
@@ -65,12 +66,15 @@ std::vector<StreamWave> spread_failure_waves(
   std::size_t total = static_cast<std::size_t>(
       std::max(0.0, fraction) * static_cast<double>(g.size()) + 0.5);
   if (total == 0 || waves <= 0) return out;
+  std::vector<bool> endpoint(g.size(), false);
+  for (const auto& [s, d] : endpoints) {
+    if (s < g.size()) endpoint[s] = true;
+    if (d < g.size()) endpoint[d] = true;
+  }
   std::vector<NodeId> candidates;
   candidates.reserve(g.size());
   for (NodeId u = 0; u < g.size(); ++u) {
-    bool endpoint = false;
-    for (const auto& [s, d] : endpoints) endpoint |= (u == s || u == d);
-    if (!endpoint) candidates.push_back(u);
+    if (!endpoint[u]) candidates.push_back(u);
   }
   total = std::min(total, candidates.size());
   for (int w = 0; w < waves; ++w) {
@@ -93,12 +97,32 @@ std::vector<StreamWave> spread_failure_waves(
   return out;
 }
 
+std::string StreamConfig::validate() const {
+  const std::pair<const char*, double> times[] = {
+      {"hop_delay", hop_delay},
+      {"packet_interval", packet_interval},
+      {"mobility_interval", mobility_interval},
+      {"mobility_dt", mobility_dt},
+  };
+  for (const auto& [field, value] : times) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      std::ostringstream os;
+      os << "StreamConfig::" << field << " must be finite and >= 0, got "
+         << value;
+      return os.str();
+    }
+  }
+  return {};
+}
+
 StreamSim::StreamSim(Network initial, StreamConfig config)
     : net_(std::move(initial)),
       config_(std::move(config)),
       mobility_(net_.deployment().positions,
                 pin_field(config_.waypoint, net_.deployment().field),
                 Rng(config_.seed ^ 0x5712)) {
+  const std::string problem = config_.validate();
+  SPR_CHECK(problem.empty(), problem);
   if (config_.schemes.empty()) config_.schemes = SweepConfig::paper_schemes();
   if (config_.packets < 0) config_.packets = 0;
   // No endpoints means no traffic: clamp the packet count so the mobility
@@ -125,33 +149,15 @@ void StreamSim::rebuild_routers() {
   }
 }
 
-void StreamSim::build_epoch_oracle() {
+void StreamSim::build_epoch_oracle(TaskPool* pool) {
   oracle_ready_ = true;
-  // Eligibility is exactly the per-pair guard at injection time:
-  // in-range endpoints and a live source. It depends only on the pair and
-  // the substrate, so it is constant within a topology epoch.
-  std::vector<std::pair<NodeId, NodeId>> eligible;
-  std::vector<std::size_t> which;
-  eligible.reserve(config_.pairs.size());
-  which.reserve(config_.pairs.size());
-  for (std::size_t i = 0; i < config_.pairs.size(); ++i) {
-    const auto& [s, d] = config_.pairs[i];
-    if (s < net_.graph().size() && d < net_.graph().size() &&
-        net_.graph().alive(s)) {
-      which.push_back(i);
-      eligible.push_back({s, d});
-    } else {
-      oracle_cache_[i] = kNoOracle;
-    }
-  }
-  // One BFS per distinct source for the whole epoch, instead of one
-  // bfs_path per pair in the inject handler. Tree extraction is identical
-  // to the per-pair search, so the cached hop counts are byte-for-byte
-  // what the lazy fill produced.
-  OracleBatch batch(net_.graph(), eligible, nullptr,
-                    OracleBatch::Metrics::kHopsOnly);
-  for (std::size_t j = 0; j < which.size(); ++j) {
-    oracle_cache_[which[j]] = batch.hop_optimal(j).hops();
+  // One exact hop count per pair for the whole epoch, fanned out over the
+  // stepping pool. Pairs an injection would drop (dead or out-of-range
+  // endpoints) are never read; unreachable pairs get 0, as
+  // ShortestPath::hops() reports for an empty path.
+  oracle_cache_ = hop_distances(net_.graph(), config_.pairs, pool);
+  for (std::size_t& hops : oracle_cache_) {
+    if (hops == kUnreachableHops) hops = 0;
   }
 }
 
@@ -203,7 +209,9 @@ void StreamSim::run_flight_record() {
   // recovery caches resolve atomically through Network's call_once
   // accessors, so each tick's batch can fan out across a pool without any
   // up-front priming; the merge below is serial and batch-ordered, so the
-  // run is bit-identical across thread counts.
+  // run is bit-identical across thread counts. The same pool runs each
+  // epoch's hop oracle (build_epoch_oracle), which writes one slot per
+  // pair and is just as thread-count independent.
   std::optional<TaskPool> pool;
   if (config_.threads > 1) pool.emplace(config_.threads);
 
@@ -282,7 +290,6 @@ void StreamSim::run_flight_record() {
   // fires before it, while a tick due at that instant (pushed mid-run,
   // later sequence number) fires after it.
   if (!config_.pairs.empty()) {
-    oracle_cache_.assign(config_.pairs.size(), kNoOracle);
     oracle_ready_ = false;
     for (std::size_t p = 0; p < n_packets; ++p) {
       queue.push(static_cast<double>(p) * config_.packet_interval,
@@ -386,13 +393,12 @@ void StreamSim::run_flight_record() {
         // measures what the scheme paid relative to the network the packet
         // was handed to, before any mid-flight wave degraded it. The
         // epoch's oracles are batched at the first injection after each
-        // topology change (one BFS per distinct source).
+        // topology change (build_epoch_oracle).
         if (rec.src[p] < net_.graph().size() &&
             rec.dst[p] < net_.graph().size() &&
             net_.graph().alive(rec.src[p])) {
-          if (!oracle_ready_) build_epoch_oracle();
-          std::size_t cached = oracle_cache_[p % config_.pairs.size()];
-          rec.oracle_hops[p] = cached == kNoOracle ? 0 : cached;
+          if (!oracle_ready_) build_epoch_oracle(pool ? &*pool : nullptr);
+          rec.oracle_hops[p] = oracle_cache_[p % config_.pairs.size()];
         }
         for (std::size_t k = 0; k < n_schemes; ++k) {
           std::size_t f = p * n_schemes + k;
@@ -580,7 +586,6 @@ void StreamSim::run_flight_record() {
           record.matches_full_recompute = fresh == degraded.safety();
         }
         net_ = std::move(degraded);
-        std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
         oracle_ready_ = false;
         rebuild_routers();
         walk_memo.clear();  // memoized walks referenced the old substrate
@@ -614,7 +619,6 @@ void StreamSim::run_flight_record() {
           record.matches_full_recompute = fresh == moved.safety();
         }
         net_ = std::move(moved);
-        std::fill(oracle_cache_.begin(), oracle_cache_.end(), kNoOracle);
         oracle_ready_ = false;
         rebuild_routers();
         walk_memo.clear();  // memoized walks referenced the old substrate

@@ -66,6 +66,13 @@
 /// bit-identical across thread counts. StreamStats::events counts the
 /// heap events actually popped (ticks + control events).
 ///
+/// Stretch oracle: `stretch_hops` divides a delivered copy's hops by the
+/// BFS optimum of its pair on the substrate it was injected into. That
+/// optimum is computed once per topology epoch — at the first injection
+/// after the start, a wave or a re-pin — for every pair at once: one
+/// bidirectional hop-distance search per pair (hop_distances,
+/// graph/graph_algos.h), fanned out over the same pool that steps the ticks.
+///
 /// The direct one-heap-event-per-hop execution of the same semantics lives
 /// in tests/support/per_hop_stream.h as the reference this engine is
 /// property-tested against: everything in StreamStats except `events` is
@@ -88,6 +95,8 @@
 #include "stats/summary.h"
 
 namespace spr {
+
+class TaskPool;
 
 /// Why one scheme's copy of a packet ended.
 enum class StreamOutcome : unsigned char {
@@ -204,9 +213,16 @@ struct StreamConfig {
   /// against a from-scratch compute_safety on the changed graph
   /// (WaveRecord::verified / RepinRecord::verified).
   bool verify_relabeling = false;
-  /// Worker threads stepping each tick's batch (<= 1 = serial on the
-  /// calling thread). Bit-identical results across thread counts.
+  /// Worker threads stepping each tick's batch and computing each
+  /// epoch's hop oracle (<= 1 = serial on the calling thread).
+  /// Bit-identical results across thread counts.
   int threads = 1;
+
+  /// Empty when the config is usable, else a message naming the first bad
+  /// field: hop_delay, packet_interval, mobility_interval and mobility_dt
+  /// must each be finite and >= 0 (0 stays legal — a burst of injections,
+  /// or mobility off). The StreamSim constructor SPR_CHECKs it.
+  std::string validate() const;
 };
 
 /// The simulator. Owns the network (the substrate is replaced as waves and
@@ -214,7 +230,8 @@ struct StreamConfig {
 class StreamSim {
  public:
   /// `initial` is consumed; structures any scheme needs are forced up
-  /// front so wave relabeling continues from a built fixpoint.
+  /// front so wave relabeling continues from a built fixpoint. `config`
+  /// must pass StreamConfig::validate (SPR_CHECK).
   StreamSim(Network initial, StreamConfig config);
   ~StreamSim();
 
@@ -231,17 +248,20 @@ class StreamSim {
  private:
   void rebuild_routers();
   void run_flight_record();
-  /// Fills oracle_cache_ for the current topology epoch: one hops-only
-  /// OracleBatch over the eligible pairs (one BFS per distinct source).
-  void build_epoch_oracle();
+  /// Fills oracle_cache_ for the current topology epoch: the exact hop
+  /// distance of every pair (hop_distances, a bidirectional BFS per pair),
+  /// fanned out over `pool` — the stepping pool, idle while the event loop
+  /// injects — or serial when it is null. Unreachable pairs get 0.
+  void build_epoch_oracle(TaskPool* pool);
 
   Network net_;
   StreamConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;  ///< one per scheme
   WaypointModel mobility_;
-  /// Per-pair BFS optimum for the current topology epoch (packets cycle
-  /// over few pairs; the graph only changes at waves/re-pins, which
-  /// invalidate this). Filled per epoch by build_epoch_oracle.
+  /// Per-pair BFS optimum for the current topology epoch, 0 when
+  /// unreachable (packets cycle over few pairs; the graph only changes at
+  /// waves/re-pins, which invalidate this). Filled per epoch by
+  /// build_epoch_oracle.
   std::vector<std::size_t> oracle_cache_;
   bool oracle_ready_ = false;
   std::size_t live_ = 0;  ///< copies currently in flight

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/scenario.h"
 #include "graph/graph_algos.h"
 #include "report/serialize.h"
@@ -431,6 +437,205 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
     // so batching must collapse the heap traffic, not just relabel it.
     EXPECT_LT(tick_events, ref_events) << "seed " << c.seed << " " << shape;
   }
+}
+
+/// The per-epoch hop oracle fanned out over the pool: with >= 16 pairs the
+/// 4-thread run splits each epoch's hop_distances into several blocks, and
+/// it must still match the per-hop reference's one-directional BFS per
+/// pair byte for byte — including a pair whose sink dies in a wave, so
+/// every later epoch pins that pair's optimum at 0 (unreachable).
+TEST(StreamSim, PooledEpochOracleMatchesPerHopReferenceOverManyPairs) {
+  for (std::uint64_t seed : {23u, 61u}) {
+    auto run = [seed](bool per_hop, int threads) {
+      Network net =
+          test::random_network(600, seed, DeployModel::kForbiddenAreas);
+      Rng rng(seed);
+      StreamConfig config;
+      for (int trial = 0; trial < 200 && config.pairs.size() < 20; ++trial) {
+        auto pair = net.random_connected_interior_pair(rng);
+        if (pair.first != kInvalidNode) config.pairs.push_back(pair);
+      }
+      config.packets = 80;
+      config.packet_interval = 0.125;  // every pair injects in every epoch
+      config.hop_delay = 0.5;
+      std::vector<bool> endpoint(net.graph().size(), false);
+      for (const auto& [s, d] : config.pairs) endpoint[s] = endpoint[d] = true;
+      // Two waves, three epochs; the first wave also kills a sink. (No
+      // re-pins: the copies bound for the dead sink walk until their TTL,
+      // and re-pins keep firing while any copy is in flight.)
+      for (int w = 0; w < 2; ++w) {
+        StreamWave wave;
+        wave.time = 3.0 * (w + 1);
+        if (w == 0) wave.casualties.push_back(config.pairs.front().second);
+        for (NodeId u = static_cast<NodeId>(w); u < net.graph().size();
+             u += 19) {
+          if (!endpoint[u]) wave.casualties.push_back(u);
+        }
+        config.waves.push_back(std::move(wave));
+      }
+      config.threads = threads;
+      StreamStats stats =
+          per_hop ? test::run_stream_per_hop(std::move(net), config)
+                  : StreamSim(std::move(net), config).run();
+      stats.events = 0;  // the one field the engines legitimately differ on
+      return stats;
+    };
+    StreamStats ref = run(true, 1);
+    std::string serial = stream_json(run(false, 1));
+    std::string pooled = stream_json(run(false, 4));
+    EXPECT_EQ(serial, stream_json(ref)) << "seed " << seed;
+    EXPECT_EQ(pooled, serial) << "seed " << seed
+                              << ": thread count changed the report";
+    // The oracle was live: delivered copies were measured against it.
+    std::size_t stretched = 0;
+    for (const StreamSchemeStats& scheme : ref.schemes) {
+      stretched += scheme.stretch_hops.count();
+    }
+    EXPECT_GT(stretched, 0u) << "seed " << seed;
+  }
+}
+
+/// The old O(n * |pairs|) candidate scan of spread_failure_waves, kept as
+/// the reference for the endpoint bit vector that replaced it.
+std::vector<StreamWave> spread_failure_waves_by_scan(
+    const UnitDiskGraph& g,
+    std::span<const std::pair<NodeId, NodeId>> endpoints, double fraction,
+    int waves, double span, Rng& rng) {
+  std::vector<StreamWave> out;
+  std::size_t total = static_cast<std::size_t>(
+      std::max(0.0, fraction) * static_cast<double>(g.size()) + 0.5);
+  if (total == 0 || waves <= 0) return out;
+  std::vector<NodeId> candidates;
+  for (NodeId u = 0; u < g.size(); ++u) {
+    bool endpoint = false;
+    for (const auto& [s, d] : endpoints) endpoint |= (u == s || u == d);
+    if (!endpoint) candidates.push_back(u);
+  }
+  total = std::min(total, candidates.size());
+  for (int w = 0; w < waves; ++w) {
+    StreamWave wave;
+    wave.time =
+        span * static_cast<double>(w + 1) / static_cast<double>(waves + 1);
+    std::size_t share =
+        total / static_cast<std::size_t>(waves) +
+        (static_cast<std::size_t>(w) < total % static_cast<std::size_t>(waves)
+             ? 1
+             : 0);
+    for (std::size_t c = 0; c < share && !candidates.empty(); ++c) {
+      std::size_t pick = rng.next_below(candidates.size());
+      wave.casualties.push_back(candidates[pick]);
+      candidates[pick] = candidates.back();
+      candidates.pop_back();
+    }
+    out.push_back(std::move(wave));
+  }
+  return out;
+}
+
+TEST(SpreadFailureWaves, EqualsTheEndpointScan) {
+  Network net = test::random_network(500, 19, DeployModel::kForbiddenAreas);
+  const UnitDiskGraph& g = net.graph();
+  const NodeId n = static_cast<NodeId>(g.size());
+  Rng pair_rng(19);
+  std::vector<std::pair<NodeId, NodeId>> endpoints;
+  for (int i = 0; i < 12; ++i) {
+    endpoints.emplace_back(static_cast<NodeId>(pair_rng.next_below(n)),
+                           static_cast<NodeId>(pair_rng.next_below(n)));
+  }
+  endpoints.push_back(endpoints.front());       // a duplicate pair
+  endpoints.emplace_back(n + 3, 0);             // out-of-range source
+  endpoints.emplace_back(n - 1, kInvalidNode);  // out-of-range sink
+  struct Shape {
+    double fraction;
+    int waves;
+  };
+  for (const Shape shape : {Shape{0.05, 2}, Shape{0.3, 5}, Shape{1.0, 3},
+                            Shape{0.0, 2}, Shape{0.1, 0}}) {
+    for (std::size_t cut : {std::size_t{0}, std::size_t{3}, endpoints.size()}) {
+      std::span<const std::pair<NodeId, NodeId>> ends(endpoints.data(), cut);
+      Rng a(77), b(77);
+      auto got = spread_failure_waves(g, ends, shape.fraction, shape.waves,
+                                      20.0, a);
+      auto want = spread_failure_waves_by_scan(g, ends, shape.fraction,
+                                               shape.waves, 20.0, b);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t w = 0; w < got.size(); ++w) {
+        EXPECT_EQ(got[w].time, want[w].time);
+        EXPECT_EQ(got[w].casualties, want[w].casualties)
+            << "fraction " << shape.fraction << " wave " << w << " cut "
+            << cut;
+      }
+      EXPECT_EQ(a.next_u64(), b.next_u64()) << "rng streams diverged";
+    }
+  }
+}
+
+/// A NaN, infinite or negative time in StreamConfig is named by
+/// validate(); zero stays legal.
+TEST(StreamConfigValidate, NamesTheBadField) {
+  const std::pair<double StreamConfig::*, const char*> fields[] = {
+      {&StreamConfig::hop_delay, "hop_delay"},
+      {&StreamConfig::packet_interval, "packet_interval"},
+      {&StreamConfig::mobility_interval, "mobility_interval"},
+      {&StreamConfig::mobility_dt, "mobility_dt"},
+  };
+  EXPECT_EQ(StreamConfig{}.validate(), "");
+  for (const auto& [field, name] : fields) {
+    StreamConfig zero;
+    zero.*field = 0.0;
+    EXPECT_EQ(zero.validate(), "") << name;
+    for (double value : {std::numeric_limits<double>::quiet_NaN(), -0.25,
+                         std::numeric_limits<double>::infinity()}) {
+      StreamConfig bad;
+      bad.*field = value;
+      EXPECT_NE(bad.validate().find(name), std::string::npos)
+          << name << " = " << value;
+    }
+  }
+}
+
+/// Builds a StreamSim over a small network with one time field broken.
+void construct_with(double StreamConfig::*field, double value) {
+  StreamConfig config;
+  config.pairs.emplace_back(NodeId{1}, NodeId{2});
+  config.packets = 5;
+  config.*field = value;
+  StreamSim sim(test::random_network(300, 5), config);
+}
+
+TEST(StreamConfigValidateDeathTest, HopDelay) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(construct_with(&StreamConfig::hop_delay,
+                              std::numeric_limits<double>::quiet_NaN()),
+               "hop_delay");
+  EXPECT_DEATH(construct_with(&StreamConfig::hop_delay, -0.25), "hop_delay");
+}
+
+TEST(StreamConfigValidateDeathTest, PacketInterval) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(construct_with(&StreamConfig::packet_interval,
+                              std::numeric_limits<double>::quiet_NaN()),
+               "packet_interval");
+  EXPECT_DEATH(construct_with(&StreamConfig::packet_interval, -1.0),
+               "packet_interval");
+}
+
+TEST(StreamConfigValidateDeathTest, MobilityInterval) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(construct_with(&StreamConfig::mobility_interval,
+                              std::numeric_limits<double>::quiet_NaN()),
+               "mobility_interval");
+  EXPECT_DEATH(construct_with(&StreamConfig::mobility_interval, -2.0),
+               "mobility_interval");
+}
+
+TEST(StreamConfigValidateDeathTest, MobilityDt) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(construct_with(&StreamConfig::mobility_dt,
+                              std::numeric_limits<double>::infinity()),
+               "mobility_dt");
+  EXPECT_DEATH(construct_with(&StreamConfig::mobility_dt, -0.5),
+               "mobility_dt");
 }
 
 /// The streaming-delivery scenario's JSON report is byte-identical across

@@ -108,24 +108,18 @@ StreamStats run_stream_per_hop(Network initial, const StreamConfig& base) {
   // first injection after each topology change.
   std::vector<std::size_t> oracle_cache(config.pairs.size(), kNoOracle);
   bool oracle_ready = false;
+  // A plain one-directional BFS per eligible pair: the reference for the
+  // engine's bidirectional hop_distances.
   auto build_epoch_oracle = [&] {
     oracle_ready = true;
-    std::vector<std::pair<NodeId, NodeId>> eligible;
-    std::vector<std::size_t> which;
     for (std::size_t i = 0; i < config.pairs.size(); ++i) {
       const auto& [s, d] = config.pairs[i];
       if (s < net.graph().size() && d < net.graph().size() &&
           net.graph().alive(s)) {
-        which.push_back(i);
-        eligible.push_back({s, d});
+        oracle_cache[i] = bfs_path(net.graph(), s, d).hops();
       } else {
         oracle_cache[i] = kNoOracle;
       }
-    }
-    OracleBatch batch(net.graph(), eligible, nullptr,
-                      OracleBatch::Metrics::kHopsOnly);
-    for (std::size_t j = 0; j < which.size(); ++j) {
-      oracle_cache[which[j]] = batch.hop_optimal(j).hops();
     }
   };
   auto invalidate_oracle = [&] {
