@@ -9,7 +9,10 @@
 #include <cmath>
 #include <cstring>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <tuple>
 
 #include "graph/graph_algos.h"
 #include "mobility/waypoint.h"
@@ -475,57 +478,96 @@ void merge_stream_scheme(StreamSchemeStats& into,
   into.local_minima.merge(from.local_minima);
 }
 
-/// Streaming delivery: long-lived packet streams over StreamSim with
-/// failure waves landing *between the hops* of in-flight packets. Sweeps
-/// the failure fraction (share of nodes that die over the stream's
-/// lifetime); SLGF/SLGF2 keep routing on incrementally relabeled safety
-/// information after every wave, and each wave's incremental update is
-/// cross-checked against a from-scratch compute_safety.
-///
-/// The report is a pure function of (options, seeds): no wall-clock or
-/// thread-count values are recorded, so the JSON/CSV artifacts are
-/// byte-identical across reruns and across thread counts (tests enforce
-/// this).
-int run_streaming_delivery(const ScenarioOptions& opts,
-                           ScenarioReport& report) {
-  const int networks = opts.networks > 0 ? opts.networks : 3;
-  const int packets = opts.pairs > 0 ? opts.pairs : 40;
-  const std::uint64_t base_seed = opts.seed != 0 ? opts.seed : 2009;
-  const int nodes = 600;
-  const std::vector<double> fractions = {0.0, 0.05, 0.10, 0.20, 0.30};
-  const int waves_per_stream = 4;
-  const double packet_interval = 1.0;
-  const double hop_delay = 0.2;
+double mean_or_zero(const Summary& s) { return s.empty() ? 0.0 : s.mean(); }
+double delivery_ratio_of(const StreamSchemeStats& s) {
+  return s.delivery_ratio();
+}
+double mean_hops_of(const StreamSchemeStats& s) { return mean_or_zero(s.hops); }
+double mean_stretch_of(const StreamSchemeStats& s) {
+  return mean_or_zero(s.stretch_hops);
+}
 
-  report.textf("== Streaming delivery: %d-node FA networks, %d streams x %d "
-               "packets per failure fraction, %d mid-stream failure waves "
-               "==\n\n",
-               nodes, networks, packets, waves_per_stream);
+/// One stream-grid scenario's own parts. The grid has `points` points, each
+/// run over `networks` FA cells; the scenario fixes what a point means.
+struct StreamGridSpec {
+  int nodes = 0;
+  int networks = 0;
+  int packets = 0;
+  std::uint64_t base_seed = 0;
+  std::uint64_t pair_salt = 0;  ///< xor'd into the cell seed for the pair RNG
+  std::size_t points = 0;
+  std::size_t points_per_section = 0;  ///< consecutive points per section
+  /// Fills point `gi`'s own StreamConfig fields (failure waves, waypoint
+  /// settings). Runs after the endpoint draw and may draw from `rng`.
+  std::function<void(std::size_t gi, const Network& net, Rng& rng,
+                     StreamConfig& sc)>
+      configure;
+  /// Point `gi`'s sweep-section key (its x value, integer-scaled).
+  std::function<int(std::size_t gi)> point_key;
+  /// Adds point `gi`'s coordinates to a per-stream JSON entry.
+  std::function<void(std::size_t gi, JsonValue& entry)> label_stream;
+  std::string relabel_note;  ///< "... matched ... at every <update>"
+  std::string x_axis_note;   ///< what the sweep-section key means
+};
 
-  struct StreamCell {
-    bool ok = false;         ///< produced traffic
-    bool relabel_ok = true;  ///< every wave matched the from-scratch fixpoint
-    StreamStats stats;
-  };
-  std::vector<StreamCell> cells(fractions.size() *
-                                static_cast<std::size_t>(networks));
+/// One grid point's totals over its cells. The relabeling counters sum over
+/// failure waves and re-pins alike; each stream-grid scenario runs only one
+/// kind.
+struct StreamPoint {
+  std::vector<StreamSchemeStats> schemes;
+  std::size_t casualties = 0;
+  std::size_t repins = 0;
+  std::size_t moved = 0;
+  std::size_t edges_added = 0;
+  std::size_t edges_removed = 0;
+  std::size_t flips = 0;
+  std::size_t promotions = 0;
+  std::size_t reevaluations = 0;
+  std::size_t arena_high_water = 0;  ///< max over the point's updates
+
+  void add_relabel(const IncrementalStats& relabel) {
+    flips += relabel.flips;
+    promotions += relabel.promotions;
+    reevaluations += relabel.reevaluations;
+    arena_high_water = std::max(arena_high_water, relabel.arena_high_water);
+  }
+};
+
+/// A finished grid: one stream per cell in (point, network) order — empty
+/// where the cell's network had no routable endpoints — and the per-point
+/// totals, merged in cell order.
+struct StreamGrid {
+  std::vector<std::optional<StreamStats>> cells;
+  std::vector<StreamPoint> points;
+  std::size_t skipped_cells = 0;
+  bool relabel_ok = true;  ///< every wave/re-pin matched the fresh fixpoint
+};
+
+/// Runs every cell of `spec` (serially, or over a pool of `threads`) and
+/// merges each point's cells in cell order. No wall-clock or thread-count
+/// value enters the result, so a stream-grid report is a pure function of
+/// (options, seeds): its JSON/CSV artifacts are byte-identical across
+/// reruns and thread counts (tests enforce this). With no traffic in any
+/// cell, records the abort in `report` and returns nullopt.
+std::optional<StreamGrid> run_stream_grid(const StreamGridSpec& spec,
+                                          int threads,
+                                          ScenarioReport& report) {
+  const auto networks = static_cast<std::size_t>(spec.networks);
+  StreamGrid grid;
+  grid.cells.resize(spec.points * networks);
 
   auto run_one = [&](std::size_t ci) {
-    const std::size_t fi = ci / static_cast<std::size_t>(networks);
-    const double fraction = fractions[fi];
-    StreamCell& cell = cells[ci];
-
     NetworkConfig nc;
-    nc.deployment.node_count = nodes;
+    nc.deployment.node_count = spec.nodes;
     nc.deployment.model = DeployModel::kForbiddenAreas;
-    nc.seed = base_seed ^ ((ci + 1) * 0x9E3779B97F4A7C15ULL);
+    nc.seed = spec.base_seed ^ ((ci + 1) * 0x9E3779B97F4A7C15ULL);
     Network net = Network::create(nc);
 
-    Rng rng(nc.seed ^ 0x57bea);
+    Rng rng(nc.seed ^ spec.pair_salt);
     StreamConfig sc;
-    sc.packets = packets;
-    sc.packet_interval = packet_interval;
-    sc.hop_delay = hop_delay;
+    sc.packets = spec.packets;
+    sc.packet_interval = 1.0;
+    sc.hop_delay = 0.2;
     sc.seed = nc.seed;
     sc.verify_relabeling = true;
     // A handful of long-lived source/sink pairs, cycled over the stream.
@@ -533,464 +575,119 @@ int run_streaming_delivery(const ScenarioOptions& opts,
       auto pair = net.random_connected_interior_pair(rng);
       if (pair.first != kInvalidNode) sc.pairs.push_back(pair);
     }
-    if (sc.pairs.empty()) return;  // cell stays !ok (counted below)
-
-    // The failure schedule: `fraction` of the nodes dies across
-    // `waves_per_stream` waves spread over the stream's injection span,
-    // never touching the stream endpoints.
-    sc.waves = spread_failure_waves(
-        net.graph(), sc.pairs, fraction, waves_per_stream,
-        static_cast<double>(packets) * packet_interval, rng);
-
-    StreamSim sim(std::move(net), std::move(sc));
-    cell.stats = sim.run();
-    cell.ok = true;
-    for (const WaveRecord& record : cell.stats.waves) {
-      if (record.verified && !record.matches_full_recompute) {
-        cell.relabel_ok = false;
-      }
-    }
+    if (sc.pairs.empty()) return;  // cell stays empty (counted below)
+    spec.configure(ci / networks, net, rng, sc);
+    grid.cells[ci] = StreamSim(std::move(net), std::move(sc)).run();
   };
-
-  if (opts.threads == 1) {
-    for (std::size_t ci = 0; ci < cells.size(); ++ci) run_one(ci);
+  if (threads == 1) {
+    for (std::size_t ci = 0; ci < grid.cells.size(); ++ci) run_one(ci);
   } else {
-    TaskPool pool(opts.threads);
-    pool.parallel_for(cells.size(), run_one);
+    TaskPool pool(threads);
+    pool.parallel_for(grid.cells.size(), run_one);
   }
 
-  // Per-fraction reduction in cell order — deterministic regardless of
-  // which worker ran which cell.
   const auto scheme_specs = SweepConfig::paper_schemes();
-  std::vector<std::vector<StreamSchemeStats>> merged(fractions.size());
-  std::vector<std::size_t> wave_flips(fractions.size(), 0);
-  std::vector<std::size_t> wave_reevals(fractions.size(), 0);
-  std::vector<std::size_t> wave_casualties(fractions.size(), 0);
-  std::size_t skipped_cells = 0;
-  bool relabel_ok = true;
-  for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-    merged[fi].resize(scheme_specs.size());
+  grid.points.resize(spec.points);
+  for (std::size_t gi = 0; gi < spec.points; ++gi) {
+    StreamPoint& point = grid.points[gi];
+    point.schemes.resize(scheme_specs.size());
     for (std::size_t k = 0; k < scheme_specs.size(); ++k) {
-      merged[fi][k].label = scheme_specs[k].display_label();
+      point.schemes[k].label = scheme_specs[k].display_label();
     }
-    for (int ni = 0; ni < networks; ++ni) {
-      const StreamCell& cell =
-          cells[fi * static_cast<std::size_t>(networks) +
-                static_cast<std::size_t>(ni)];
-      if (!cell.ok) {
-        ++skipped_cells;
+    for (std::size_t ni = 0; ni < networks; ++ni) {
+      const std::optional<StreamStats>& cell = grid.cells[gi * networks + ni];
+      if (!cell) {
+        ++grid.skipped_cells;
         continue;
       }
-      relabel_ok &= cell.relabel_ok;
-      for (std::size_t k = 0; k < cell.stats.schemes.size() &&
-                              k < merged[fi].size();
-           ++k) {
-        merge_stream_scheme(merged[fi][k], cell.stats.schemes[k]);
+      for (std::size_t k = 0;
+           k < cell->schemes.size() && k < point.schemes.size(); ++k) {
+        merge_stream_scheme(point.schemes[k], cell->schemes[k]);
       }
-      for (const WaveRecord& record : cell.stats.waves) {
-        wave_flips[fi] += record.relabel.flips;
-        wave_reevals[fi] += record.relabel.reevaluations;
-        wave_casualties[fi] += record.casualties;
+      // The relabel check reads both record kinds.
+      for (const WaveRecord& record : cell->waves) {
+        point.casualties += record.casualties;
+        point.add_relabel(record.relabel);
+        grid.relabel_ok &= !record.verified || record.matches_full_recompute;
+      }
+      point.repins += cell->repins;
+      for (const RepinRecord& record : cell->repin_records) {
+        point.moved += record.moved;
+        point.edges_added += record.edges_added;
+        point.edges_removed += record.edges_removed;
+        point.add_relabel(record.relabel);
+        grid.relabel_ok &= !record.verified || record.matches_full_recompute;
       }
     }
   }
-  if (skipped_cells == cells.size()) {
+  if (grid.skipped_cells == grid.cells.size()) {
     report.textf("no routable stream endpoints in any cell\n");
     report.aborted = true;
-    return 1;
+    return std::nullopt;
   }
-
-  // Console table: one row per failure fraction.
-  std::vector<std::string> header{"fail%"};
-  for (const auto& spec : scheme_specs) {
-    header.push_back(spec.display_label() + " deliv");
-  }
-  header.push_back("SLGF2 hops");
-  header.push_back("SLGF2 stretch");
-  header.push_back("relabel flips");
-  Table table(std::move(header));
-  for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-    std::vector<std::string> row{Table::fmt(100.0 * fractions[fi], 0)};
-    for (std::size_t k = 0; k < merged[fi].size(); ++k) {
-      row.push_back(Table::fmt(merged[fi][k].delivery_ratio()));
-    }
-    const StreamSchemeStats& slgf2 = merged[fi].back();
-    row.push_back(Table::fmt(slgf2.hops.empty() ? 0.0 : slgf2.hops.mean()));
-    row.push_back(Table::fmt(
-        slgf2.stretch_hops.empty() ? 0.0 : slgf2.stretch_hops.mean()));
-    row.push_back(std::to_string(wave_flips[fi]));
-    table.add_row(std::move(row));
-  }
-  report.add_table(std::move(table));
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "incremental relabeling matched a from-scratch "
-                "compute_safety at every wave: %s",
-                relabel_ok ? "yes" : "NO");
-  report.note(buf);
-  std::snprintf(buf, sizeof(buf),
-                "sweep section x axis is the failure percentage (every "
-                "network has %d nodes)",
-                nodes);
-  report.note(buf);
-  if (skipped_cells > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%zu of %zu stream cells had no routable endpoints and "
-                  "were skipped",
-                  skipped_cells, cells.size());
-    report.note(buf);
-  }
-
-  // Plot curves: per-scheme series over the failure fraction.
-  struct CurveSpec {
-    const char* title;
-    const char* y_label;
-    std::function<double(const StreamSchemeStats&)> metric;
-  };
-  const CurveSpec curve_specs[] = {
-      {"streaming-delivery — delivery ratio", "delivery ratio",
-       [](const StreamSchemeStats& s) { return s.delivery_ratio(); }},
-      {"streaming-delivery — avg hops (delivered)", "hops",
-       [](const StreamSchemeStats& s) {
-         return s.hops.empty() ? 0.0 : s.hops.mean();
-       }},
-      {"streaming-delivery — hop stretch vs injection-time optimum",
-       "stretch",
-       [](const StreamSchemeStats& s) {
-         return s.stretch_hops.empty() ? 0.0 : s.stretch_hops.mean();
-       }},
-  };
-  for (const CurveSpec& spec : curve_specs) {
-    ReportCurve curve;
-    curve.title = spec.title;
-    curve.x_label = "failed %";
-    curve.y_label = spec.y_label;
-    for (std::size_t k = 0; k < scheme_specs.size(); ++k) {
-      ReportSeries series;
-      series.label = scheme_specs[k].display_label();
-      for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-        series.points.emplace_back(100.0 * fractions[fi],
-                                   spec.metric(merged[fi][k]));
-      }
-      curve.series.push_back(std::move(series));
-    }
-    report.curves.push_back(std::move(curve));
-  }
-
-  // Sweep section so the JSON report carries the standard "models" shape:
-  // one point per failure percent, per-scheme RouteAggregates built from
-  // the stream totals. The point key doubles as the x axis, so here
-  // "nodes" carries the failure *percentage*, not a node count — the
-  // sweep_section_x_axis param and a console note flag the
-  // reinterpretation for consumers of the shared shape.
-  // wall_seconds/threads stay 0 by design — the report must be
-  // byte-identical across reruns and thread counts.
-  SweepSection section;
-  section.model = DeployModel::kForbiddenAreas;
-  section.networks_per_point = networks;
-  section.pairs_per_network = packets;
-  section.base_seed = base_seed;
-  section.threads = 0;
-  section.wall_seconds = 0.0;
-  for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-    SweepPoint point;
-    point.node_count = static_cast<int>(100.0 * fractions[fi] + 0.5);
-    for (const StreamSchemeStats& s : merged[fi]) {
-      RouteAggregate agg;
-      agg.requested = s.injected;
-      agg.attempted = s.injected;
-      agg.delivered = s.delivered;
-      agg.hops = s.hops;
-      agg.length = s.length;
-      agg.stretch_hops = s.stretch_hops;
-      point.by_scheme.emplace(s.label, std::move(agg));
-    }
-    section.points.push_back(std::move(point));
-  }
-  report.sweeps.push_back(std::move(section));
-
-  // Machine-readable params: config identity plus the full per-cell
-  // stream stats through the typed serializer (report/serialize.h).
-  report.param("nodes", JsonValue::of(nodes));
-  report.param("networks_per_fraction", JsonValue::of(networks));
-  report.param("packets_per_stream", JsonValue::of(packets));
-  report.param("waves_per_stream", JsonValue::of(waves_per_stream));
-  report.param("base_seed", JsonValue::of(base_seed));
-  report.param("sweep_section_x_axis", JsonValue::of("failure_percent"));
-  report.param("relabel_matches_full_recompute", JsonValue::of(relabel_ok));
-  JsonValue fractions_json = JsonValue::array();
-  for (double f : fractions) fractions_json.push(JsonValue::of(f));
-  report.param("failure_fractions", std::move(fractions_json));
-  // Per-fraction incremental-relabeling cost (summed over waves/streams),
-  // aligned with failure_fractions.
-  JsonValue casualties_json = JsonValue::array();
-  JsonValue flips_json = JsonValue::array();
-  JsonValue reevals_json = JsonValue::array();
-  for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-    casualties_json.push(
-        JsonValue::of(static_cast<std::uint64_t>(wave_casualties[fi])));
-    flips_json.push(JsonValue::of(static_cast<std::uint64_t>(wave_flips[fi])));
-    reevals_json.push(
-        JsonValue::of(static_cast<std::uint64_t>(wave_reevals[fi])));
-  }
-  report.param("wave_casualties", std::move(casualties_json));
-  report.param("relabel_flips", std::move(flips_json));
-  report.param("relabel_reevaluations", std::move(reevals_json));
-  JsonValue streams = JsonValue::array();
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    if (!cells[ci].ok) continue;
-    JsonValue entry = JsonValue::object();
-    entry.set("fraction",
-              JsonValue::of(
-                  fractions[ci / static_cast<std::size_t>(networks)]));
-    entry.set("net",
-              JsonValue::of(static_cast<int>(
-                  ci % static_cast<std::size_t>(networks))));
-    entry.set("stats", stream_stats_json(cells[ci].stats));
-    streams.push(std::move(entry));
-  }
-  report.param("streams", std::move(streams));
-
-  return relabel_ok ? 0 : 1;
+  return grid;
 }
 
-/// Mobility rate: long-lived packet streams while every node follows a
-/// random-waypoint process, sweeping the re-pin interval x the maximum
-/// node speed. Every re-pin *continues* the snapshot incrementally
-/// (Network::with_moves: relocated spatial grid, adjacency patched from
-/// the edge delta, bidirectional safety update — removals demote,
-/// additions promote) and is cross-checked against a from-scratch
-/// compute_safety (StreamConfig::verify_relabeling).
-///
-/// The report is a pure function of (options, seeds): no wall-clock or
-/// thread-count values are recorded, so the JSON/CSV artifacts are
-/// byte-identical across reruns and across thread counts (tests enforce
-/// this).
-int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
-  const int networks = opts.networks > 0 ? opts.networks : 2;
-  const int packets = opts.pairs > 0 ? opts.pairs : 30;
-  const std::uint64_t base_seed = opts.seed != 0 ? opts.seed : 2009;
-  const int nodes = 500;
-  const std::vector<double> intervals = {4.0, 8.0};  // re-pin period, s
-  const std::vector<double> speeds = {0.5, 1.5, 3.0};  // max m/s
-  const double packet_interval = 1.0;
-  const double hop_delay = 0.2;
-
-  report.textf("== Mobility rate: %d-node FA networks, %d streams x %d "
-               "packets per cell, re-pin interval x speed sweep with "
-               "incremental relabeling ==\n\n",
-               nodes, networks, packets);
-
-  struct MobilityCell {
-    bool ok = false;         ///< produced traffic
-    bool relabel_ok = true;  ///< every re-pin matched the fresh fixpoint
-    StreamStats stats;
-  };
-  const std::size_t grid = intervals.size() * speeds.size();
-  std::vector<MobilityCell> cells(grid * static_cast<std::size_t>(networks));
-
-  auto run_one = [&](std::size_t ci) {
-    const std::size_t gi = ci / static_cast<std::size_t>(networks);
-    const double interval = intervals[gi / speeds.size()];
-    const double speed = speeds[gi % speeds.size()];
-    MobilityCell& cell = cells[ci];
-
-    NetworkConfig nc;
-    nc.deployment.node_count = nodes;
-    nc.deployment.model = DeployModel::kForbiddenAreas;
-    nc.seed = base_seed ^ ((ci + 1) * 0x9E3779B97F4A7C15ULL);
-    Network net = Network::create(nc);
-
-    Rng rng(nc.seed ^ 0x30b1);
-    StreamConfig sc;
-    sc.packets = packets;
-    sc.packet_interval = packet_interval;
-    sc.hop_delay = hop_delay;
-    sc.seed = nc.seed;
-    sc.verify_relabeling = true;
-    sc.mobility_interval = interval;
-    sc.mobility_dt = interval;  // virtual and waypoint time advance in step
-    sc.waypoint.max_speed_mps = speed;
-    sc.waypoint.min_speed_mps = speed * 0.25;
-    sc.waypoint.pause_s = 2.0;
-    for (int t = 0; t < 4; ++t) {
-      auto pair = net.random_connected_interior_pair(rng);
-      if (pair.first != kInvalidNode) sc.pairs.push_back(pair);
+/// A per-scheme plot curve over the points [first, first + xs.size()), the
+/// i-th at x = xs[i].
+ReportCurve stream_curve(std::string title, std::string x_label,
+                         std::string y_label, const StreamGrid& grid,
+                         std::size_t first, const std::vector<double>& xs,
+                         double (*metric)(const StreamSchemeStats&)) {
+  ReportCurve curve{std::move(title), std::move(x_label), std::move(y_label),
+                    {}};
+  for (std::size_t k = 0; k < grid.points[first].schemes.size(); ++k) {
+    ReportSeries series;
+    series.label = grid.points[first].schemes[k].label;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      series.points.emplace_back(xs[i],
+                                 metric(grid.points[first + i].schemes[k]));
     }
-    if (sc.pairs.empty()) return;  // cell stays !ok (counted below)
-
-    StreamSim sim(std::move(net), std::move(sc));
-    cell.stats = sim.run();
-    cell.ok = true;
-    for (const RepinRecord& record : cell.stats.repin_records) {
-      if (record.verified && !record.matches_full_recompute) {
-        cell.relabel_ok = false;
-      }
-    }
-  };
-
-  if (opts.threads == 1) {
-    for (std::size_t ci = 0; ci < cells.size(); ++ci) run_one(ci);
-  } else {
-    TaskPool pool(opts.threads);
-    pool.parallel_for(cells.size(), run_one);
+    curve.series.push_back(std::move(series));
   }
+  return curve;
+}
 
-  // Per-(interval, speed) reduction in cell order — deterministic
-  // regardless of which worker ran which cell.
-  const auto scheme_specs = SweepConfig::paper_schemes();
-  struct GridPoint {
-    std::vector<StreamSchemeStats> schemes;
-    std::size_t repins = 0;
-    std::size_t moved = 0;
-    std::size_t edges_added = 0;
-    std::size_t edges_removed = 0;
-    std::size_t promotions = 0;
-    std::size_t demotions = 0;
-    std::size_t reevaluations = 0;
-    std::size_t arena_high_water = 0;  ///< max over the point's re-pins
-  };
-  std::vector<GridPoint> merged(grid);
-  std::size_t skipped_cells = 0;
-  bool relabel_ok = true;
-  for (std::size_t gi = 0; gi < grid; ++gi) {
-    merged[gi].schemes.resize(scheme_specs.size());
-    for (std::size_t k = 0; k < scheme_specs.size(); ++k) {
-      merged[gi].schemes[k].label = scheme_specs[k].display_label();
-    }
-    for (int ni = 0; ni < networks; ++ni) {
-      const MobilityCell& cell =
-          cells[gi * static_cast<std::size_t>(networks) +
-                static_cast<std::size_t>(ni)];
-      if (!cell.ok) {
-        ++skipped_cells;
-        continue;
-      }
-      relabel_ok &= cell.relabel_ok;
-      for (std::size_t k = 0; k < cell.stats.schemes.size() &&
-                              k < merged[gi].schemes.size();
-           ++k) {
-        merge_stream_scheme(merged[gi].schemes[k], cell.stats.schemes[k]);
-      }
-      merged[gi].repins += cell.stats.repins;
-      for (const RepinRecord& record : cell.stats.repin_records) {
-        merged[gi].moved += record.moved;
-        merged[gi].edges_added += record.edges_added;
-        merged[gi].edges_removed += record.edges_removed;
-        merged[gi].promotions += record.relabel.promotions;
-        merged[gi].demotions += record.relabel.flips;
-        merged[gi].reevaluations += record.relabel.reevaluations;
-        merged[gi].arena_high_water = std::max(
-            merged[gi].arena_high_water, record.relabel.arena_high_water);
-      }
-    }
+/// One counter of every grid point, in point order, as a JSON array.
+JsonValue point_counts(const StreamGrid& grid,
+                       std::size_t StreamPoint::*counter) {
+  JsonValue out = JsonValue::array();
+  for (const StreamPoint& point : grid.points) {
+    out.push(JsonValue::of(static_cast<std::uint64_t>(point.*counter)));
   }
-  if (skipped_cells == cells.size()) {
-    report.textf("no routable stream endpoints in any cell\n");
-    report.aborted = true;
-    return 1;
+  return out;
+}
+
+/// The report tail every stream grid shares, after the scenario's own
+/// table, curves and params: the notes, the sweep sections and the
+/// per-stream stats. Returns the scenario's exit code.
+int finish_stream_grid(const StreamGridSpec& spec, const StreamGrid& grid,
+                       ScenarioReport& report) {
+  report.note(spec.relabel_note + ": " + (grid.relabel_ok ? "yes" : "NO"));
+  report.note(spec.x_axis_note);
+  if (grid.skipped_cells > 0) {
+    report.note(std::to_string(grid.skipped_cells) + " of " +
+                std::to_string(grid.cells.size()) +
+                " stream cells had no routable endpoints and were skipped");
   }
 
-  // Console table: one row per (interval, speed) grid point.
-  std::vector<std::string> header{"repin s", "speed m/s"};
-  for (const auto& spec : scheme_specs) {
-    header.push_back(spec.display_label() + " deliv");
-  }
-  header.push_back("SLGF2 stretch");
-  header.push_back("repins");
-  header.push_back("promoted");
-  header.push_back("demoted");
-  Table table(std::move(header));
-  for (std::size_t gi = 0; gi < grid; ++gi) {
-    std::vector<std::string> row{
-        Table::fmt(intervals[gi / speeds.size()], 0),
-        Table::fmt(speeds[gi % speeds.size()], 1)};
-    for (const auto& s : merged[gi].schemes) {
-      row.push_back(Table::fmt(s.delivery_ratio()));
-    }
-    const StreamSchemeStats& slgf2 = merged[gi].schemes.back();
-    row.push_back(Table::fmt(
-        slgf2.stretch_hops.empty() ? 0.0 : slgf2.stretch_hops.mean()));
-    row.push_back(std::to_string(merged[gi].repins));
-    row.push_back(std::to_string(merged[gi].promotions));
-    row.push_back(std::to_string(merged[gi].demotions));
-    table.add_row(std::move(row));
-  }
-  report.add_table(std::move(table));
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "incremental with_moves relabeling matched a from-scratch "
-                "compute_safety at every re-pin: %s",
-                relabel_ok ? "yes" : "NO");
-  report.note(buf);
-  std::snprintf(buf, sizeof(buf),
-                "sweep section x axis is the max waypoint speed in 0.1 m/s "
-                "units (every network has %d nodes); one section per "
-                "re-pin interval, in interval order",
-                nodes);
-  report.note(buf);
-  if (skipped_cells > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%zu of %zu stream cells had no routable endpoints and "
-                  "were skipped",
-                  skipped_cells, cells.size());
-    report.note(buf);
-  }
-
-  // Plot curves: per-scheme series over speed, one curve per interval.
-  struct CurveSpec {
-    const char* title;
-    const char* y_label;
-    std::function<double(const StreamSchemeStats&)> metric;
-  };
-  const CurveSpec curve_specs[] = {
-      {"delivery ratio", "delivery ratio",
-       [](const StreamSchemeStats& s) { return s.delivery_ratio(); }},
-      {"hop stretch vs injection-time optimum", "stretch",
-       [](const StreamSchemeStats& s) {
-         return s.stretch_hops.empty() ? 0.0 : s.stretch_hops.mean();
-       }},
-  };
-  for (const CurveSpec& spec : curve_specs) {
-    for (std::size_t ii = 0; ii < intervals.size(); ++ii) {
-      ReportCurve curve;
-      char title[120];
-      std::snprintf(title, sizeof(title), "mobility-rate — %s (repin %.0fs)",
-                    spec.title, intervals[ii]);
-      curve.title = title;
-      curve.x_label = "max speed (m/s)";
-      curve.y_label = spec.y_label;
-      for (std::size_t k = 0; k < scheme_specs.size(); ++k) {
-        ReportSeries series;
-        series.label = scheme_specs[k].display_label();
-        for (std::size_t si = 0; si < speeds.size(); ++si) {
-          series.points.emplace_back(
-              speeds[si], spec.metric(merged[ii * speeds.size() + si].schemes[k]));
-        }
-        curve.series.push_back(std::move(series));
-      }
-      report.curves.push_back(std::move(curve));
-    }
-  }
-
-  // Sweep sections (the standard "models" JSON shape): one per re-pin
-  // interval, one point per speed. The point key carries the speed in
-  // 0.1 m/s units — flagged by the sweep_section_x_axis param and a
-  // console note. wall_seconds/threads stay 0 by design: the report must
-  // be byte-identical across reruns and thread counts.
-  for (std::size_t ii = 0; ii < intervals.size(); ++ii) {
+  // Sweep sections so the JSON report carries the standard "models" shape,
+  // with per-scheme RouteAggregates built from the stream totals. The point
+  // key carries the swept value, not a node count (the x-axis note and the
+  // sweep_section_x_axis param say which). wall_seconds/threads stay 0 by
+  // design: the report must be byte-identical across reruns and thread
+  // counts.
+  for (std::size_t first = 0; first < spec.points;
+       first += spec.points_per_section) {
     SweepSection section;
     section.model = DeployModel::kForbiddenAreas;
-    section.networks_per_point = networks;
-    section.pairs_per_network = packets;
-    section.base_seed = base_seed;
-    section.threads = 0;
-    section.wall_seconds = 0.0;
-    for (std::size_t si = 0; si < speeds.size(); ++si) {
+    section.networks_per_point = spec.networks;
+    section.pairs_per_network = spec.packets;
+    section.base_seed = spec.base_seed;
+    for (std::size_t gi = first; gi < first + spec.points_per_section; ++gi) {
       SweepPoint point;
-      point.node_count = static_cast<int>(10.0 * speeds[si] + 0.5);
-      for (const StreamSchemeStats& s :
-           merged[ii * speeds.size() + si].schemes) {
+      point.node_count = spec.point_key(gi);
+      for (const StreamSchemeStats& s : grid.points[gi].schemes) {
         RouteAggregate agg;
         agg.requested = s.injected;
         agg.attempted = s.injected;
@@ -1005,59 +702,251 @@ int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
     report.sweeps.push_back(std::move(section));
   }
 
-  // Machine-readable params: config identity, per-grid-point relabeling
-  // cost, and the full per-cell stream stats through the typed serializer.
-  report.param("nodes", JsonValue::of(nodes));
-  report.param("networks_per_cell", JsonValue::of(networks));
-  report.param("packets_per_stream", JsonValue::of(packets));
-  report.param("base_seed", JsonValue::of(base_seed));
+  // The full per-cell stream stats through the typed serializer
+  // (report/serialize.h).
+  const auto networks = static_cast<std::size_t>(spec.networks);
+  JsonValue streams = JsonValue::array();
+  for (std::size_t ci = 0; ci < grid.cells.size(); ++ci) {
+    if (!grid.cells[ci]) continue;
+    JsonValue entry = JsonValue::object();
+    spec.label_stream(ci / networks, entry);
+    entry.set("net", JsonValue::of(static_cast<int>(ci % networks)));
+    entry.set("stats", stream_stats_json(*grid.cells[ci]));
+    streams.push(std::move(entry));
+  }
+  report.param("streams", std::move(streams));
+  return grid.relabel_ok ? 0 : 1;
+}
+
+/// Streaming delivery: long-lived packet streams over StreamSim with
+/// failure waves landing *between the hops* of in-flight packets. Sweeps
+/// the failure fraction (share of nodes that die over the stream's
+/// lifetime); SLGF/SLGF2 keep routing on incrementally relabeled safety
+/// information after every wave, and each wave's incremental update is
+/// cross-checked against a from-scratch compute_safety.
+int run_streaming_delivery(const ScenarioOptions& opts,
+                           ScenarioReport& report) {
+  const std::vector<double> fractions = {0.0, 0.05, 0.10, 0.20, 0.30};
+  const int waves_per_stream = 4;
+  StreamGridSpec spec;
+  spec.nodes = 600;
+  spec.networks = opts.networks > 0 ? opts.networks : 3;
+  spec.packets = opts.pairs > 0 ? opts.pairs : 40;
+  spec.base_seed = opts.seed != 0 ? opts.seed : 2009;
+  spec.pair_salt = 0x57bea;
+  spec.points = fractions.size();
+  spec.points_per_section = fractions.size();
+  // The failure schedule: `fraction` of the nodes dies across
+  // `waves_per_stream` waves spread over the stream's injection span,
+  // never touching the stream endpoints.
+  spec.configure = [&](std::size_t fi, const Network& net, Rng& rng,
+                       StreamConfig& sc) {
+    sc.waves = spread_failure_waves(
+        net.graph(), sc.pairs, fractions[fi], waves_per_stream,
+        static_cast<double>(sc.packets) * sc.packet_interval, rng);
+  };
+  spec.point_key = [&](std::size_t fi) {
+    return static_cast<int>(100.0 * fractions[fi] + 0.5);
+  };
+  spec.label_stream = [&](std::size_t fi, JsonValue& entry) {
+    entry.set("fraction", JsonValue::of(fractions[fi]));
+  };
+  spec.relabel_note =
+      "incremental relabeling matched a from-scratch compute_safety at "
+      "every wave";
+  spec.x_axis_note = "sweep section x axis is the failure percentage "
+                     "(every network has " +
+                     std::to_string(spec.nodes) + " nodes)";
+
+  report.textf("== Streaming delivery: %d-node FA networks, %d streams x %d "
+               "packets per failure fraction, %d mid-stream failure waves "
+               "==\n\n",
+               spec.nodes, spec.networks, spec.packets, waves_per_stream);
+  std::optional<StreamGrid> grid = run_stream_grid(spec, opts.threads, report);
+  if (!grid) return 1;
+
+  // Console table: one row per failure fraction.
+  std::vector<std::string> header{"fail%"};
+  for (const auto& s : grid->points[0].schemes) {
+    header.push_back(s.label + " deliv");
+  }
+  header.push_back("SLGF2 hops");
+  header.push_back("SLGF2 stretch");
+  header.push_back("relabel flips");
+  Table table(std::move(header));
+  for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
+    const StreamPoint& point = grid->points[fi];
+    std::vector<std::string> row{Table::fmt(100.0 * fractions[fi], 0)};
+    for (const auto& s : point.schemes) {
+      row.push_back(Table::fmt(s.delivery_ratio()));
+    }
+    row.push_back(Table::fmt(mean_hops_of(point.schemes.back())));
+    row.push_back(Table::fmt(mean_stretch_of(point.schemes.back())));
+    row.push_back(std::to_string(point.flips));
+    table.add_row(std::move(row));
+  }
+  report.add_table(std::move(table));
+
+  // Plot curves: per-scheme series over the failure fraction.
+  std::vector<double> percents;
+  for (double f : fractions) percents.push_back(100.0 * f);
+  report.curves.push_back(stream_curve(
+      "streaming-delivery — delivery ratio", "failed %", "delivery ratio",
+      *grid, 0, percents, delivery_ratio_of));
+  report.curves.push_back(stream_curve(
+      "streaming-delivery — avg hops (delivered)", "failed %", "hops", *grid,
+      0, percents, mean_hops_of));
+  report.curves.push_back(stream_curve(
+      "streaming-delivery — hop stretch vs injection-time optimum",
+      "failed %", "stretch", *grid, 0, percents, mean_stretch_of));
+
+  // Machine-readable params: config identity plus the per-fraction
+  // relabeling cost (summed over waves and streams).
+  report.param("nodes", JsonValue::of(spec.nodes));
+  report.param("networks_per_fraction", JsonValue::of(spec.networks));
+  report.param("packets_per_stream", JsonValue::of(spec.packets));
+  report.param("waves_per_stream", JsonValue::of(waves_per_stream));
+  report.param("base_seed", JsonValue::of(spec.base_seed));
+  report.param("sweep_section_x_axis", JsonValue::of("failure_percent"));
+  report.param("relabel_matches_full_recompute",
+               JsonValue::of(grid->relabel_ok));
+  JsonValue fractions_json = JsonValue::array();
+  for (double f : fractions) fractions_json.push(JsonValue::of(f));
+  report.param("failure_fractions", std::move(fractions_json));
+  report.param("wave_casualties",
+               point_counts(*grid, &StreamPoint::casualties));
+  report.param("relabel_flips", point_counts(*grid, &StreamPoint::flips));
+  report.param("relabel_reevaluations",
+               point_counts(*grid, &StreamPoint::reevaluations));
+  return finish_stream_grid(spec, *grid, report);
+}
+
+/// Mobility rate: long-lived packet streams while every node follows a
+/// random-waypoint process, sweeping the re-pin interval x the maximum
+/// node speed. Every re-pin *continues* the snapshot incrementally
+/// (Network::with_moves: relocated spatial grid, adjacency patched from
+/// the edge delta, bidirectional safety update — removals demote,
+/// additions promote) and is cross-checked against a from-scratch
+/// compute_safety (StreamConfig::verify_relabeling).
+int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
+  const std::vector<double> intervals = {4.0, 8.0};  // re-pin period, s
+  const std::vector<double> speeds = {0.5, 1.5, 3.0};  // max m/s
+  // Point gi is (interval_of(gi), speed_of(gi)): intervals major.
+  auto interval_of = [&](std::size_t gi) {
+    return intervals[gi / speeds.size()];
+  };
+  auto speed_of = [&](std::size_t gi) { return speeds[gi % speeds.size()]; };
+  StreamGridSpec spec;
+  spec.nodes = 500;
+  spec.networks = opts.networks > 0 ? opts.networks : 2;
+  spec.packets = opts.pairs > 0 ? opts.pairs : 30;
+  spec.base_seed = opts.seed != 0 ? opts.seed : 2009;
+  spec.pair_salt = 0x30b1;
+  spec.points = intervals.size() * speeds.size();
+  spec.points_per_section = speeds.size();
+  spec.configure = [&](std::size_t gi, const Network&, Rng&,
+                       StreamConfig& sc) {
+    sc.mobility_interval = interval_of(gi);
+    sc.mobility_dt = interval_of(gi);  // virtual and waypoint time in step
+    sc.waypoint.max_speed_mps = speed_of(gi);
+    sc.waypoint.min_speed_mps = speed_of(gi) * 0.25;
+    sc.waypoint.pause_s = 2.0;
+  };
+  spec.point_key = [&](std::size_t gi) {
+    return static_cast<int>(10.0 * speed_of(gi) + 0.5);
+  };
+  spec.label_stream = [&](std::size_t gi, JsonValue& entry) {
+    entry.set("repin_interval", JsonValue::of(interval_of(gi)));
+    entry.set("max_speed", JsonValue::of(speed_of(gi)));
+  };
+  spec.relabel_note =
+      "incremental with_moves relabeling matched a from-scratch "
+      "compute_safety at every re-pin";
+  spec.x_axis_note = "sweep section x axis is the max waypoint speed in 0.1 "
+                     "m/s units (every network has " +
+                     std::to_string(spec.nodes) +
+                     " nodes); one section per re-pin interval, in "
+                     "interval order";
+
+  report.textf("== Mobility rate: %d-node FA networks, %d streams x %d "
+               "packets per cell, re-pin interval x speed sweep with "
+               "incremental relabeling ==\n\n",
+               spec.nodes, spec.networks, spec.packets);
+  std::optional<StreamGrid> grid = run_stream_grid(spec, opts.threads, report);
+  if (!grid) return 1;
+
+  // Console table: one row per (interval, speed) grid point.
+  std::vector<std::string> header{"repin s", "speed m/s"};
+  for (const auto& s : grid->points[0].schemes) {
+    header.push_back(s.label + " deliv");
+  }
+  header.push_back("SLGF2 stretch");
+  header.push_back("repins");
+  header.push_back("promoted");
+  header.push_back("demoted");
+  Table table(std::move(header));
+  for (std::size_t gi = 0; gi < spec.points; ++gi) {
+    const StreamPoint& point = grid->points[gi];
+    std::vector<std::string> row{Table::fmt(interval_of(gi), 0),
+                                 Table::fmt(speed_of(gi), 1)};
+    for (const auto& s : point.schemes) {
+      row.push_back(Table::fmt(s.delivery_ratio()));
+    }
+    row.push_back(Table::fmt(mean_stretch_of(point.schemes.back())));
+    row.push_back(std::to_string(point.repins));
+    row.push_back(std::to_string(point.promotions));
+    row.push_back(std::to_string(point.flips));
+    table.add_row(std::move(row));
+  }
+  report.add_table(std::move(table));
+
+  // Plot curves: per-scheme series over speed, one curve per interval.
+  for (const auto& [what, y_label, metric] :
+       {std::tuple{"delivery ratio", "delivery ratio", &delivery_ratio_of},
+        std::tuple{"hop stretch vs injection-time optimum", "stretch",
+                   &mean_stretch_of}}) {
+    for (std::size_t ii = 0; ii < intervals.size(); ++ii) {
+      char title[120];
+      std::snprintf(title, sizeof(title), "mobility-rate — %s (repin %.0fs)",
+                    what, intervals[ii]);
+      report.curves.push_back(stream_curve(title, "max speed (m/s)", y_label,
+                                           *grid, ii * speeds.size(), speeds,
+                                           metric));
+    }
+  }
+
+  // Machine-readable params: config identity and the per-point relabeling
+  // cost, in point order.
+  report.param("nodes", JsonValue::of(spec.nodes));
+  report.param("networks_per_cell", JsonValue::of(spec.networks));
+  report.param("packets_per_stream", JsonValue::of(spec.packets));
+  report.param("base_seed", JsonValue::of(spec.base_seed));
   report.param("sweep_section_x_axis", JsonValue::of("max_speed_mps_x10"));
-  report.param("relabel_matches_full_recompute", JsonValue::of(relabel_ok));
+  report.param("relabel_matches_full_recompute",
+               JsonValue::of(grid->relabel_ok));
   JsonValue intervals_json = JsonValue::array();
   for (double v : intervals) intervals_json.push(JsonValue::of(v));
   report.param("repin_intervals", std::move(intervals_json));
   JsonValue speeds_json = JsonValue::array();
   for (double v : speeds) speeds_json.push(JsonValue::of(v));
   report.param("max_speeds", std::move(speeds_json));
-  auto size_array = [&](auto member) {
-    JsonValue out = JsonValue::array();
-    for (const GridPoint& point : merged) {
-      out.push(JsonValue::of(static_cast<std::uint64_t>(point.*member)));
-    }
-    return out;
-  };
-  report.param("repins", size_array(&GridPoint::repins));
-  report.param("moved_nodes", size_array(&GridPoint::moved));
-  report.param("edges_added", size_array(&GridPoint::edges_added));
-  report.param("edges_removed", size_array(&GridPoint::edges_removed));
-  report.param("relabel_promotions", size_array(&GridPoint::promotions));
-  report.param("relabel_demotions", size_array(&GridPoint::demotions));
+  report.param("repins", point_counts(*grid, &StreamPoint::repins));
+  report.param("moved_nodes", point_counts(*grid, &StreamPoint::moved));
+  report.param("edges_added", point_counts(*grid, &StreamPoint::edges_added));
+  report.param("edges_removed",
+               point_counts(*grid, &StreamPoint::edges_removed));
+  report.param("relabel_promotions",
+               point_counts(*grid, &StreamPoint::promotions));
+  report.param("relabel_demotions", point_counts(*grid, &StreamPoint::flips));
   report.param("relabel_reevaluations",
-               size_array(&GridPoint::reevaluations));
+               point_counts(*grid, &StreamPoint::reevaluations));
   // Per-update peak (max-aggregated, so the value is thread-invariant):
   // the retained-block size after which re-pin relabeling stops touching
   // the general heap.
   report.param("relabel_arena_high_water",
-               size_array(&GridPoint::arena_high_water));
-  JsonValue streams = JsonValue::array();
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    if (!cells[ci].ok) continue;
-    const std::size_t gi = ci / static_cast<std::size_t>(networks);
-    JsonValue entry = JsonValue::object();
-    entry.set("repin_interval",
-              JsonValue::of(intervals[gi / speeds.size()]));
-    entry.set("max_speed", JsonValue::of(speeds[gi % speeds.size()]));
-    entry.set("net",
-              JsonValue::of(static_cast<int>(
-                  ci % static_cast<std::size_t>(networks))));
-    entry.set("stats", stream_stats_json(cells[ci].stats));
-    streams.push(std::move(entry));
-  }
-  report.param("streams", std::move(streams));
-
-  return relabel_ok ? 0 : 1;
+               point_counts(*grid, &StreamPoint::arena_high_water));
+  return finish_stream_grid(spec, *grid, report);
 }
-
 
 /// Spatial-tile scaling: one scaled constant-degree FA deployment labeled
 /// through every tile grid x thread count, with a failure wave and a

@@ -1,12 +1,31 @@
 #include "graph/unit_disk.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "graph/spatial_grid.h"
 #include "util/check.h"
 #include "util/task_pool.h"
 
 namespace spr {
+
+namespace {
+
+/// A NaN or infinite coordinate has no meaningful distance to anything, and
+/// a NaN breaks the strict weak order the hull sort needs: both are
+/// rejected at construction rather than yielding a silently wrong graph.
+void check_finite_position(NodeId u, Vec2 p) {
+  SPR_CHECK(std::isfinite(p.x) && std::isfinite(p.y), "UnitDiskGraph: node ",
+            u, " has a non-finite position (", p.x, ", ", p.y, ")");
+}
+
+void check_finite_positions(const std::vector<Vec2>& positions) {
+  for (NodeId u = 0; u < positions.size(); ++u) {
+    check_finite_position(u, positions[u]);
+  }
+}
+
+}  // namespace
 
 bool edge_diff_normalized(const EdgeDiff& diff) {
   auto normalized = [](const std::vector<std::pair<NodeId, NodeId>>& pairs) {
@@ -33,6 +52,7 @@ bool edge_diff_normalized(const EdgeDiff& diff) {
 UnitDiskGraph::UnitDiskGraph(std::vector<Vec2> positions, double range,
                              Rect bounds, TaskPool* build_pool)
     : positions_(std::move(positions)), range_(range), bounds_(bounds) {
+  check_finite_positions(positions_);
   build(std::vector<bool>(positions_.size(), true), build_pool);
 }
 
@@ -40,6 +60,7 @@ UnitDiskGraph::UnitDiskGraph(std::vector<Vec2> positions, double range,
                              Rect bounds, const std::vector<bool>& alive,
                              TaskPool* build_pool)
     : positions_(std::move(positions)), range_(range), bounds_(bounds) {
+  check_finite_positions(positions_);
   build(alive, build_pool);
 }
 
@@ -179,10 +200,14 @@ UnitDiskGraph UnitDiskGraph::with_moves(const std::vector<Vec2>& new_positions,
   if (diff != nullptr) *diff = EdgeDiff{};
 
   // Which nodes actually moved (exact coordinate comparison: the waypoint
-  // process hands back untouched doubles for paused nodes).
+  // process hands back untouched doubles for paused nodes). A non-finite
+  // coordinate never compares equal, so checking the moved ones suffices.
   std::vector<NodeId> moved;
   for (NodeId u = 0; u < n && u < new_positions.size(); ++u) {
-    if (!(new_positions[u] == positions_[u])) moved.push_back(u);
+    if (!(new_positions[u] == positions_[u])) {
+      check_finite_position(u, new_positions[u]);
+      moved.push_back(u);
+    }
   }
   if (diff != nullptr) diff->moved_nodes = moved.size();
   std::vector<Vec2> positions(new_positions);

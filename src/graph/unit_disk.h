@@ -43,7 +43,8 @@ bool edge_diff_normalized(const EdgeDiff& diff);
 ///
 /// Neighbor lists are stored in CSR form and sorted by node id. The optional
 /// `alive` mask models failed nodes: dead nodes keep their position but have
-/// no incident edges (used by the failure-dynamics example and tests).
+/// no incident edges (failure waves, the failure-dynamics scenario and
+/// tests).
 ///
 /// Construction can be parallelized by passing a `build_pool`: the per-node
 /// radius queries fan out over the pool and the sorted per-node lists merge
@@ -53,7 +54,9 @@ bool edge_diff_normalized(const EdgeDiff& diff);
 /// blocking on the same pool from one of its workers deadlocks.
 class UnitDiskGraph {
  public:
-  /// Builds adjacency with a spatial grid; O(n + |E|) expected.
+  /// Builds adjacency with a spatial grid; O(n + |E|) expected. Every
+  /// position must be finite, and `range` finite and > 0 (the spatial
+  /// grid's cell-size check); both are SPR_CHECKed.
   UnitDiskGraph(std::vector<Vec2> positions, double range, Rect bounds,
                 TaskPool* build_pool = nullptr);
 
@@ -131,9 +134,10 @@ class UnitDiskGraph {
   /// resulting CSR is bit-identical to a from-scratch build over
   /// `new_positions` (tests enforce offsets+adjacency equality). Aliveness
   /// carries over: dead nodes move but stay edgeless. `new_positions` must
-  /// have exactly size() entries. `diff`, when non-null, receives the
-  /// added/removed edge sets (alive endpoints only). With a `build_pool` the
-  /// moved nodes' radius queries fan out (deterministic id-ordered merge).
+  /// have exactly size() entries, and the moved ones must be finite
+  /// (SPR_CHECK). `diff`, when non-null, receives the added/removed edge
+  /// sets (alive endpoints only). With a `build_pool` the moved nodes'
+  /// radius queries fan out (deterministic id-ordered merge).
   UnitDiskGraph with_moves(const std::vector<Vec2>& new_positions,
                            EdgeDiff* diff = nullptr,
                            TaskPool* build_pool = nullptr) const;

@@ -23,18 +23,12 @@ struct SafetyBroadcast {
 using NeighborCache = std::unordered_map<NodeId, SafetyBroadcast>;
 
 /// Recomputes one node's tuple (statuses + anchors) from its neighbor
-/// cache — the body of Algorithm 2 steps 2-3 as executed locally. Shared by
-/// the synchronous and asynchronous drivers.
-///
-/// `may_flip_statuses` gates the irreversible 1->0 flips: a node must have
-/// heard from its whole neighborhood before concluding that a quadrant
-/// holds no safe neighbor, otherwise in-flight hellos cause spurious flips
-/// (only relevant to the asynchronous driver; the round engine's caches are
-/// complete after round 0).
+/// cache — the body of Algorithm 2 steps 2-3 as executed locally. The
+/// round engine delivers every hello in round 0, so from round 1 on the
+/// cache holds the whole neighborhood and the 1->0 flips are sound.
 SafetyTuple recompute_tuple(const UnitDiskGraph& g, const InterestArea& area,
                             NodeId self, const NeighborCache& cache,
-                            const SafetyTuple& current,
-                            bool may_flip_statuses) {
+                            const SafetyTuple& current) {
   Vec2 pu = g.position(self);
   SafetyTuple next = current;
 
@@ -48,7 +42,6 @@ SafetyTuple recompute_tuple(const UnitDiskGraph& g, const InterestArea& area,
   const QuadrantZones& zones = g.zones();
 
   for (ZoneType t : kAllZoneTypes) {
-    if (!may_flip_statuses) break;
     if (area.is_edge_node(self)) break;  // pinned at (1,1,1,1)
     if (!next.is_safe(t)) continue;       // monotone: no 0 -> 1 flips
     bool has_safe_neighbor = false;
@@ -121,8 +114,7 @@ DistributedSafetyResult compute_safety_distributed(const UnitDiskGraph& g,
       return SafetyBroadcast{g.position(self), me.tuple};
     }
 
-    me.tuple = recompute_tuple(g, area, self, me.cache, me.tuple,
-                               /*may_flip_statuses=*/true);
+    me.tuple = recompute_tuple(g, area, self, me.cache, me.tuple);
     if (!me.last_sent || *me.last_sent != me.tuple) {
       me.last_sent = me.tuple;
       return SafetyBroadcast{g.position(self), me.tuple};
@@ -135,58 +127,6 @@ DistributedSafetyResult compute_safety_distributed(const UnitDiskGraph& g,
   std::vector<SafetyTuple> tuples(n);
   for (NodeId u = 0; u < n; ++u) tuples[u] = state[u].tuple;
   return DistributedSafetyResult{SafetyInfo(std::move(tuples)), stats};
-}
-
-AsyncSafetyResult compute_safety_distributed_async(const UnitDiskGraph& g,
-                                                   const InterestArea& area,
-                                                   Rng& rng,
-                                                   std::size_t max_events) {
-  const std::size_t n = g.size();
-  if (max_events == 0) {
-    // Every (node,type) flip and every anchor refinement triggers at most
-    // one broadcast of deg receptions; this cap is far above any real run
-    // and only guards against livelock bugs.
-    max_events =
-        64 * n *
-        std::max<std::size_t>(static_cast<std::size_t>(g.average_degree()), 8);
-  }
-  std::vector<NodeState> state(n);
-
-  using Engine = AsyncEngine<SafetyBroadcast>;
-  Engine engine(g, rng);
-
-  auto process = [&](NodeId self, double /*now*/,
-                     std::optional<Engine::Incoming> message)
-      -> std::optional<SafetyBroadcast> {
-    NodeState& me = state[self];
-    if (!message) {
-      // Initial activation: hello broadcast. Isolated nodes never hear
-      // anything, so their (vacuous) flips must be evaluated right here.
-      if (g.degree(self) == 0) {
-        me.tuple = recompute_tuple(g, area, self, me.cache, me.tuple,
-                                   /*may_flip_statuses=*/true);
-      }
-      me.last_sent = me.tuple;
-      return SafetyBroadcast{g.position(self), me.tuple};
-    }
-    me.cache[message->sender] = message->payload;
-    // Flips unlock once the whole neighborhood has been heard (the hello of
-    // every neighbor arrives eventually; until then only anchors update).
-    bool neighborhood_known = me.cache.size() >= g.degree(self);
-    me.tuple =
-        recompute_tuple(g, area, self, me.cache, me.tuple, neighborhood_known);
-    if (!me.last_sent || *me.last_sent != me.tuple) {
-      me.last_sent = me.tuple;
-      return SafetyBroadcast{g.position(self), me.tuple};
-    }
-    return std::nullopt;
-  };
-
-  AsyncEngineStats stats = engine.run(process, max_events);
-
-  std::vector<SafetyTuple> tuples(n);
-  for (NodeId u = 0; u < n; ++u) tuples[u] = state[u].tuple;
-  return AsyncSafetyResult{SafetyInfo(std::move(tuples)), stats};
 }
 
 }  // namespace spr

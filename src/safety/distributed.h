@@ -16,7 +16,6 @@
 
 #include "deploy/interest_area.h"
 #include "safety/labeling.h"
-#include "sim/async_engine.h"
 #include "sim/engine.h"
 
 namespace spr {
@@ -33,21 +32,5 @@ struct DistributedSafetyResult {
 DistributedSafetyResult compute_safety_distributed(const UnitDiskGraph& g,
                                                    const InterestArea& area,
                                                    std::size_t max_rounds = 0);
-
-/// Outcome of the asynchronous variant.
-struct AsyncSafetyResult {
-  SafetyInfo info;
-  AsyncEngineStats stats;
-};
-
-/// The same protocol on the event-driven engine (sim/async_engine.h):
-/// per-link random delays, per-message activations, no rounds. Converges
-/// to the identical fixpoint — the construction is self-stabilizing under
-/// reordering because status flips are monotone and anchors are a function
-/// of the final statuses. `rng` drives the link delays only.
-AsyncSafetyResult compute_safety_distributed_async(const UnitDiskGraph& g,
-                                                   const InterestArea& area,
-                                                   Rng& rng,
-                                                   std::size_t max_events = 0);
 
 }  // namespace spr

@@ -15,13 +15,13 @@
 /// time r+1, and the engine drains the queue up to the current round into
 /// the inboxes before activating the nodes. The queue's FIFO tie-breaking
 /// preserves the classic inbox order (senders in node-id order, neighbors
-/// in sorted order), so the rebase is observationally identical to the
-/// hand-rolled double-buffered inbox loop it replaced.
+/// in sorted order).
 
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/node.h"
@@ -30,10 +30,11 @@
 
 namespace spr {
 
-/// Totals reported by a run. Broadcast/reception counters live in the
-/// shared SimStats base.
-struct EngineStats : SimStats {
-  std::size_t rounds = 0;  ///< rounds executed (including the quiescent one)
+/// Totals reported by a run.
+struct EngineStats {
+  std::size_t rounds = 0;      ///< rounds run, the quiescent one included
+  std::size_t broadcasts = 0;  ///< broadcast operations performed
+  std::size_t receptions = 0;  ///< per-link deliveries
 
   /// Renders "rounds=R broadcasts=B receptions=M" for logs.
   std::string to_string() const;

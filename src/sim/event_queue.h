@@ -1,30 +1,22 @@
 #pragma once
 
 /// \file event_queue.h
-/// The shared discrete-event core: a deterministic timed event queue, a
-/// virtual clock, and the FIFO per-link delay model. Extracted from
-/// AsyncEngine (which previously kept all three private) so every
-/// simulator in the library — the round engine, the asynchronous
-/// message-passing engine, and the streaming-delivery simulator
-/// (sim/stream_sim.h) — schedules on one timeline abstraction with one
-/// tie-breaking rule.
+/// The shared discrete-event core: a deterministic timed event queue and a
+/// virtual clock. Every simulator in the library — the round engine
+/// (sim/engine.h) and the streaming-delivery simulator (sim/stream_sim.h) —
+/// schedules on this one timeline abstraction with one tie-breaking rule.
 ///
 /// Determinism: events are totally ordered by (time, insertion sequence),
 /// so two events at the same instant pop in the order they were pushed.
 /// Runs that push the same events in the same order are bit-identical,
-/// which is what the engines' fixpoint tests and the streaming scenario's
+/// which is what the engine's fixpoint tests and the streaming scenario's
 /// reproducibility guarantee rest on.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
-
-#include "deploy/rng.h"
-#include "graph/node.h"
-#include "util/flat_map.h"
 
 namespace spr {
 
@@ -88,58 +80,6 @@ class EventQueue {
 
   std::vector<Timed> heap_;
   std::uint64_t next_seq_ = 0;
-};
-
-/// FIFO per-directed-link delay model: each transmission draws an
-/// independent delay uniformly from [min_delay, max_delay), and two
-/// messages sent over the same (sender, receiver) link are delivered in
-/// send order (a later send is scheduled no earlier than the link's
-/// previously scheduled delivery). Without the FIFO clamp, a stale state
-/// broadcast could overwrite a newer one in a receiver's cache and
-/// protocols relying on last-writer-wins caches would not converge.
-class FifoLinkDelays {
- public:
-  FifoLinkDelays(std::size_t node_count, double min_delay, double max_delay)
-      : node_count_(node_count),
-        min_delay_(min_delay),
-        max_delay_(max_delay),
-        // Unit-disk broadcasts touch ~degree links per node; reserving a
-        // few slots per node covers the steady state without committing
-        // node_count^2 memory for links that never carry traffic.
-        link_clock_(std::min<std::size_t>(node_count * 4, 1u << 20)) {}
-
-  /// The delivery time of a message sent from `from` to `to` at `now`.
-  /// Draws one uniform from `rng`, so calling order defines the run.
-  double schedule(NodeId from, NodeId to, double now, Rng& rng) {
-    double delay = rng.uniform(min_delay_, max_delay_);
-    double& clock = link_clock_.find_or_insert(link_key(from, to), 0.0);
-    double when = std::max(now + delay, clock + 1e-9);
-    clock = when;
-    return when;
-  }
-
- private:
-  std::uint64_t link_key(NodeId from, NodeId to) const noexcept {
-    return static_cast<std::uint64_t>(from) * node_count_ + to;
-  }
-
-  std::size_t node_count_;
-  double min_delay_;
-  double max_delay_;
-  /// Last scheduled delivery time per directed link, in a flat
-  /// open-addressed table (the sim's hottest map; see util/flat_map.h).
-  FlatMap64<double> link_clock_;
-};
-
-/// Message-traffic counters shared by every engine on the event core.
-struct SimStats {
-  std::size_t broadcasts = 0;  ///< broadcast operations performed
-  std::size_t receptions = 0;  ///< per-link deliveries
-
- protected:
-  /// "broadcasts=B receptions=R" — the shared tail of the engine stat
-  /// lines (EngineStats / AsyncEngineStats prepend their own counters).
-  std::string counters_string() const;
 };
 
 }  // namespace spr

@@ -117,8 +117,7 @@ struct StreamWave {
 /// Builds a failure schedule: `fraction` of the graph's nodes die across
 /// `waves` waves evenly spaced over (0, span), drawn without replacement
 /// from `rng`; the stream endpoints in `endpoints` are never chosen. The
-/// shared schedule builder behind the streaming-delivery scenario and the
-/// streaming_delivery example.
+/// schedule builder behind the streaming-delivery scenario.
 std::vector<StreamWave> spread_failure_waves(
     const UnitDiskGraph& g,
     std::span<const std::pair<NodeId, NodeId>> endpoints, double fraction,

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "deploy/rng.h"
 #include "graph/quadrant_csr.h"
 #include "test_helpers.h"
+#include "util/check.h"
 
 namespace spr {
 namespace {
@@ -164,6 +167,48 @@ TEST(UnitDisk, SingleNode) {
 TEST(UnitDisk, CoincidentNodesAreNeighbors) {
   auto g = test::make_graph({{5.0, 5.0}, {5.0, 5.0}}, 10.0);
   EXPECT_TRUE(g.are_neighbors(0, 1));
+}
+
+TEST(UnitDisk, NonFinitePositionIsRejected) {
+  ScopedCheckHandler guard(&throwing_check_handler);
+  const Rect field = Rect::from_bounds({0.0, 0.0}, {100.0, 100.0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Vec2 bad : {Vec2{nan, 5.0}, Vec2{5.0, nan}, Vec2{inf, 5.0},
+                   Vec2{5.0, -inf}}) {
+    std::vector<Vec2> pts{{1.0, 1.0}, bad, {3.0, 3.0}};
+    EXPECT_THROW(UnitDiskGraph(pts, 20.0, field), CheckError)
+        << bad.x << "," << bad.y;
+    EXPECT_THROW(UnitDiskGraph(pts, 20.0, field, {true, true, true}),
+                 CheckError)
+        << bad.x << "," << bad.y;
+  }
+}
+
+/// The range half of the constructor contract, enforced through the spatial
+/// grid's cell-size check.
+TEST(UnitDisk, NonPositiveOrNonFiniteRangeIsRejected) {
+  ScopedCheckHandler guard(&throwing_check_handler);
+  const Rect field = Rect::from_bounds({0.0, 0.0}, {100.0, 100.0});
+  const std::vector<Vec2> pts{{1.0, 1.0}, {3.0, 3.0}};
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(UnitDiskGraph(pts, bad, field), CheckError) << bad;
+    EXPECT_THROW(UnitDiskGraph(pts, bad, field, {true, true}), CheckError)
+        << bad;
+  }
+}
+
+TEST(UnitDisk, WithMovesRejectsNonFiniteMovedPosition) {
+  ScopedCheckHandler guard(&throwing_check_handler);
+  auto g = test::make_graph({{1.0, 1.0}, {5.0, 5.0}, {9.0, 9.0}}, 20.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // One node moved (the patch path) and every node moved (the rebuild).
+  std::vector<Vec2> one = g.positions();
+  one[1].x = nan;
+  EXPECT_THROW(g.with_moves(one), CheckError);
+  std::vector<Vec2> all{{2.0, 2.0}, {6.0, nan}, {8.0, 8.0}};
+  EXPECT_THROW(g.with_moves(all), CheckError);
 }
 
 }  // namespace

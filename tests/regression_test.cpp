@@ -7,7 +7,6 @@
 #include "graph/graph_algos.h"
 #include "routing/boundhole.h"
 #include "routing/slgf2.h"
-#include "sim/async_engine.h"
 #include "test_helpers.h"
 
 namespace spr {
@@ -107,37 +106,6 @@ TEST(Regression, GfRecoveryHopBound) {
         EXPECT_LE(r.hops(), 2 * net.graph().size()) << "seed " << seed;
       }
     }
-  }
-}
-
-/// Bug: the async engine delivered per-link messages out of order, so a
-/// stale safety broadcast could overwrite a newer one in the receiver's
-/// cache and the protocol under-flipped. Guard: FIFO per link.
-TEST(Regression, AsyncEngineFifoLinks) {
-  // Node 0 emits an increasing sequence (one send per activation, bounced
-  // by node 1's echoes); with a wide delay spread, unordered delivery would
-  // interleave. Node 1 must observe a strictly increasing stream.
-  auto g = test::make_graph({{0.0, 0.0}, {10.0, 0.0}}, 12.0);
-  std::vector<int> received;
-  int next = 0;
-  Rng rng(4);
-  AsyncEngine<int> engine(g, rng, 0.1, 5.0);  // wide delay spread
-  engine.run(
-      [&](NodeId self, double,
-          std::optional<AsyncEngine<int>::Incoming> msg) -> std::optional<int> {
-        if (self == 0) {
-          return next < 20 ? std::optional<int>(next++) : std::nullopt;
-        }
-        if (msg) {
-          received.push_back(msg->payload);
-          return -1;  // echo to re-activate node 0
-        }
-        return std::nullopt;
-      },
-      10000);
-  ASSERT_GE(received.size(), 10u);
-  for (std::size_t i = 1; i < received.size(); ++i) {
-    EXPECT_LT(received[i - 1], received[i]) << "per-link reordering";
   }
 }
 

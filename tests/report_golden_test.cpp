@@ -153,5 +153,46 @@ delivered 3/3 epochs, mean hops 7.7
   EXPECT_EQ(captured, expected);
 }
 
+TEST(ConsoleGolden, StreamingDelivery) {
+  ScenarioOptions opts;
+  opts.networks = 1; opts.pairs = 4; opts.threads = 2;
+  std::string captured;
+  ASSERT_EQ(run_capturing("streaming-delivery", opts, captured), 0);
+  const std::string expected = R"GOLD(== Streaming delivery: 600-node FA networks, 1 streams x 4 packets per failure fraction, 4 mid-stream failure waves ==
+
+fail%  GF deliv  LGF deliv  SLGF deliv  SLGF2 deliv  SLGF2 hops  SLGF2 stretch  relabel flips
+---------------------------------------------------------------------------------------------
+    0      1.00       1.00        1.00         1.00        6.00           1.15              0
+    5      1.00       1.00        1.00         1.00        5.50           1.29              5
+   10      1.00       0.75        1.00         1.00        8.75           1.11             17
+   20      1.00       1.00        1.00         1.00        6.00           1.15             72
+   30      1.00       1.00        1.00         1.00        6.00           1.32             33
+incremental relabeling matched a from-scratch compute_safety at every wave: yes
+sweep section x axis is the failure percentage (every network has 600 nodes)
+)GOLD";
+  EXPECT_EQ(captured, expected);
+}
+
+TEST(ConsoleGolden, MobilityRate) {
+  ScenarioOptions opts;
+  opts.networks = 1; opts.pairs = 4; opts.threads = 2;
+  std::string captured;
+  ASSERT_EQ(run_capturing("mobility-rate", opts, captured), 0);
+  const std::string expected = R"GOLD(== Mobility rate: 500-node FA networks, 1 streams x 4 packets per cell, re-pin interval x speed sweep with incremental relabeling ==
+
+repin s  speed m/s  GF deliv  LGF deliv  SLGF deliv  SLGF2 deliv  SLGF2 stretch  repins  promoted  demoted
+----------------------------------------------------------------------------------------------------------
+      4        0.5      1.00       1.00        1.00         1.00           1.18       2       106      106
+      4        1.5      1.00       1.00        1.00         1.00           1.00       1        62       53
+      4        3.0      1.00       1.00        1.00         1.00           1.17       2       221      142
+      8        0.5      1.00       1.00        1.00         1.00           1.40       1        76       80
+      8        1.5      1.00       1.00        1.00         1.00           1.33       1       116       90
+      8        3.0      1.00       1.00        1.00         1.00           1.16       1        73       38
+incremental with_moves relabeling matched a from-scratch compute_safety at every re-pin: yes
+sweep section x axis is the max waypoint speed in 0.1 m/s units (every network has 500 nodes); one section per re-pin interval, in interval order
+)GOLD";
+  EXPECT_EQ(captured, expected);
+}
+
 }  // namespace
 }  // namespace spr
