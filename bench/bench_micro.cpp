@@ -18,7 +18,6 @@
 #include "mobility/waypoint.h"
 #include "report/serialize.h"
 #include "safety/distributed.h"
-#include "shard/sharded_network.h"
 #include "sim/stream_sim.h"
 #include "support/safety_oracles.h"
 #include "util/task_pool.h"
@@ -127,48 +126,6 @@ void BM_SafetyLabelingParallel(benchmark::State& state) {
 BENCHMARK(BM_SafetyLabeling)->Arg(400)->Arg(800)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_SafetyLabelingScalar)->Arg(400)->Arg(800)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_SafetyLabelingParallel)->Arg(10000)->Arg(100000);
-
-
-/// End-to-end spatial-tile sharding (shard/sharded_network.h): partition
-/// build + halo-synced labeling + one fast-path mobility epoch, over a
-/// constant-degree scaled field. Args are {nodes, tiles per side}; the
-/// 4-worker pool parallelizes per-tile work. The million-node registration
-/// runs a single iteration — it is the scale demonstration, not a
-/// steady-state timing.
-void BM_ShardedLabeling(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int side = static_cast<int>(state.range(1));
-  Deployment dep = make_scaled_deployment(n, DeployModel::kForbiddenAreas);
-  UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
-  TaskPool pool(4);
-  Rng rng(7);
-  std::vector<Vec2> moved = g.positions();
-  for (Vec2& p : moved) {
-    p.x = std::clamp(p.x + rng.uniform(-4.0, 4.0), dep.field.lo().x,
-                     dep.field.hi().x);
-    p.y = std::clamp(p.y + rng.uniform(-4.0, 4.0), dep.field.lo().y,
-                     dep.field.hi().y);
-  }
-  std::size_t halo_demotions = 0;
-  for (auto _ : state) {
-    ShardedNetwork::Config config;
-    config.tile_rows = side;
-    config.tile_cols = side;
-    ShardedNetwork sharded(g, /*edge_band=*/-1.0, config, &pool);
-    benchmark::DoNotOptimize(sharded.safety().unsafe_node_count());
-    sharded.apply_moves(moved);
-    benchmark::DoNotOptimize(sharded.safety().unsafe_node_count());
-    halo_demotions = sharded.last_stats().halo_demotions;
-  }
-  state.counters["halo_demotions"] = static_cast<double>(halo_demotions);
-}
-BENCHMARK(BM_ShardedLabeling)
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({100000, 2})
-    ->Args({100000, 4})
-    ->Args({1000000, 4})
-    ->Unit(benchmark::kMillisecond);
 
 /// Building the quadrant CSR itself (the warmed-out cost above): the
 /// once-per-epoch price of the flat kernel's substrate.
@@ -381,7 +338,7 @@ void BM_ShortestPathOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestPathOracle);
 
-/// Cost of the shard serialization round trip (report/serialize.h): one
+/// Cost of the slice serialization round trip (report/serialize.h): one
 /// sweep cell's full aggregates to JSON text, parsed back, deserialized.
 /// This bounds the per-cell overhead the distributed sweep path adds on
 /// top of the computation itself.

@@ -16,7 +16,7 @@ its own bench — so normalizing by the median ratio cancels the former and
 flags the latter. (--calibrate NAME pins the factor to one bench instead;
 the median is the robust default.) Tolerance defaults to 1.5x — wide
 enough for scheduler noise, narrow enough to catch a real slowdown in the
-labeling kernel or the incremental/sharded paths.
+labeling kernel or the incremental updaters.
 
 Several baseline/current pairs gate in one invocation via repeated
 --pair: each pair is normalized independently (the labeling and streaming

@@ -2,7 +2,7 @@
 """spr_lint: repo-specific determinism and hygiene lint for the spr tree.
 
 The repo's core contract is bit-identical statuses, anchors and reports
-across thread counts, tile grids, machines and reruns. This lint enforces
+across thread counts, machines and reruns. This lint enforces
 the source-level invariants that keep that true, as named rules:
 
   wallclock         No wall-clock time, thread ids or pointer values where

@@ -8,8 +8,8 @@
 #include <mutex>
 
 #include "graph/graph_algos.h"
-#include "shard/sharded_network.h"
 #include "util/arena.h"
+#include "util/check.h"
 #include "util/task_pool.h"
 
 namespace spr {
@@ -88,17 +88,6 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   net_config.seed = sweep_cell_seed(config, n, net_index);
   auto start = std::chrono::steady_clock::now();
   Network network = Network::create(net_config);
-  if (config.tile_rows > 0 && config.tile_cols > 0) {
-    // Spatial-tile execution path: label through the halo-synced sharded
-    // fixpoint and adopt the (bit-identical, by the tile layer's
-    // invariance contract) result, so force() below finds it built.
-    ShardedNetwork::Config tile_config;
-    tile_config.tile_rows = config.tile_rows;
-    tile_config.tile_cols = config.tile_cols;
-    ShardedNetwork sharded(network.graph(), net_config.edge_band,
-                           tile_config);
-    network.adopt_safety(sharded.safety());
-  }
   // Force every structure the scheme set will touch, so the construction
   // bucket really holds construction (GF's recovery structures stay lazy by
   // design — if a packet gets stuck their build lands in the routing
@@ -163,6 +152,17 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   return cell;
 }
 
+/// A negative count would size the cell list from a wrapped-around
+/// unsigned; zero is an empty sweep.
+void check_cell_counts(const SweepConfig& config) {
+  SPR_CHECK(config.networks_per_point >= 0,
+            "SweepConfig::networks_per_point = ", config.networks_per_point,
+            ", need >= 0");
+  SPR_CHECK(config.pairs_per_network >= 0,
+            "SweepConfig::pairs_per_network = ", config.pairs_per_network,
+            ", need >= 0");
+}
+
 }  // namespace
 
 CellResult run_sweep_cell(const SweepConfig& config, int node_count,
@@ -175,6 +175,7 @@ CellResult run_sweep_cell(const SweepConfig& config, int node_count,
 std::vector<SliceCell> run_sweep_slice(const SweepConfig& config,
                                        int slice_index, int slice_count,
                                        SweepTimings* timings) {
+  check_cell_counts(config);
   std::vector<SliceCell> slice;
   if (slice_count < 1 || slice_index < 0 || slice_index >= slice_count) {
     return slice;
@@ -271,6 +272,7 @@ std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
 std::vector<SweepPoint> run_sweep(const SweepConfig& config,
                                   const SweepProgress& progress,
                                   SweepTimings* timings) {
+  check_cell_counts(config);
   // Flatten the sweep into independent (node_count, network_index) cells.
   struct Cell {
     std::size_t point_index;

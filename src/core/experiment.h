@@ -60,14 +60,6 @@ struct SweepConfig {
   /// the general heap. Results are identical either way; the knob exists
   /// for the bench_micro before/after datapoint.
   bool cell_arena = true;
-  /// When both are positive, each cell's safety labeling is computed by a
-  /// spatial-tile ShardedNetwork (shard/sharded_network.h) over a
-  /// tile_rows x tile_cols grid and adopted into the cell's Network. The
-  /// tile layer's shard-count-invariance contract makes the sweep results
-  /// bit-identical to the monolithic path for every grid (tested), so this
-  /// is purely an execution-strategy knob — `spr_cli sweep --tiles RxC`.
-  int tile_rows = 0;
-  int tile_cols = 0;
 
   /// The paper's four schemes in figure order.
   static std::vector<SchemeSpec> paper_schemes();
@@ -87,8 +79,7 @@ using CellResult = std::map<std::string, RouteAggregate>;
 
 /// A cell result tagged with its sweep coordinates, as carried by sweep
 /// *slice* files (report/serialize.h) — a slice is a modular subset of a
-/// sweep's cells for cross-process distribution, not to be confused with
-/// the spatial tiles of shard/.
+/// sweep's cells for cross-process distribution.
 struct SliceCell {
   int node_count = 0;
   int net_index = 0;
@@ -122,6 +113,8 @@ struct SweepTimings {
 /// Runs the sweep; one SweepPoint per node count, in order. Deterministic:
 /// the result depends only on `config`, not on `config.threads` or timing.
 /// `timings`, when non-null, receives the accumulated cost breakdown.
+/// Throws CheckError when `networks_per_point` or `pairs_per_network` is
+/// negative.
 std::vector<SweepPoint> run_sweep(const SweepConfig& config,
                                   const SweepProgress& progress = {},
                                   SweepTimings* timings = nullptr);
@@ -136,7 +129,8 @@ CellResult run_sweep_cell(const SweepConfig& config, int node_count,
 /// Runs the subset of the sweep's cells whose canonical index (point-major:
 /// node_counts outer, net_index inner) is congruent to `slice_index` modulo
 /// `slice_count`, in parallel per `config.threads`. The union of all slices
-/// is exactly the cell set run_sweep computes.
+/// is exactly the cell set run_sweep computes. Checks the counts as
+/// run_sweep does.
 std::vector<SliceCell> run_sweep_slice(const SweepConfig& config,
                                        int slice_index, int slice_count,
                                        SweepTimings* timings = nullptr);

@@ -103,10 +103,10 @@ class Network {
 
   /// Installs an externally-computed safety labeling (`info.size()` must be
   /// `graph().size()`) so `safety()` returns it instead of building one —
-  /// the spatial-tile sweep path injects the halo-exchanged labeling here,
-  /// which is bit-identical to what `safety()` would compute (the tile
-  /// layer's invariance contract). No-op if the labeling was already built
-  /// or adopted; returns whether `info` was installed.
+  /// for a caller that already labeled this graph and must not pay for it
+  /// twice. The labeling must equal what `safety()` would compute. No-op
+  /// if the labeling was already built or adopted; returns whether `info`
+  /// was installed.
   bool adopt_safety(SafetyInfo info) const;
   const PlanarOverlay& overlay() const;
   const BoundHoleInfo& boundhole() const;

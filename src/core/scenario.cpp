@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -23,7 +22,6 @@
 #include "routing/slgf.h"
 #include "routing/slgf2.h"
 #include "safety/incremental.h"
-#include "shard/sharded_network.h"
 #include "stats/table.h"
 #include "util/suggest.h"
 #include "util/task_pool.h"
@@ -948,200 +946,6 @@ int run_mobility_rate(const ScenarioOptions& opts, ScenarioReport& report) {
   return finish_stream_grid(spec, *grid, report);
 }
 
-/// Spatial-tile scaling: one scaled constant-degree FA deployment labeled
-/// through every tile grid x thread count, with a failure wave and a
-/// mobility epoch continued incrementally on each — asserting the tile
-/// layer's invariance contract (every grid bit-identical to the 1x1 run,
-/// and the 1x1 run to the monolithic compute_safety) and reporting the
-/// tiles x threads timing curve. `--networks K` scales the field to
-/// K*1000 nodes (default 10, i.e. 10^4; the million-node datapoint is
-/// `--networks 1000`).
-int run_tile_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
-  const int nodes = (opts.networks > 0 ? opts.networks : 10) * 1000;
-  const std::uint64_t seed = opts.seed != 0 ? opts.seed : 2009;
-  const int hardware = TaskPool::hardware_threads();
-  const int parallel_threads = opts.threads > 1 ? opts.threads : hardware;
-
-  // Constant mean degree across sizes: field side grows with sqrt(n/600),
-  // forbidden areas scale with the field (bench_micro's scaling rule).
-  DeploymentConfig dc;
-  dc.node_count = nodes;
-  dc.model = DeployModel::kForbiddenAreas;
-  const double scale = std::sqrt(static_cast<double>(nodes) / 600.0);
-  if (scale > 1.0) {
-    dc.field = Rect::from_bounds({0.0, 0.0}, {200.0 * scale, 200.0 * scale});
-    dc.min_forbidden_extent *= scale;
-    dc.max_forbidden_extent *= scale;
-    dc.forbidden_margin *= scale;
-  }
-  Rng rng(seed);
-  Deployment dep = deploy(dc, rng);
-  TaskPool pool(parallel_threads);
-
-  auto start = std::chrono::steady_clock::now();
-  UnitDiskGraph global(std::move(dep.positions), dep.radio_range, dep.field,
-                       &pool);
-  const double graph_seconds = seconds_since(start);
-  report.textf("== Tile scaling: %d nodes (FA, %.0fm field), %d hardware "
-               "threads ==\n\n",
-               nodes, dep.field.width(), hardware);
-  report.textf("global unit-disk graph: %.2fs (%zu links)\n", graph_seconds,
-               global.edge_count());
-
-  // One failure wave (0.5%% of the nodes) and one mobility epoch (every
-  // node jitters within the halo slack's fast-path drift bound), fixed up
-  // front so every grid sees the identical sequence.
-  Rng wave_rng(seed ^ 0x7713);
-  std::vector<NodeId> casualties;
-  const std::size_t wave_size =
-      std::max<std::size_t>(1, static_cast<std::size_t>(nodes) / 200);
-  while (casualties.size() < wave_size) {
-    NodeId u = static_cast<NodeId>(wave_rng.next_below(global.size()));
-    if (std::find(casualties.begin(), casualties.end(), u) ==
-        casualties.end()) {
-      casualties.push_back(u);
-    }
-  }
-  std::vector<Vec2> moved = global.positions();
-  for (Vec2& p : moved) {
-    p.x = std::clamp(p.x + wave_rng.uniform(-4.0, 4.0), dep.field.lo().x,
-                     dep.field.hi().x);
-    p.y = std::clamp(p.y + wave_rng.uniform(-4.0, 4.0), dep.field.lo().y,
-                     dep.field.hi().y);
-  }
-
-  struct GridRun {
-    int side = 0;
-    int threads = 0;
-    double build_seconds = 0.0;
-    double label_seconds = 0.0;
-    double failure_seconds = 0.0;
-    double move_seconds = 0.0;
-    ShardStats stats;
-  };
-  const int sides[] = {1, 2, 4};
-  const int thread_counts[] = {1, parallel_threads};
-  std::vector<GridRun> runs;
-  // Per-stage reference labelings from the 1x1 serial run (the first).
-  SafetyInfo ref_label, ref_failed, ref_moved;
-  bool identical = true;
-
-  for (int threads : thread_counts) {
-    TaskPool run_pool(threads);
-    for (int side : sides) {
-      GridRun run;
-      run.side = side;
-      run.threads = threads;
-      ShardedNetwork::Config config;
-      config.tile_rows = side;
-      config.tile_cols = side;
-      start = std::chrono::steady_clock::now();
-      ShardedNetwork sharded(global, /*edge_band=*/-1.0, config,
-                             threads > 1 ? &run_pool : nullptr);
-      run.build_seconds = seconds_since(start);
-      start = std::chrono::steady_clock::now();
-      const SafetyInfo& labeled = sharded.safety();
-      run.label_seconds = seconds_since(start);
-      if (runs.empty()) {
-        ref_label = labeled;
-      } else {
-        identical &= labeled == ref_label;
-      }
-      start = std::chrono::steady_clock::now();
-      sharded.apply_failures(casualties);
-      run.failure_seconds = seconds_since(start);
-      if (runs.empty()) {
-        ref_failed = sharded.safety();
-      } else {
-        identical &= sharded.safety() == ref_failed;
-      }
-      start = std::chrono::steady_clock::now();
-      sharded.apply_moves(moved);
-      run.move_seconds = seconds_since(start);
-      run.stats = sharded.last_stats();
-      if (runs.empty()) {
-        ref_moved = sharded.safety();
-      } else {
-        identical &= sharded.safety() == ref_moved;
-      }
-      runs.push_back(run);
-    }
-  }
-
-  // Belt and braces under the 1x1-reference scheme: the initial labeling
-  // must also equal the monolithic kernel's.
-  {
-    InterestArea area(global, global.range());
-    identical &= ref_label == compute_safety(global, area, &pool);
-  }
-
-  Table table({"tiles", "threads", "build s", "label s", "failure s",
-               "move s", "halo demotions", "exch rounds"});
-  for (const GridRun& run : runs) {
-    table.add_row({std::to_string(run.side) + "x" + std::to_string(run.side),
-                   std::to_string(run.threads),
-                   Table::fmt(run.build_seconds),
-                   Table::fmt(run.label_seconds),
-                   Table::fmt(run.failure_seconds),
-                   Table::fmt(run.move_seconds),
-                   std::to_string(run.stats.halo_demotions),
-                   std::to_string(run.stats.exchange_rounds)});
-  }
-  report.add_table(std::move(table));
-  report.textf("\nall grids and thread counts bit-identical (statuses and "
-               "anchors, after labeling, failure wave and mobility epoch): "
-               "%s\n",
-               identical ? "yes" : "NO");
-
-  for (const char* metric : {"label", "move"}) {
-    ReportCurve curve;
-    curve.title = std::string("tile scaling — ") + metric + " seconds";
-    curve.x_label = "tiles";
-    curve.y_label = "seconds";
-    for (int threads : thread_counts) {
-      ReportSeries series;
-      series.label = std::to_string(threads) + " thread(s)";
-      for (const GridRun& run : runs) {
-        if (run.threads != threads) continue;
-        series.points.emplace_back(
-            static_cast<double>(run.side * run.side),
-            std::strcmp(metric, "label") == 0 ? run.label_seconds
-                                              : run.move_seconds);
-      }
-      curve.series.push_back(std::move(series));
-    }
-    report.curves.push_back(std::move(curve));
-  }
-
-  report.param("nodes", JsonValue::of(nodes));
-  report.param("base_seed", JsonValue::of(seed));
-  report.param("hardware_threads", JsonValue::of(hardware));
-  report.param("parallel_threads", JsonValue::of(parallel_threads));
-  report.param("graph_seconds", JsonValue::of(graph_seconds));
-  report.param("wave_size", JsonValue::of(
-                   static_cast<std::uint64_t>(casualties.size())));
-  report.param("bit_identical", JsonValue::of(identical));
-  JsonValue runs_json = JsonValue::array();
-  for (const GridRun& run : runs) {
-    JsonValue entry = JsonValue::object();
-    entry.set("tiles", JsonValue::of(run.side * run.side));
-    entry.set("threads", JsonValue::of(run.threads));
-    entry.set("build_seconds", JsonValue::of(run.build_seconds));
-    entry.set("label_seconds", JsonValue::of(run.label_seconds));
-    entry.set("failure_seconds", JsonValue::of(run.failure_seconds));
-    entry.set("move_seconds", JsonValue::of(run.move_seconds));
-    entry.set("halo_demotions", JsonValue::of(
-                  static_cast<std::uint64_t>(run.stats.halo_demotions)));
-    entry.set("halo_raises", JsonValue::of(
-                  static_cast<std::uint64_t>(run.stats.halo_raises)));
-    entry.set("exchange_rounds", JsonValue::of(
-                  static_cast<std::uint64_t>(run.stats.exchange_rounds)));
-    runs_json.push(std::move(entry));
-  }
-  report.param("runs", std::move(runs_json));
-  return identical ? 0 : 1;
-}
-
 /// Parallel-sweep scaling: the same sweep serial and parallel, verifying
 /// bit-identical aggregates and reporting the wall-clock ratio plus the
 /// construction / oracle / routing breakdown and the per-source oracle
@@ -1405,10 +1209,6 @@ ScenarioSuite& ScenarioSuite::builtin() {
     s.add({"sweep-scaling",
            "parallel vs serial sweep: wall-clock ratio + bit-identical check",
            run_sweep_scaling});
-    s.add({"tile-scaling",
-           "spatial-tile labeling + failure wave + mobility epoch across "
-           "tile grids x threads: timing curve + bit-identity gate",
-           run_tile_scaling});
     return s;
   }();
   return suite;

@@ -42,10 +42,8 @@ class InterestArea {
   InterestArea(const UnitDiskGraph& g, double edge_band);
 
   /// Adopts a precomputed classification (`edge_flags.size() == g.size()`),
-  /// deriving the interior set from it. Used by the spatial-tile layer: a
-  /// tile's local view must pin exactly the nodes the *global* hull pins
-  /// (plus its halo ghosts), which a locally-computed hull cannot reproduce.
-  /// `hull`, normally the global hull, is stored verbatim and may be empty.
+  /// deriving the interior set from it; `with_failures` carries a parent
+  /// area over this way. `hull` is stored verbatim and may be empty.
   InterestArea(const UnitDiskGraph& g, std::vector<bool> edge_flags,
                std::vector<Vec2> hull);
 

@@ -103,7 +103,7 @@ struct ScenarioReport {
   void note(std::string line);
 };
 
-/// "IA" / "FA" — the short model tag used by JSON reports and shard files.
+/// "IA" / "FA" — the short model tag used by JSON reports and slice files.
 const char* deploy_model_tag(DeployModel model) noexcept;
 /// Inverse of deploy_model_tag; false when the tag is unknown.
 bool deploy_model_from_tag(std::string_view tag, DeployModel& model) noexcept;

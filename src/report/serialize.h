@@ -87,9 +87,8 @@ bool from_json(const JsonValue& v, StreamStats& out);
 /// A serialized sweep *slice*: the sweep's identity (enough to check that
 /// two slices came from the same sweep) plus the computed cells in full
 /// form. ("Slice" = a modular subset of a sweep's cells for cross-process
-/// distribution — distinct from the *spatial tiles* of shard/, which
-/// partition one deployment's field. The JSON wire keys keep the historical
-/// "shard" spelling for compatibility.)
+/// distribution. The JSON wire keys keep the historical "shard" spelling,
+/// so older slice files still load.)
 struct SweepSlice {
   std::string model_tag;  ///< "IA" / "FA"
   std::vector<int> node_counts;

@@ -97,19 +97,6 @@ void FlatLabeler::apply_flip(std::uint32_t k) {
   }
 }
 
-bool FlatLabeler::mirror_demotion(NodeId u, int ti) {
-  if (!safe_bit(u, ti)) return false;
-  clear_safe_bit(u, ti);
-  // Same fan-out as apply_flip, minus the flip record: the owning shard
-  // already accounted for the demotion; here only the local observers'
-  // re-evaluations matter.
-  for (NodeId w : zones_.observers(u, kAllZoneTypes[ti])) {
-    if (!safe_bit(w, ti) || !eligible(w)) continue;
-    enqueue(w, ti);
-  }
-  return true;
-}
-
 bool FlatLabeler::enqueue(NodeId u, int ti) {
   SPR_DCHECK(u < n_, "enqueue of out-of-range node ", u, " (n=", n_, ")");
   const std::uint32_t k = key(u, ti);

@@ -108,25 +108,6 @@ class FlatLabeler {
     return {flips_.data(), flips_.size()};
   }
 
-  /// Seeds one status bit directly, outside the worklist discipline — the
-  /// spatial-tile layer uses it to initialize a shard's bits from the global
-  /// labeling (ghost replicas included) and to mirror cross-halo promotions.
-  /// No flip record, no observer fan-out.
-  void set_status(NodeId u, int type_index, bool safe) noexcept {
-    if (safe) {
-      set_safe_bit(u, type_index);
-    } else {
-      clear_safe_bit(u, type_index);
-    }
-  }
-
-  /// Applies an externally-decided demotion of (u, type) — the halo mirror
-  /// of a flip the owning shard performed: clears the bit and enqueues the
-  /// eligible, still-safe observers exactly as a local flip would, but
-  /// records no flip (the owner did). Returns false (no-op) when the bit is
-  /// already clear.
-  bool mirror_demotion(NodeId u, int type_index);
-
   /// Promotion: re-raises to safe the connected type-t unsafe cluster (full
   /// adjacency, unsafe members) of every given source key that is currently
   /// unsafe — the touched-cluster relabel. The raised set is the union of

@@ -12,7 +12,7 @@
 /// no-op unless `SPR_DCHECK_ENABLED` is defined — the build system defines
 /// it for Debug and sanitizer (`SPR_SANITIZE`) builds — and is for the hot
 /// invariants the kernels otherwise trust silently (ring occupancy, pend-bit
-/// consistency, halo replica agreement). Sweep-scale scans that only exist
+/// consistency). Sweep-scale scans that only exist
 /// to *verify* an invariant should additionally guard on
 /// `spr::kDchecksEnabled` so Release builds drop the whole loop.
 ///

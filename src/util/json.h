@@ -2,7 +2,7 @@
 
 /// \file json.h
 /// Minimal JSON layer for machine-readable bench/scenario output and for
-/// reading it back (shard merge, artifact validation).
+/// reading it back (slice merge, artifact validation).
 ///
 /// JsonWriter is a streaming emitter — no DOM, automatic comma placement
 /// and string escaping:

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "graph/graph_algos.h"
+#include "util/check.h"
 
 namespace spr {
 namespace {
@@ -118,36 +119,6 @@ TEST(Experiment, ParallelAggregatesBitIdenticalToSerial) {
   }
 }
 
-/// Labeling each cell through a spatial-tile grid (`--tiles RxC`) is an
-/// execution strategy, not a different experiment: the tile layer's
-/// shard-count-invariance contract makes every aggregate bit-identical to
-/// the monolithic sweep for every grid.
-TEST(Experiment, SpatialTileSweepBitIdenticalToMonolithic) {
-  SweepConfig config = tiny_sweep();
-  config.networks_per_point = 2;
-  config.pairs_per_network = 3;
-
-  auto monolithic = run_sweep(config);
-  for (auto [rows, cols] : {std::pair{1, 2}, std::pair{2, 2}}) {
-    config.tile_rows = rows;
-    config.tile_cols = cols;
-    auto tiled = run_sweep(config);
-    ASSERT_EQ(monolithic.size(), tiled.size());
-    for (std::size_t pi = 0; pi < monolithic.size(); ++pi) {
-      for (const auto& [label, agg] : monolithic[pi].by_scheme) {
-        const auto& other = tiled[pi].by_scheme.at(label);
-        EXPECT_EQ(agg.attempted, other.attempted) << label;
-        EXPECT_EQ(agg.delivered, other.delivered) << label;
-        EXPECT_EQ(agg.hops.sum(), other.hops.sum()) << label;
-        EXPECT_EQ(agg.hops.variance(), other.hops.variance()) << label;
-        EXPECT_EQ(agg.length.sum(), other.length.sum()) << label;
-        EXPECT_EQ(agg.stretch_hops.mean(), other.stretch_hops.mean()) << label;
-        EXPECT_EQ(agg.local_minima.sum(), other.local_minima.sum()) << label;
-      }
-    }
-  }
-}
-
 TEST(Experiment, OneSearchPerDistinctSourcePerCell) {
   // The acceptance check for the batched oracle: a cell must run exactly
   // one BFS and one Dijkstra per distinct pair source, however many pairs
@@ -188,6 +159,10 @@ TEST(Experiment, RequestedPairsAccounted) {
     EXPECT_LE(agg.attempted, agg.requested) << label;
     EXPECT_EQ(agg.pair_shortfall(), agg.requested - agg.attempted) << label;
   }
+  // A negative count is a caller bug, not an empty sweep.
+  ScopedCheckHandler guard(&throwing_check_handler);
+  config.networks_per_point = -1;
+  EXPECT_THROW(run_sweep(config), CheckError);
 }
 
 TEST(Experiment, PairShortfallSurfacesOnUndrawablePairs) {

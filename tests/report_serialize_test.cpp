@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "core/scenario.h"
+#include "util/check.h"
 
 namespace spr {
 namespace {
@@ -294,6 +295,10 @@ TEST(Shards, RunSweepSlicePartitionsTheCells) {
   EXPECT_TRUE(run_sweep_slice(config, 3, 3).empty());
   EXPECT_TRUE(run_sweep_slice(config, -1, 3).empty());
   EXPECT_TRUE(run_sweep_slice(config, 0, 0).empty());
+  // A negative count in the config is a caller bug, not an empty slice.
+  ScopedCheckHandler guard(&throwing_check_handler);
+  config.pairs_per_network = -1;
+  EXPECT_THROW(run_sweep_slice(config, 0, 3), CheckError);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/network.h"
@@ -82,25 +83,73 @@ TEST(IncrementalMoves, LocalizedMotionMatchesFullRecompute) {
   }
 }
 
-/// Motion that *fills* a hole must promote labels back to safe: deploy with
-/// forbidden areas (big holes), then move every node toward the field
-/// center. The updater must both promote and match the fresh fixpoint.
+/// Motion that *fills* a hole must promote labels back to safe, and the
+/// updater must both promote and match the fresh fixpoint. Two inputs:
+///  * an FA deployment (big holes) with every node contracted toward the
+///    field center;
+///  * a dense grid with a wide [40,160]x[80,120] hole failed, then 40
+///    fillers moved into its west end only. The unsafe band hugging the
+///    hole is one cluster, so the raise reaches more than one radio range
+///    past every mover: a promotion that only looked near the movers
+///    would leave the east end unsafe.
 TEST(IncrementalMoves, FillingAHolePromotesLabels) {
-  Network net = test::random_network(500, 97, DeployModel::kForbiddenAreas);
-  net.force(Network::kNeedsSafety);
-  ASSERT_GT(net.safety().unsafe_node_count(), 0u);
+  auto fill = [](const Network& net, const std::vector<Vec2>& moved) {
+    IncrementalStats stats;
+    Network after = net.with_moves(moved, &stats);
+    EXPECT_EQ(after.safety(),
+              compute_safety(after.graph(), after.interest_area()));
+    EXPECT_GT(stats.promotions, 0u) << "filling a hole must re-raise labels";
+    return after;
+  };
 
-  Vec2 center = net.deployment().field.center();
-  std::vector<Vec2> moved = net.graph().positions();
-  for (Vec2& p : moved) p += (center - p) * 0.45;  // contract toward center
+  {
+    Network net = test::random_network(500, 97, DeployModel::kForbiddenAreas);
+    net.force(Network::kNeedsSafety);
+    ASSERT_GT(net.safety().unsafe_node_count(), 0u);
+    Vec2 center = net.deployment().field.center();
+    std::vector<Vec2> moved = net.graph().positions();
+    for (Vec2& p : moved) p += (center - p) * 0.45;  // contract toward center
+    fill(net, moved);
+  }
 
-  IncrementalStats stats;
-  Network after = net.with_moves(moved, &stats);
-  SafetyInfo from_scratch =
-      compute_safety(after.graph(), after.interest_area());
-  EXPECT_EQ(after.safety(), from_scratch);
-  EXPECT_GT(stats.promotions, 0u)
-      << "contracting into the holes must re-raise labels";
+  Network grid(test::dense_grid_deployment(700, 13));
+  grid.force(Network::kNeedsSafety);
+  const Rect hole = Rect::from_bounds({40.0, 80.0}, {160.0, 120.0});
+  std::vector<NodeId> failed;
+  for (NodeId u = 0; u < grid.graph().size(); ++u) {
+    if (hole.contains(grid.graph().position(u))) failed.push_back(u);
+  }
+  ASSERT_GT(failed.size(), 10u);
+  Network holed = grid.with_failures(failed);
+  ASSERT_EQ(holed.safety(),
+            compute_safety(holed.graph(), holed.interest_area()));
+
+  // Fillers come from the far west edge and land in x in [45, 72].
+  Rng rng(0xf111);
+  std::vector<Vec2> moved = holed.graph().positions();
+  std::vector<NodeId> movers;
+  for (NodeId u = 0; u < holed.graph().size() && movers.size() < 40; ++u) {
+    if (!holed.graph().alive(u) || moved[u].x > 30.0) continue;
+    moved[u] = {rng.uniform(45.0, 72.0), rng.uniform(85.0, 115.0)};
+    movers.push_back(u);
+  }
+  ASSERT_GT(movers.size(), 10u);
+  Network filled = fill(holed, moved);
+
+  double reach = 0.0;  // farthest raised node from its nearest mover
+  for (NodeId u = 0; u < filled.graph().size(); ++u) {
+    for (ZoneType t : kAllZoneTypes) {
+      if (holed.safety().is_safe(u, t) || !filled.safety().is_safe(u, t)) {
+        continue;
+      }
+      double nearest = std::numeric_limits<double>::infinity();
+      for (NodeId m : movers) {
+        nearest = std::min(nearest, distance(moved[u], moved[m]));
+      }
+      reach = std::max(reach, nearest);
+    }
+  }
+  EXPECT_GT(reach, filled.graph().range());
 }
 
 /// No motion is a no-op: zero seeds, zero promotions/demotions, and the

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "geometry/rect.h"
 #include "graph/unit_disk.h"
 #include "util/task_pool.h"
 
@@ -59,65 +58,6 @@ TEST(Check, DcheckCompilesOutInReleaseAndFiresInDebug) {
 
 // ---------------------------------------------------------------------------
 // Negative tests: violated invariants in real call paths are caught.
-
-std::vector<Vec2> three_positions() {
-  return {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
-}
-
-TEST(CheckedInvariants, FromPartsRejectsOffsetCountMismatch) {
-  // Always-on SPR_CHECK: fires in every build type.
-  ScopedCheckHandler guard(&throwing_check_handler);
-  const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
-  std::vector<std::size_t> offsets{0, 0};  // needs 4 entries for 3 nodes
-  EXPECT_THROW(UnitDiskGraph::from_parts(three_positions(), 1.5, bounds,
-                                         std::vector<bool>(3, true),
-                                         std::move(offsets), {}),
-               CheckError);
-}
-
-TEST(CheckedInvariants, FromPartsRejectsDanglingAdjacencyTail) {
-  ScopedCheckHandler guard(&throwing_check_handler);
-  const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
-  std::vector<std::size_t> offsets{0, 1, 2, 2};  // claims 2 entries...
-  std::vector<NodeId> adjacency{1, 0, 2};        // ...but hands over 3
-  EXPECT_THROW(UnitDiskGraph::from_parts(three_positions(), 1.5, bounds,
-                                         std::vector<bool>(3, true),
-                                         std::move(offsets),
-                                         std::move(adjacency)),
-               CheckError);
-}
-
-TEST(CheckedInvariants, FromPartsRejectsUnsortedRowUnderDchecks) {
-  if (!kDchecksEnabled) {
-    GTEST_SKIP() << "SPR_DCHECK inactive in this build type";
-  }
-  ScopedCheckHandler guard(&throwing_check_handler);
-  const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
-  // Node 1's row lists {2, 0} — violates the sorted-row CSR contract the
-  // quadrant bucketing and tandem merges silently rely on.
-  std::vector<std::size_t> offsets{0, 1, 3, 4};
-  std::vector<NodeId> adjacency{1, 2, 0, 1};
-  EXPECT_THROW(UnitDiskGraph::from_parts(three_positions(), 1.5, bounds,
-                                         std::vector<bool>(3, true),
-                                         std::move(offsets),
-                                         std::move(adjacency)),
-               CheckError);
-}
-
-TEST(CheckedInvariants, FromPartsRejectsOutOfRangeNeighborUnderDchecks) {
-  if (!kDchecksEnabled) {
-    GTEST_SKIP() << "SPR_DCHECK inactive in this build type";
-  }
-  ScopedCheckHandler guard(&throwing_check_handler);
-  const Rect bounds = Rect::from_bounds({0.0, 0.0}, {3.0, 1.0});
-  std::vector<std::size_t> offsets{0, 1, 1, 1};
-  std::vector<NodeId> adjacency{7};  // node 7 of a 3-node graph
-  EXPECT_THROW(UnitDiskGraph::from_parts(three_positions(), 1.5, bounds,
-                                         std::vector<bool>(3, true),
-                                         std::move(offsets),
-                                         std::move(adjacency)),
-               CheckError);
-}
 
 TEST(CheckedInvariants, SubmitToShutDownPoolIsCaught) {
   ScopedCheckHandler guard(&throwing_check_handler);

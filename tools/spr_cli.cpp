@@ -6,9 +6,6 @@
 ///   spr_cli route    [flags] <s> <d>    route one pair with every scheme
 ///   spr_cli sweep    [flags]            mini figure sweep (table output);
 ///                                       --slice i/m writes a slice JSON
-///                                       (--shard is a compatibility alias);
-///                                       --tiles RxC labels each cell via
-///                                       spatial-tile sharding
 ///   spr_cli merge    [flags] <slice.json>...  merge sweep slices
 ///   spr_cli validate <file.json>...     parse JSON artifacts (CI gate)
 ///   spr_cli scenario [flags] <name>     run a registered scenario (--list);
@@ -22,9 +19,7 @@
 /// independent, so `sweep --slice i/m` computes every i-th cell and
 /// serializes the full per-cell aggregates; run the m slices on any
 /// machines, copy the JSONs back, and `merge` reproduces the in-process
-/// sweep bit-identically. (Sweep slices are unrelated to the *spatial
-/// tiles* of shard/, which partition one deployment's field; see
-/// `sweep --tiles`.)
+/// sweep bit-identically.
 
 #include <charconv>
 #include <cmath>
@@ -41,7 +36,6 @@
 #include "graph/metrics.h"
 #include "report/serialize.h"
 #include "safety/distributed.h"
-#include "shard/sharded_network.h"
 #include "stats/table.h"
 #include "util/flags.h"
 #include "util/svg.h"
@@ -64,16 +58,21 @@ void add_common(FlagSet& flags, CommonArgs& args) {
   flags.add_double("range", &args.range, "transmission radius (m)");
 }
 
+/// Rejects a count below 1, naming the flag on stderr like the parser's
+/// own usage errors.
+bool positive_count(const char* flag, int value) {
+  if (value >= 1) return true;
+  std::fprintf(stderr, "bad value '%d' for flag --%s: need >= 1\n", value,
+               flag);
+  return false;
+}
+
 /// Rejects common-flag values no network can be built from (a negative
 /// node count, a zero / negative / non-finite radius), naming the flag on
 /// stderr like the parser's own usage errors. Every command that takes the
 /// common flags calls this right after parsing.
 bool validate_common(const CommonArgs& args) {
-  if (args.nodes < 1) {
-    std::fprintf(stderr, "bad value '%d' for flag --nodes: need >= 1\n",
-                 args.nodes);
-    return false;
-  }
+  if (!positive_count("nodes", args.nodes)) return false;
   if (!std::isfinite(args.range) || args.range <= 0.0) {
     std::fprintf(stderr,
                  "bad value '%g' for flag --range: need a finite radius > 0\n",
@@ -118,42 +117,16 @@ int cmd_info(int argc, const char* const* argv) {
   return 0;
 }
 
-/// Parses "--tiles RxC" (e.g. 2x2); returns false (with a message) when
-/// malformed. Empty spec leaves rows/cols at 0 (monolithic labeling).
-bool parse_tile_grid(const std::string& spec, int& rows, int& cols) {
-  if (spec.empty()) return true;
-  auto parse_full = [](std::string_view token, int& out) {
-    auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(),
-                                     out);
-    return ec == std::errc() && ptr == token.data() + token.size();
-  };
-  std::size_t cross = spec.find('x');
-  if (cross == std::string::npos ||
-      !parse_full(std::string_view(spec).substr(0, cross), rows) ||
-      !parse_full(std::string_view(spec).substr(cross + 1), cols) ||
-      rows < 1 || cols < 1) {
-    std::fprintf(stderr, "--tiles expects RxC (e.g. 2x2), got '%s'\n",
-                 spec.c_str());
-    return false;
-  }
-  return true;
-}
-
 int cmd_label(int argc, const char* const* argv) {
   CommonArgs args;
   bool dump = false;
   bool distributed = false;
-  std::string tiles_spec;
   FlagSet flags("spr_cli label: safety labeling summary");
   add_common(flags, args);
   flags.add_bool("dump", &dump, "print every unsafe node's tuple and E areas");
   flags.add_bool("distributed", &distributed,
                  "run the distributed construction and report its cost");
-  flags.add_string("tiles", &tiles_spec,
-                   "also label via an RxC spatial-tile grid and compare");
   if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
-  int tile_rows = 0, tile_cols = 0;
-  if (!parse_tile_grid(tiles_spec, tile_rows, tile_cols)) return 1;
   Network net = build_network(args);
   const auto& info = net.safety();
 
@@ -173,25 +146,6 @@ int cmd_label(int argc, const char* const* argv) {
                 result.stats.to_string().c_str());
     std::printf("matches centralized: %s\n",
                 result.info == info ? "yes" : "NO");
-  }
-  if (tile_rows > 0) {
-    ShardedNetwork::Config tile_config;
-    tile_config.tile_rows = tile_rows;
-    tile_config.tile_cols = tile_cols;
-    ShardedNetwork sharded(net.graph(), /*edge_band=*/-1.0, tile_config);
-    const SafetyInfo& tiled = sharded.safety();
-    const ShardStats& ts = sharded.last_stats();
-    std::printf("spatial tiles: %dx%d grid\n", tile_rows, tile_cols);
-    for (int t = 0; t < sharded.tile_count(); ++t) {
-      std::printf("  tile %d: %zu owned + %zu ghosts\n", t,
-                  sharded.tile_owned(t),
-                  sharded.tile_members(t).size() - sharded.tile_owned(t));
-    }
-    std::printf("  exchange rounds %zu, halo demotions %zu, flips %zu\n",
-                ts.exchange_rounds, ts.halo_demotions, ts.incremental.flips);
-    std::printf("  matches monolithic labeling: %s\n",
-                tiled == info ? "yes" : "NO");
-    if (!(tiled == info)) return 1;
   }
   if (dump) {
     for (NodeId u = 0; u < info.size(); ++u) {
@@ -295,7 +249,7 @@ bool parse_slice_spec(const std::string& spec, int& index, int& count) {
 int cmd_sweep(int argc, const char* const* argv) {
   CommonArgs args;
   int networks = 10, pairs = 10, threads = 0;
-  std::string slice_spec, shard_spec, json_path;
+  std::string slice_spec, json_path;
   FlagSet flags("spr_cli sweep: mini paper sweep");
   add_common(flags, args);
   flags.add_int("networks", &networks, "networks per point");
@@ -303,19 +257,15 @@ int cmd_sweep(int argc, const char* const* argv) {
   flags.add_int("threads", &threads, "sweep threads (0=hardware, 1=serial)");
   flags.add_string("slice", &slice_spec,
                    "compute only slice i/m of the sweep's cells");
-  flags.add_string("shard", &shard_spec,
-                   "deprecated alias for --slice");
-  std::string tiles_spec;
-  flags.add_string("tiles", &tiles_spec,
-                   "label each cell via an RxC spatial-tile grid");
   flags.add_string("json", &json_path,
                    "write the per-cell aggregates as a slice JSON here");
-  if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
-  if (slice_spec.empty()) slice_spec = shard_spec;  // --shard alias
+  if (!flags.parse(argc, argv) || !validate_common(args) ||
+      !positive_count("networks", networks) ||
+      !positive_count("pairs", pairs)) {
+    return 1;
+  }
   int slice_index = 0, slice_count = 1;
   if (!parse_slice_spec(slice_spec, slice_index, slice_count)) return 1;
-  int tile_rows = 0, tile_cols = 0;
-  if (!parse_tile_grid(tiles_spec, tile_rows, tile_cols)) return 1;
   if (slice_count > 1 && json_path.empty()) {
     std::fprintf(stderr, "--slice needs --json <path> to store the slice\n");
     return 1;
@@ -329,8 +279,6 @@ int cmd_sweep(int argc, const char* const* argv) {
   config.threads = threads;
   config.schemes = SweepConfig::paper_schemes();
   config.deployment_template.radio_range = args.range;
-  config.tile_rows = tile_rows;
-  config.tile_cols = tile_cols;
 
   if (json_path.empty()) {
     // Plain in-process sweep.
