@@ -366,26 +366,6 @@ void BM_CellResultJsonRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_CellResultJsonRoundTrip);
 
-/// Heap vs arena for the sweep cell's scratch (util/arena.h): the same
-/// cell with SweepConfig::cell_arena off (Arg 0, the old heap path) and on
-/// (Arg 1) — the before/after datapoint for the ROADMAP's per-cell arena
-/// item. The delta isolates the pair buffer + oracle grouping allocations;
-/// the cell's dominant cost (network build + routing) is identical.
-void BM_SweepCellScratch(benchmark::State& state) {
-  SweepConfig config;
-  config.node_counts = {600};
-  config.networks_per_point = 1;
-  config.pairs_per_network = 20;
-  config.threads = 1;
-  config.schemes = SweepConfig::paper_schemes();
-  config.cell_arena = state.range(0) != 0;
-  for (auto _ : state) {
-    CellResult cell = run_sweep_cell(config, 600, 0);
-    benchmark::DoNotOptimize(cell.size());
-  }
-}
-BENCHMARK(BM_SweepCellScratch)->Arg(0)->Arg(1);
-
 /// One mobility re-pin epoch, full rebuild (Arg 0: fresh Network + forced
 /// safety, the pre-with_moves path) vs incremental (Arg 1:
 /// Network::with_moves — relocated grid, patched adjacency, bidirectional

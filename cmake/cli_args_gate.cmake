@@ -2,9 +2,10 @@
 # from must be rejected as usage errors — exit code 1 with the offending
 # flag named on stderr — instead of aborting on an uncaught exception
 # (label --nodes=-5, sweep --networks=-1), building a grid with a zero /
-# non-finite cell size (--range=0|-1|nan) or printing an all-zero table
-# (sweep --networks=0, --pairs=0|-3). A tiny finite range (--range=1e-300)
-# is valid.
+# non-finite cell size (--range=0|-1|nan), printing an all-zero table
+# (sweep --networks=0, --pairs=0|-3) or silently running a scenario's
+# default size (scenario --networks=-2, --pairs=-1; 0 means the default).
+# A tiny finite range (--range=1e-300) is valid.
 #
 # Invoked as:
 #   cmake -DSPR_CLI=<path-to-spr_cli> -P cli_args_gate.cmake
@@ -22,7 +23,9 @@ set(cases
     "sweep|networks|--networks=-1 --pairs=2"
     "sweep|networks|--networks=0"
     "sweep|pairs|--pairs=0"
-    "sweep|pairs|--pairs=-3")
+    "sweep|pairs|--pairs=-3"
+    "scenario|networks|failure-dynamics --networks=-2"
+    "scenario|pairs|failure-dynamics --networks=1 --pairs=-1")
 
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" parts "${case}")

@@ -55,11 +55,6 @@ struct SweepConfig {
   /// the calling thread (no pool), N = pool of N. Results are bit-identical
   /// for every value.
   int threads = 0;
-  /// Allocate per-cell scratch (the pair buffer, the oracle's grouping
-  /// arrays) from a worker-local monotonic arena (util/arena.h) instead of
-  /// the general heap. Results are identical either way; the knob exists
-  /// for the bench_micro before/after datapoint.
-  bool cell_arena = true;
 
   /// The paper's four schemes in figure order.
   static std::vector<SchemeSpec> paper_schemes();

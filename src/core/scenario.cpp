@@ -17,9 +17,6 @@
 #include "mobility/waypoint.h"
 #include "report/serialize.h"
 #include "sim/stream_sim.h"
-#include "routing/gf.h"
-#include "routing/lgf.h"
-#include "routing/slgf.h"
 #include "routing/slgf2.h"
 #include "safety/incremental.h"
 #include "stats/table.h"
@@ -303,42 +300,25 @@ int run_failure_dynamics(const ScenarioOptions& opts, ScenarioReport& report) {
       }
     }
 
-    // Patched from the original graph, sharing its spatial grid.
-    UnitDiskGraph dead_graph = before.graph().with_failures(casualties);
-    if (!connected(dead_graph, s, d)) continue;
+    // Connectivity first, on a patched graph alone, so a disconnected
+    // trial costs no labeling.
+    if (!connected(before.graph().with_failures(casualties), s, d)) continue;
     ++connected_trials;
-
-    InterestArea degraded_area =
-        before.interest_area().with_failures(dead_graph);
-    SafetyInfo degraded_info = before.safety();
-    auto inc_stats = update_safety_after_failures(dead_graph, degraded_area,
-                                                  casualties, degraded_info);
+    // Label first, so the degraded copy continues the labeling
+    // incrementally instead of recomputing it.
+    before.safety();
+    IncrementalStats inc_stats;
+    Network after = before.with_failures(casualties, &inc_stats);
     flips.add(static_cast<double>(inc_stats.flips));
     incremental_reevals.add(static_cast<double>(inc_stats.reevaluations));
 
-    PlanarOverlay degraded_overlay(dead_graph, PlanarOverlay::Kind::kGabriel);
-    BoundHoleInfo degraded_boundhole(dead_graph);
     for (int k = 0; k < 4; ++k) {
-      auto router_before = before.make_router(schemes[k]);
-      if (router_before->route(s, d).delivered()) ++delivered_before[k];
-      std::unique_ptr<Router> router_after;
-      switch (schemes[k]) {
-        case Scheme::kGf:
-          router_after = std::make_unique<GfRouter>(
-              dead_graph, degraded_overlay, &degraded_boundhole,
-              GfRouter::Recovery::kBoundHole);
-          break;
-        case Scheme::kLgf:
-          router_after = std::make_unique<LgfRouter>(dead_graph);
-          break;
-        case Scheme::kSlgf:
-          router_after = std::make_unique<SlgfRouter>(dead_graph, degraded_info);
-          break;
-        default:
-          router_after =
-              std::make_unique<Slgf2Router>(dead_graph, degraded_info);
+      if (before.make_router(schemes[k])->route(s, d).delivered()) {
+        ++delivered_before[k];
       }
-      if (router_after->route(s, d).delivered()) ++delivered_after[k];
+      if (after.make_router(schemes[k])->route(s, d).delivered()) {
+        ++delivered_after[k];
+      }
     }
   }
 

@@ -107,21 +107,21 @@ ShortestPath ShortestPathTree::extract(NodeId target) const {
 
 namespace {
 
-/// OracleBatch's grouping + search body, shared by the heap- and
-/// arena-scratch constructors. Groups pair indices by source in CSR form
-/// (counts -> offsets -> fill; first-appearance slot order, pair order
-/// within a slot), then runs one BFS + one Dijkstra per distinct source.
-/// All four scratch vectors are passed in empty with the desired allocator.
-template <typename SizeVec, typename NodeVec>
+/// OracleBatch's grouping + search body. Groups pair indices by source in
+/// CSR form (counts -> offsets -> fill; first-appearance slot order, pair
+/// order within a slot), then runs one BFS + one Dijkstra per distinct
+/// source. The grouping scratch lives in `scratch`.
 std::size_t build_oracles(const UnitDiskGraph& g,
                           std::span<const std::pair<NodeId, NodeId>> pairs,
-                          SizeVec slot_of, SizeVec count, SizeVec grouped,
-                          NodeVec sources,
+                          Arena& scratch,
                           std::vector<ShortestPath>& hop_optimal,
                           std::vector<ShortestPath>& length_optimal) {
   hop_optimal.resize(pairs.size());
   length_optimal.resize(pairs.size());
 
+  ArenaAllocator<std::size_t> salloc(scratch);
+  ArenaVector<std::size_t> slot_of(salloc), count(salloc), grouped(salloc);
+  ArenaVector<NodeId> sources{ArenaAllocator<NodeId>(scratch)};
   slot_of.assign(g.size(), SIZE_MAX);
   std::size_t valid = 0;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -177,26 +177,17 @@ std::size_t build_oracles(const UnitDiskGraph& g,
 }  // namespace
 
 OracleBatch::OracleBatch(const UnitDiskGraph& g,
-                         std::span<const std::pair<NodeId, NodeId>> pairs)
-    : OracleBatch(g, pairs, nullptr) {}
+                         std::span<const std::pair<NodeId, NodeId>> pairs) {
+  Arena scratch;
+  distinct_sources_ =
+      build_oracles(g, pairs, scratch, hop_optimal_, length_optimal_);
+}
 
 OracleBatch::OracleBatch(const UnitDiskGraph& g,
                          std::span<const std::pair<NodeId, NodeId>> pairs,
-                         Arena* scratch) {
-  if (scratch == nullptr) {
-    distinct_sources_ = build_oracles(g, pairs, std::vector<std::size_t>{},
-                                      std::vector<std::size_t>{},
-                                      std::vector<std::size_t>{},
-                                      std::vector<NodeId>{}, hop_optimal_,
-                                      length_optimal_);
-    return;
-  }
-  ArenaAllocator<std::size_t> salloc(*scratch);
-  ArenaAllocator<NodeId> nalloc(*scratch);
-  distinct_sources_ = build_oracles(
-      g, pairs, ArenaVector<std::size_t>(salloc),
-      ArenaVector<std::size_t>(salloc), ArenaVector<std::size_t>(salloc),
-      ArenaVector<NodeId>(nalloc), hop_optimal_, length_optimal_);
+                         Arena& scratch) {
+  distinct_sources_ =
+      build_oracles(g, pairs, scratch, hop_optimal_, length_optimal_);
 }
 
 std::size_t hop_distance(const UnitDiskGraph& g, NodeId source, NodeId target,

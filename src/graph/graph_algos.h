@@ -101,16 +101,17 @@ class Arena;
 /// two-searches-per-pair loop in the sweep cells.
 class OracleBatch {
  public:
+  /// The transient grouping scratch (slot map, CSR group arrays) is
+  /// bump-allocated from a local arena (util/arena.h).
   OracleBatch(const UnitDiskGraph& g,
               std::span<const std::pair<NodeId, NodeId>> pairs);
 
-  /// As above, with the transient grouping scratch (slot map, CSR group
-  /// arrays) bump-allocated from `scratch` instead of the general heap —
-  /// the sweep cells pass their per-cell arena (util/arena.h). Results are
-  /// identical; null falls back to heap scratch.
+  /// As above, with the scratch taken from `scratch` — the sweep cells
+  /// pass their worker-local arena, so steady-state cells stop touching
+  /// the general heap for it.
   OracleBatch(const UnitDiskGraph& g,
               std::span<const std::pair<NodeId, NodeId>> pairs,
-              Arena* scratch);
+              Arena& scratch);
 
   std::size_t size() const noexcept { return hop_optimal_.size(); }
   std::size_t distinct_sources() const noexcept { return distinct_sources_; }

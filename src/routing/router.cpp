@@ -78,7 +78,7 @@ std::unique_ptr<RouteStepper> Router::make_stepper(NodeId s, NodeId d,
   if (s < g_.size() && d < g_.size() && s != d) header = make_header(s, d);
   PacketHeader* raw = header.get();
   return std::unique_ptr<RouteStepper>(
-      // spr-lint: allow(raw-new) RouteStepper's ctor is private to Router
+      // spr-analyze: allow(raw-new) RouteStepper's ctor is private to Router
       // (make_unique cannot reach it); ownership transfers immediately.
       new RouteStepper(*this, s, d, std::move(header), raw, ttl, 0));
 }

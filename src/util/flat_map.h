@@ -11,8 +11,8 @@
 /// lookups touch one cache line in the common case.
 ///
 /// Determinism: the map is lookup-only by design — it exposes no
-/// iteration, so no code path can depend on slot order (the determinism
-/// lint's unordered-iteration rule has nothing to bite on).
+/// iteration, so no code path can depend on slot order (the
+/// analyzer's unordered-iter rule has nothing to bite on).
 ///
 /// The all-ones key is reserved as the empty-slot sentinel; it cannot be
 /// inserted (SPR_DCHECK). Real keys never reach it: link keys are bounded

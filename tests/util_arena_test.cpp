@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <cstring>
 
-#include "core/experiment.h"
 #include "graph/graph_algos.h"
-#include "report/serialize.h"
 #include "test_helpers.h"
 
 namespace spr {
@@ -76,7 +74,7 @@ TEST(Arena, OracleBatchScratchVariantMatchesHeapVariant) {
 
   OracleBatch heap(net.graph(), pairs);
   Arena arena;
-  OracleBatch scratch(net.graph(), pairs, &arena);
+  OracleBatch scratch(net.graph(), pairs, arena);
   ASSERT_EQ(heap.size(), scratch.size());
   EXPECT_EQ(heap.distinct_sources(), scratch.distinct_sources());
   EXPECT_GT(arena.bytes_allocated(), 0u);
@@ -86,25 +84,6 @@ TEST(Arena, OracleBatchScratchVariantMatchesHeapVariant) {
     EXPECT_EQ(heap.length_optimal(i).path, scratch.length_optimal(i).path);
     EXPECT_EQ(heap.length_optimal(i).length, scratch.length_optimal(i).length);
   }
-}
-
-TEST(Arena, SweepCellIdenticalWithAndWithoutArena) {
-  SweepConfig config;
-  config.node_counts = {450};
-  config.networks_per_point = 1;
-  config.pairs_per_network = 10;
-  config.threads = 1;
-  config.schemes = SweepConfig::paper_schemes();
-
-  config.cell_arena = true;
-  CellResult with_arena = run_sweep_cell(config, 450, 0);
-  config.cell_arena = false;
-  CellResult without_arena = run_sweep_cell(config, 450, 0);
-
-  JsonWriter a, b;
-  to_json(a, with_arena);
-  to_json(b, without_arena);
-  EXPECT_EQ(a.str(), b.str());  // bit-identical aggregates, samples and all
 }
 
 }  // namespace

@@ -5,13 +5,17 @@ python3-clang), classes/fields/function boundaries come from the real AST
 — exact extents, canonical type spellings, no heuristics. Statement
 bodies are then lexed through the shared token machinery (model.lex /
 model.split_statements) so the rules see the identical Stmt shape either
-way; fixtures assert front-end agreement when both are available.
+way; fixtures assert front-end agreement when both are available. The
+same parse types every range-for's range expression, so the unordered-iter
+line rule sees real container types instead of declared names.
 
 Kept import-safe on machines without the bindings: `available()` gates
 every use, and spr_analyze falls back to the micro-AST engine.
 """
 
 from __future__ import annotations
+
+import os
 
 import model
 
@@ -54,24 +58,45 @@ def parse_file(path: str, rel: str,
     index = _cx.Index.create()
     tu = index.parse(path, args=["-std=c++20", "-Isrc", "-x", "c++"])
     fm = model.FileModel(rel)
-    _walk(tu.cursor, fm, rel, stripped_lines, class_name="")
+    source = os.path.abspath(path)
+    _walk(tu.cursor, fm, rel, source, stripped_lines, class_name="")
+    fm.unordered_range_fors = _unordered_range_fors(tu, source)
     return fm
 
 
-def _in_file(cursor, path: str) -> bool:
+def _unordered_range_fors(tu, source: str) -> list[int]:
+    """Lines of this file's range-for statements whose range expression has
+    an unordered container type."""
+    lines = []
+    for cursor in tu.cursor.walk_preorder():
+        if (cursor.kind != _cx.CursorKind.CXX_FOR_RANGE_STMT
+                or not _in_file(cursor, source)):
+            continue
+        children = list(cursor.get_children())
+        if len(children) < 2:
+            continue
+        range_type = children[-2].type.get_canonical().spelling
+        if "unordered_" in range_type:
+            lines.append(cursor.location.line)
+    return lines
+
+
+def _in_file(cursor, source: str) -> bool:
+    """True when the cursor sits in the analyzed file itself, not in a
+    header it includes (which may share its basename)."""
     loc = cursor.location
-    return loc.file is not None and loc.file.name.endswith(path.split("/")[-1])
+    return loc.file is not None and os.path.abspath(loc.file.name) == source
 
 
-def _walk(cursor, fm: model.FileModel, path: str,
+def _walk(cursor, fm: model.FileModel, path: str, source: str,
           stripped_lines: list[str], class_name: str) -> None:
     for child in cursor.get_children():
         kind = child.kind
         if kind in (_cx.CursorKind.NAMESPACE,
                     _cx.CursorKind.UNEXPOSED_DECL):
-            _walk(child, fm, path, stripped_lines, class_name)
+            _walk(child, fm, path, source, stripped_lines, class_name)
             continue
-        if not _in_file(child, path):
+        if not _in_file(child, source):
             continue
         if kind in (_cx.CursorKind.CLASS_DECL, _cx.CursorKind.STRUCT_DECL,
                     _cx.CursorKind.CLASS_TEMPLATE):
@@ -87,7 +112,7 @@ def _walk(cursor, fm: model.FileModel, path: str,
                         member.spelling, member.type.spelling,
                         member.location.line))
             fm.classes.append(cls)
-            _walk(child, fm, path, stripped_lines, child.spelling)
+            _walk(child, fm, path, source, stripped_lines, child.spelling)
             continue
         if kind in (_cx.CursorKind.FUNCTION_DECL, _cx.CursorKind.CXX_METHOD,
                     _cx.CursorKind.CONSTRUCTOR, _cx.CursorKind.DESTRUCTOR,

@@ -1,5 +1,5 @@
 #include "../util/check.h"  // EXPECT[header-hygiene] EXPECT[header-hygiene]
 
-namespace lint_fixture {
+namespace spr_fixture {
 inline int two() { return 2; }
-}  // namespace lint_fixture
+}  // namespace spr_fixture

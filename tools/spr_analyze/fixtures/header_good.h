@@ -2,6 +2,6 @@
 
 #include "util/check.h"
 
-namespace lint_fixture {
+namespace spr_fixture {
 inline int three() { return 3; }
-}  // namespace lint_fixture
+}  // namespace spr_fixture

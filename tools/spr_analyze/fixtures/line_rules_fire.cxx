@@ -1,11 +1,11 @@
-// Must-fire fixture for the token-level lint rules. EXPECT markers name
+// Must-fire fixture for the line rules. EXPECT markers name
 // the finding the harness asserts on that line.
 #include <chrono>
 #include <cstdlib>
 #include <random>
 #include <unordered_map>
 
-namespace lint_fixture {
+namespace spr_fixture {
 
 void wallclock_leak() {
   auto stamp = std::chrono::system_clock::now();  // EXPECT[wallclock]
@@ -24,6 +24,11 @@ int unseeded() {
   return rand();  // EXPECT[raw-rng]
 }
 
+void reseeded(unsigned seed) {
+  std::srand(seed);  // EXPECT[raw-rng]
+  (void)std::rand();  // EXPECT[raw-rng]
+}
+
 int* leaky() {
   int* p = new int(7);  // EXPECT[raw-new]
   delete p;  // EXPECT[raw-new]
@@ -40,4 +45,4 @@ int hash_order_sum() {
   return sum;
 }
 
-}  // namespace lint_fixture
+}  // namespace spr_fixture

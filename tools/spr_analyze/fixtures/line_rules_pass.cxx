@@ -1,10 +1,10 @@
-// Must-pass fixture: the sanctioned counterparts of every lint rule.
+// Must-pass fixture: the sanctioned counterparts of every line rule.
 #include <chrono>
 #include <map>
 #include <memory>
 #include <unordered_map>
 
-namespace lint_fixture {
+namespace spr_fixture {
 
 // steady_clock durations for console timing are allowed (only the
 // wall-clock family that can stamp artifacts is banned).
@@ -19,9 +19,9 @@ std::unique_ptr<int> owned() { return std::make_unique<int>(7); }
 
 // Keyed lookups into unordered containers are fine; only iteration
 // leaks hash order.
-int lookup(const std::unordered_map<int, int>& counts, int key) {
-  auto it = counts.find(key);
-  return it == counts.end() ? 0 : it->second;
+int lookup(const std::unordered_map<int, int>& index, int key) {
+  auto it = index.find(key);
+  return it == index.end() ? 0 : it->second;
 }
 
 // Ordered iteration is deterministic.
@@ -31,4 +31,10 @@ int ordered_sum(const std::map<int, int>& counts) {
   return sum;
 }
 
-}  // namespace lint_fixture
+// A member or another scope's `rand` is not the C library's.
+template <typename Dice>
+int roll(const Dice& dice) {
+  return dice.rand() + Dice::rand();
+}
+
+}  // namespace spr_fixture

@@ -1,4 +1,5 @@
 // Must-fire fixture: malformed pragmas are themselves findings.
+#include <random>
 #include <span>
 #include <vector>
 
@@ -17,5 +18,17 @@ std::span<const int> worse() {
 }
 // EXPECT-PRAGMA: unknown rule name.
 // EXPECT-VIEW-LIFETIME: the bogus allow suppresses nothing.
+
+unsigned unjustified(unsigned seed) {
+  std::mt19937 gen(seed);  // spr-analyze: allow(raw-rng)
+  return static_cast<unsigned>(gen());
+}
+// EXPECT-PRAGMA: a line rule's allow without a reason text.
+
+int bogus() {
+  // spr-analyze: allow(not-a-rule) reason text present
+  return 0;
+}
+// EXPECT-PRAGMA: unknown rule name on a line with no finding.
 
 }  // namespace spr_fixture

@@ -2,10 +2,10 @@
 // layer, where unordered containers are banned outright.
 #include <unordered_map>
 
-namespace lint_fixture {
+namespace spr_fixture {
 
 struct Sink {
   std::unordered_map<int, int> by_id;  // EXPECT[unordered-iter]
 };
 
-}  // namespace lint_fixture
+}  // namespace spr_fixture

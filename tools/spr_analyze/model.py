@@ -1,12 +1,13 @@
 """Micro-AST over C++ sources: the analyzer's fallback front-end.
 
-The analyzer's rules (rules.py) run over a deliberately small intermediate
-model — classes with typed fields, functions with ordered statements —
-that two front-ends can produce: clang_backend.py lowers libclang cursors
-into it when the bindings are importable, and this module lexes and
-scope-scans the raw source when they are not (the common case on build
-boxes without libclang wheels; mirrors spr_lint's libclang-or-fallback
-split).
+The analyzer's value rules (rules.py) run over a deliberately small
+intermediate model — classes with typed fields, functions with ordered
+statements — that two front-ends can produce: clang_backend.py lowers
+libclang cursors into it when the bindings are importable, and this module
+lexes and scope-scans the raw source when they are not (the common case on
+build boxes without libclang wheels). The line rules read the stripped
+source directly; the model carries only the clang front-end's typed
+range-for lines for them.
 
 The fallback is not a C++ parser. It is a brace/paren-matched token
 scanner tuned to this repo's idiom (one class per header, root-relative
@@ -154,6 +155,10 @@ class FileModel:
     classes: list[ClassInfo] = field(default_factory=list)
     functions: list[FunctionInfo] = field(default_factory=list)
     globals: list[Field] = field(default_factory=list)
+    # Lines of range-for statements over unordered containers, typed by the
+    # AST; None when the front-end has no types (the unordered-iter rule
+    # then matches range-fors against the file's declared names).
+    unordered_range_fors: list[int] | None = None
 
 
 class Registry:

@@ -1,7 +1,8 @@
-"""The analyzer's semantic rules over the micro-AST (model.py).
+"""The analyzer's rules: four value rules over the micro-AST (model.py) and
+five per-file line rules over the stripped source.
 
-Four repo-specific contracts, each a named rule with a pragma escape hatch
-(`// spr-analyze: allow(rule) reason`):
+Each is a named rule with a pragma escape hatch
+(`// spr-analyze: allow(rule) reason`). The value rules:
 
   arena-escape       Values derived from Arena-backed allocations
                      (ArenaVector storage, arena.allocate results, spans
@@ -41,14 +42,38 @@ Four repo-specific contracts, each a named rule with a pragma escape hatch
                      (sort/stable_sort/merge family) after the dispatch;
                      anything else needs a pragma.
 
+The line rules match names, not values:
+
+  wallclock          No wall-clock time, thread ids or pointer formatting
+                     anywhere: std::chrono::system_clock, time()/
+                     localtime()/gmtime()/strftime()/gettimeofday(),
+                     std::this_thread::get_id and %p. (steady_clock
+                     durations for console timing are fine.)
+  raw-rng            No randomness outside the seeded RNG wrapper
+                     (src/deploy/rng.*): rand() and srand(), bare or
+                     std::-qualified, std::random_device, and direct
+                     std::mt19937 / default_random_engine construction.
+  unordered-iter     No range-for over std::unordered_* containers (hash
+                     order is implementation- and run-dependent), and no
+                     unordered containers at all in the report/serialize
+                     layer (src/report/, src/stats/, serialize* files).
+                     Keyed lookups elsewhere are fine. The clang front-end
+                     types the range expression; the fallback matches the
+                     names the file declares unordered.
+  raw-new            No raw `new` / `delete` — allocation goes through
+                     containers, smart pointers or util/arena.h.
+  header-hygiene     Every header starts with #pragma once, and project
+                     includes are root-relative ("util/check.h"), never
+                     parent-relative ("../util/check.h").
+
 Heuristics are tuned against this repo's idiom and proven by the fixture
-corpus (fixtures/); src/ holds a zero-findings baseline enforced in CI.
+corpus (fixtures/); src/ and tools/ hold a zero-findings baseline enforced
+in CI.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from model import (ClassInfo, FunctionInfo, Param, Registry, Stmt, Token,
                    _match_braces, _parse_params, split_statements)
@@ -61,6 +86,12 @@ RULES = {
     "report/serialize/merge sink",
     "merge-ordering": "parallel callback writing shared state without "
     "an id-ordered merge",
+    "wallclock": "wall-clock/thread-id/pointer value in deterministic code",
+    "raw-rng": "randomness outside the seeded RNG wrapper",
+    "unordered-iter": "hash-order iteration (or unordered container in "
+    "report/serialize path)",
+    "raw-new": "raw new/delete outside containers/arena",
+    "header-hygiene": "public header include hygiene",
     "pragma": "malformed or unjustified spr-analyze pragma",
 }
 
@@ -113,13 +144,6 @@ _ATOMIC_RMW = {"fetch_add", "fetch_sub", "fetch_or", "fetch_and",
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
                "<<=", ">>="}
 _BLESSED_MERGE_RE = re.compile(r"\b(sort|stable_sort|merge|merge_sorted)\b")
-
-
-@dataclass
-class RawFinding:
-    line: int
-    rule: str
-    message: str
 
 
 # ------------------------------------------------------------- small helpers
@@ -836,3 +860,134 @@ def _ordered_merge_after(fn: FunctionInfo, dispatch_at: int,
                 stmt.tokens, {target}):
             return True
     return False
+
+
+# ------------------------------------------------------- per-file line rules
+#
+# Name-level invariants that need no dataflow: each runs over the file's
+# comment/string-stripped lines (raw lines for the include check).
+
+# The seeded RNG wrapper is the one place raw engines may appear.
+_RAW_RNG_ALLOWED = ("deploy/rng.h", "deploy/rng.cpp")
+# Report/serialize/merge layer: no unordered containers at all.
+_ORDERED_ONLY_DIRS = ("src/report/", "src/stats/")
+
+_WALLCLOCK_PATTERNS = [
+    (re.compile(r"\bsystem_clock\b"), "std::chrono::system_clock"),
+    (re.compile(r"\bstd::time\s*\("), "std::time()"),
+    (re.compile(r"[^:\w]time\s*\(\s*(NULL|nullptr|0)\s*\)"), "time(NULL)"),
+    (re.compile(r"\blocaltime\s*\("), "localtime()"),
+    (re.compile(r"\bgmtime\s*\("), "gmtime()"),
+    (re.compile(r"\bstrftime\s*\("), "strftime()"),
+    (re.compile(r"\bgettimeofday\s*\("), "gettimeofday()"),
+    (re.compile(r"\bthis_thread::get_id\s*\("), "std::this_thread::get_id()"),
+    (re.compile(r"%p\b"), "%p pointer formatting"),
+]
+
+_RAW_RNG_PATTERNS = [
+    # Bare or std::-qualified; a member or other namespace's rand is not
+    # the C library's.
+    (re.compile(r"(?<![\w:.])(?:std::|::)?s?rand\s*\("), "rand()/srand()"),
+    (re.compile(r"\brandom_device\b"), "std::random_device"),
+    (re.compile(r"\bmt19937(_64)?\b"), "direct std::mt19937"),
+    (re.compile(r"\bdefault_random_engine\b"), "std::default_random_engine"),
+]
+
+# `new` as an allocation expression; an `operator new` declaration matches
+# too and needs a pragma if one is ever added.
+_RAW_NEW_RE = re.compile(r"(^|[^\w.])new\s+[\w:<]")
+_RAW_DELETE_RE = re.compile(r"(^|[^\w.])delete(\s*\[\s*\])?\s+[\w:*(]")
+
+# Reference and pointer declarators count, so `const unordered_map<K, V>&
+# scores` parameters are tracked the way the AST's typed check sees them.
+_UNORDERED_DECL_RE = re.compile(
+    r"\bstd::unordered_(map|set|multimap|multiset)\s*<[^;{}]*?>\s*[&*]*\s*"
+    r"(\w+)"
+)
+_UNORDERED_ANY_RE = re.compile(
+    r"\bstd::unordered_(map|set|multimap|multiset)\b")
+_RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?:\s*\(?\s*([A-Za-z_]\w*)")
+_INCLUDE_RE = re.compile(r'\s*#\s*include\s+"([^"]+)"')
+
+
+def check_wallclock(lines: list[str], emit) -> None:
+    for idx, line in enumerate(lines, start=1):
+        for pattern, what in _WALLCLOCK_PATTERNS:
+            if pattern.search(line):
+                emit(idx, "wallclock", f"{what} is nondeterministic across "
+                     "runs/machines; reports must not depend on it")
+
+
+def check_raw_rng(rel: str, lines: list[str], emit) -> None:
+    if rel.endswith(_RAW_RNG_ALLOWED):
+        return
+    for idx, line in enumerate(lines, start=1):
+        for pattern, what in _RAW_RNG_PATTERNS:
+            if pattern.search(line):
+                emit(idx, "raw-rng", f"{what} outside deploy/rng — use the "
+                     "seeded spr::Rng wrapper")
+
+
+def check_raw_new(lines: list[str], emit) -> None:
+    for idx, line in enumerate(lines, start=1):
+        if _RAW_NEW_RE.search(line):
+            emit(idx, "raw-new", "raw `new` — use make_unique/containers "
+                 "or util/arena.h")
+        if _RAW_DELETE_RE.search(line):
+            emit(idx, "raw-new", "raw `delete` — ownership belongs in "
+                 "smart pointers/containers")
+
+
+def check_unordered_iter(rel: str, lines: list[str],
+                         typed_range_fors: list[int] | None, emit) -> None:
+    """Bans unordered containers outright in the report/serialize layer and
+    range-for over them elsewhere. `typed_range_fors` are the AST's
+    range-for lines over unordered types; without them, range-fors are
+    matched against the names the file declares unordered."""
+    if any(d in rel for d in _ORDERED_ONLY_DIRS) or (
+            "serialize" in rel.rsplit("/", 1)[-1]):
+        for idx, line in enumerate(lines, start=1):
+            if _UNORDERED_ANY_RE.search(line):
+                emit(idx, "unordered-iter", "unordered container in the "
+                     "report/serialize layer — hash order would leak into "
+                     "artifacts; use std::map/std::vector")
+        return
+    if typed_range_fors is not None:
+        for idx in typed_range_fors:
+            emit(idx, "unordered-iter", "range-for over unordered container "
+                 "— iteration order is hash-order; copy into a sorted "
+                 "container first")
+        return
+    unordered_vars = {m.group(2) for line in lines
+                      for m in _UNORDERED_DECL_RE.finditer(line)}
+    for idx, line in enumerate(lines, start=1):
+        m = _RANGE_FOR_RE.search(line)
+        if m and m.group(1) in unordered_vars:
+            emit(idx, "unordered-iter", f"range-for over unordered container "
+                 f"'{m.group(1)}' — iteration order is hash-order; copy into "
+                 "a sorted container first")
+
+
+def check_header_hygiene(rel: str, raw_lines: list[str], lines: list[str],
+                         emit) -> None:
+    if not rel.endswith(".h"):
+        return
+    first = next(((idx, line.strip()) for idx, line in enumerate(lines, 1)
+                  if line.strip()), None)
+    if first is None or first[1] != "#pragma once":
+        emit(first[0] if first else 1, "header-hygiene",
+             "header must start with #pragma once")
+    for idx, line in enumerate(raw_lines, start=1):
+        m = _INCLUDE_RE.match(line)
+        if m and m.group(1).startswith(".."):
+            emit(idx, "header-hygiene", f'parent-relative include '
+                 f'"{m.group(1)}" — include root-relative from src/')
+
+
+def check_line_rules(rel: str, raw_lines: list[str], lines: list[str],
+                     typed_range_fors: list[int] | None, emit) -> None:
+    check_wallclock(lines, emit)
+    check_raw_rng(rel, lines, emit)
+    check_raw_new(lines, emit)
+    check_unordered_iter(rel, lines, typed_range_fors, emit)
+    check_header_hygiene(rel, raw_lines, lines, emit)

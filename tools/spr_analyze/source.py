@@ -1,16 +1,10 @@
-#!/usr/bin/env python3
-"""spr_source: source-handling machinery shared by spr_lint and spr_analyze.
-
-Both tools walk the same C++ tree, blank comments/strings the same way, and
-honor the same pragma grammar — only the tag differs (`spr-lint` vs
-`spr-analyze`). This module owns that common layer so the two stay in
-lockstep:
+"""Source handling for spr_analyze: the layer under both front-ends.
 
   * strip_comments_and_strings — per-line source with comments and
     string/char literals blanked, line structure intact.
-  * PragmaSet / parse_pragmas — `<tag>: allow(rule) reason` line pragmas
-    and `<tag>-file: allow(rule) reason` file pragmas (first 10 lines),
-    with malformed/unjustified pragmas surfaced as findings.
+  * PragmaSet / parse_pragmas — `spr-analyze: allow(rule) reason` line
+    pragmas and `spr-analyze-file: allow(rule) reason` file pragmas (first
+    10 lines), with malformed/unjustified pragmas surfaced as findings.
   * Finding — one (path, line, rule, message) record.
   * collect_files / relpath — deterministic tree walking.
 """
@@ -19,6 +13,12 @@ from __future__ import annotations
 
 import os
 import re
+
+PRAGMA_TAG = "spr-analyze"
+_LINE_PRAGMA_RE = re.compile(
+    rf"{PRAGMA_TAG}:\s*allow\(([a-z\-,\s]+)\)\s*(.*)")
+_FILE_PRAGMA_RE = re.compile(
+    rf"{PRAGMA_TAG}-file:\s*allow\(([a-z\-,\s]+)\)\s*(.*)")
 
 
 class Finding:
@@ -40,7 +40,6 @@ def strip_comments_and_strings(text: str) -> list[str]:
     are honored.  Blanked spans become spaces so column-sensitive regexes
     keep working.
     """
-    out = []
     i = 0
     n = len(text)
     buf = []
@@ -135,72 +134,46 @@ class PragmaSet:
         )
 
 
-def parse_pragmas(
-    raw_lines: list[str],
-    findings: list[Finding],
-    path: str,
-    tag: str,
-    rules: dict[str, str],
-    pragma_rule: str = "pragma",
-) -> PragmaSet:
-    """Parses `<tag>: allow(...)` / `<tag>-file: allow(...)` pragmas.
+def parse_pragmas(raw_lines: list[str], findings: list[Finding], path: str,
+                  rules: dict[str, str]) -> PragmaSet:
+    """Parses the file's line and file-wide allow pragmas.
 
     Malformed pragmas (unknown rule, missing reason, file pragma past line
-    10, unparseable tag mention) are appended to `findings` under
-    `pragma_rule`.
+    10, unparseable tag mention) are appended to `findings` as `pragma`
+    findings.
     """
-    line_re = re.compile(rf"{re.escape(tag)}:\s*allow\(([a-z\-,\s]+)\)\s*(.*)")
-    file_re = re.compile(
-        rf"{re.escape(tag)}-file:\s*allow\(([a-z\-,\s]+)\)\s*(.*)"
-    )
     line_allow: dict[int, set[str]] = {}
     file_allow: set[str] = set()
     for idx, line in enumerate(raw_lines, start=1):
-        if tag not in line:
+        if PRAGMA_TAG not in line:
             continue
-        m = file_re.search(line)
-        if m:
-            wanted = {r.strip() for r in m.group(1).split(",") if r.strip()}
-            bad = wanted - set(rules)
-            if bad:
-                findings.append(
-                    Finding(path, idx, pragma_rule,
-                            f"unknown rule(s) {sorted(bad)}")
-                )
-            if not m.group(2).strip():
-                findings.append(
-                    Finding(path, idx, pragma_rule,
-                            "file pragma without a reason")
-                )
+        file_wide = _FILE_PRAGMA_RE.search(line)
+        m = file_wide or _LINE_PRAGMA_RE.search(line)
+        if not m:
+            findings.append(
+                Finding(path, idx, "pragma", f"unparseable {PRAGMA_TAG} pragma")
+            )
+            continue
+        wanted = {r.strip() for r in m.group(1).split(",") if r.strip()}
+        bad = wanted - set(rules)
+        if bad:
+            findings.append(
+                Finding(path, idx, "pragma", f"unknown rule(s) {sorted(bad)}")
+            )
+        kind = "file pragma" if file_wide else "pragma"
+        if not m.group(2).strip():
+            findings.append(
+                Finding(path, idx, "pragma", f"{kind} without a reason")
+            )
+        if file_wide:
             if idx > 10:
                 findings.append(
-                    Finding(
-                        path,
-                        idx,
-                        pragma_rule,
-                        "file pragma must sit in the first 10 lines",
-                    )
+                    Finding(path, idx, "pragma",
+                            "file pragma must sit in the first 10 lines")
                 )
             file_allow |= wanted & set(rules)
-            continue
-        m = line_re.search(line)
-        if m:
-            wanted = {r.strip() for r in m.group(1).split(",") if r.strip()}
-            bad = wanted - set(rules)
-            if bad:
-                findings.append(
-                    Finding(path, idx, pragma_rule,
-                            f"unknown rule(s) {sorted(bad)}")
-                )
-            if not m.group(2).strip():
-                findings.append(
-                    Finding(path, idx, pragma_rule, "pragma without a reason")
-                )
+        else:
             line_allow.setdefault(idx, set()).update(wanted & set(rules))
-            continue
-        findings.append(
-            Finding(path, idx, pragma_rule, f"unparseable {tag} pragma")
-        )
     return PragmaSet(line_allow, file_allow)
 
 
@@ -223,17 +196,19 @@ def relpath(path: str, root: str) -> str:
     return os.path.relpath(path, root).replace(os.sep, "/")
 
 
-def collect_files(paths: list[str], root: str,
-                  exts: tuple[str, ...] = (".h", ".cpp", ".cc",
-                                           ".hpp")) -> list[str]:
+def collect_files(paths: list[str], root: str) -> list[str]:
+    """C++ sources under `paths`, sorted. Named files are taken as given; the
+    directory walk skips `fixtures/` corpora, whose files are bad on
+    purpose."""
     out = []
     for p in paths:
         full = p if os.path.isabs(p) else os.path.join(root, p)
         if os.path.isfile(full):
             out.append(full)
             continue
-        for dirpath, _dirnames, filenames in os.walk(full):
+        for dirpath, dirnames, filenames in os.walk(full):
+            dirnames[:] = [d for d in dirnames if d != "fixtures"]
             for name in sorted(filenames):
-                if name.endswith(exts):
+                if name.endswith((".h", ".cpp", ".cc", ".hpp")):
                     out.append(os.path.join(dirpath, name))
     return sorted(set(out))

@@ -1,23 +1,30 @@
 #!/usr/bin/env python3
-"""spr_analyze: AST/dataflow contract analyzer for the spr tree.
+"""spr_analyze: the contract analyzer for the spr tree.
 
-Where spr_lint is token-level (it catches `rand()` by name), spr_analyze
-follows values: arena scratch escaping its reset() scope, spans outliving
-the topology epoch that built them, nondeterministic values flowing
-through assignments into report/serialize/merge sinks, and parallel
-callbacks whose shared writes skip the id-ordered merge discipline. See
-rules.py for the rule catalog and tools/spr_analyze/README.md for the
+The repo's core contract is bit-identical statuses, anchors and reports
+across thread counts, machines and reruns. The analyzer enforces the
+source-level invariants that keep that true, as nine named rules:
+
+  * four value rules follow values over a micro-AST: arena scratch
+    escaping its reset() scope, spans outliving the topology epoch that
+    built them, nondeterministic values flowing through assignments into
+    report/serialize/merge sinks, and parallel callbacks whose shared
+    writes skip the id-ordered merge discipline;
+  * five line rules match names in the stripped source: wall-clock and
+    thread-id calls, raw randomness, hash-order iteration, raw new/delete
+    and header hygiene.
+
+See rules.py for the rule catalog and tools/spr_analyze/README.md for the
 contract each rule defends.
 
 Front-ends: libclang (python bindings) when importable, and a
 self-contained token/micro-AST engine otherwise — both lower into the
 same model (model.py) so the rules and fixtures behave identically.
 
-Inputs: explicit files/directories, or `--compile-commands
-build/compile_commands.json` to analyze exactly the TUs the build sees
-(headers under src/ are added alongside). Findings print as
-`path:line: [rule] message`; `--sarif out.sarif` additionally writes
-SARIF 2.1.0 for code-scanning upload.
+Inputs: files or directories (default: src tools); the directory walk
+skips fixtures/ corpora. Findings print as `path:line: [rule] message`;
+`--sarif out.sarif` additionally writes SARIF 2.1.0 for code-scanning
+upload.
 
 False positives are silenced per line with a justified pragma:
 
@@ -42,16 +49,14 @@ import sys
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(os.path.dirname(_HERE))
 sys.path.insert(0, _HERE)
-sys.path.insert(0, os.path.join(_ROOT, "scripts"))
-
-from spr_source import (Finding, bind_comment_pragmas, collect_files,  # noqa: E402
-                        parse_pragmas, relpath, strip_comments_and_strings)
 
 import model  # noqa: E402
-import rules as rules_mod  # noqa: E402
 from rules import (RULES, check_arena_escape, check_determinism_taint,  # noqa: E402
-                   check_merge_ordering, check_view_lifetime,
-                   check_view_members, compute_taint_summaries, _sink_names)
+                   check_line_rules, check_merge_ordering,
+                   check_view_lifetime, check_view_members,
+                   compute_taint_summaries, _sink_names)
+from source import (Finding, bind_comment_pragmas, collect_files,  # noqa: E402
+                    parse_pragmas, relpath, strip_comments_and_strings)
 
 try:
     import clang_backend
@@ -59,19 +64,6 @@ try:
     HAVE_LIBCLANG = clang_backend.available()
 except Exception:  # pragma: no cover - environment dependent
     HAVE_LIBCLANG = False
-
-
-def load_compile_commands(path: str) -> list[str]:
-    """Source files named by a compile_commands.json, absolute paths."""
-    with open(path) as f:
-        db = json.load(f)
-    files = set()
-    for entry in db:
-        src = entry.get("file", "")
-        if not os.path.isabs(src):
-            src = os.path.join(entry.get("directory", ""), src)
-        files.add(os.path.normpath(src))
-    return sorted(files)
 
 
 def analyze_files(files: list[str], root: str,
@@ -103,8 +95,7 @@ def analyze_files(files: list[str], root: str,
     sink_names = _sink_names(registry)
 
     for rel, fm, raw_lines, stripped in per_file:
-        pragmas = parse_pragmas(raw_lines, findings, rel, "spr-analyze",
-                                RULES)
+        pragmas = parse_pragmas(raw_lines, findings, rel, RULES)
         bind_comment_pragmas(pragmas, stripped)
 
         def emit(line_no: int, rule: str, message: str,
@@ -121,9 +112,11 @@ def analyze_files(files: list[str], root: str,
             check_determinism_taint(fn, registry, tainted_fns, sink_names,
                                     emit)
             check_merge_ordering(fn, registry, emit)
+        check_line_rules(rel, raw_lines, stripped, fm.unordered_range_fors,
+                         emit)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    # Deduplicate identical findings (a header parsed for several TUs).
+    # One finding per (path, line, rule, message), however often emitted.
     unique: list[Finding] = []
     for f in findings:
         if not unique or str(f) != str(unique[-1]):
@@ -185,12 +178,9 @@ def main(argv: list[str]) -> int:
         description=__doc__.splitlines()[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: src)")
+                        help="files or directories (default: src tools)")
     parser.add_argument("--root", default=_ROOT,
                         help="repo root findings are reported relative to")
-    parser.add_argument("--compile-commands", default="",
-                        help="analyze the TUs of this compile_commands.json "
-                        "(src/ only) plus the headers next to them")
     parser.add_argument("--sarif", default="",
                         help="also write SARIF 2.1.0 to this path")
     parser.add_argument("--engine", choices=("auto", "clang", "fallback"),
@@ -213,22 +203,15 @@ def main(argv: list[str]) -> int:
               "importable", file=sys.stderr)
         return 2
 
-    files: list[str] = []
-    if args.compile_commands:
-        src_root = os.path.join(args.root, "src")
-        tu_files = [f for f in load_compile_commands(args.compile_commands)
-                    if os.path.normpath(f).startswith(
-                        os.path.normpath(src_root) + os.sep)]
-        files.extend(tu_files)
-        # Headers don't appear as TUs; analyze them alongside.
-        files.extend(collect_files(["src"], args.root, exts=(".h", ".hpp")))
-    if args.paths:
-        files.extend(collect_files(args.paths, args.root))
-    if not files and not args.compile_commands:
-        files = collect_files(["src"], args.root)
-    files = sorted({os.path.normpath(
-        f if os.path.isabs(f) else os.path.join(args.root, f))
-        for f in files})
+    paths = args.paths or ["src", "tools"]
+    # A mistyped path would silently shrink the baseline's coverage.
+    missing = [p for p in paths
+               if not os.path.exists(os.path.join(args.root, p))]
+    if missing:
+        print(f"spr_analyze: no such file or directory: {missing}",
+              file=sys.stderr)
+        return 2
+    files = collect_files(paths, args.root)
     if not files:
         print("spr_analyze: no input files", file=sys.stderr)
         return 2

@@ -2,11 +2,11 @@
 """Fixture proofs for spr_analyze: every rule must fire where the corpus
 says it fires and stay silent on the sanctioned idioms.
 
-Fixture convention: `*.cxx` files under fixtures/ carry
-`EXPECT[rule-name]` comment markers on the exact line a finding is
-required. `*_pass.cxx` files carry no markers and must come back clean.
-The pragma fixtures assert the escape-hatch machinery itself
-(reason-required, unknown-rule rejection, comment-line binding).
+Fixture convention: files under fixtures/ carry `EXPECT[rule-name]`
+comment markers on the exact line a finding is required. `*_pass.cxx` and
+`header_good.h` carry no markers and must come back clean. The pragma
+fixtures assert the escape-hatch machinery itself (reason-required,
+unknown-rule rejection, comment-line binding).
 
 Run directly (`python3 test_spr_analyze.py`) or through ctest
 (`spr_analyze_fixtures`).
@@ -14,19 +14,22 @@ Run directly (`python3 test_spr_analyze.py`) or through ctest
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
 import sys
 import tempfile
 import unittest
+from types import SimpleNamespace
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(os.path.dirname(_HERE))
 sys.path.insert(0, _HERE)
-sys.path.insert(0, os.path.join(_ROOT, "scripts"))
 
 import spr_analyze  # noqa: E402
+from rules import RULES  # noqa: E402
 
 _FIXTURES = os.path.join(_HERE, "fixtures")
 _EXPECT_RE = re.compile(r"EXPECT\[([a-z\-]+)\]")
@@ -46,47 +49,41 @@ def analyze(path: str, engine: str = "fallback") -> set[tuple[int, str]]:
     return {(f.line, f.rule) for f in findings}
 
 
+# Marker-driven fixtures: findings must equal the EXPECT set, exactly.
+_MARKED = [
+    "arena_escape_fire.cxx", "arena_escape_pass.cxx",
+    "view_lifetime_fire.cxx", "view_lifetime_pass.cxx",
+    "determinism_taint_fire.cxx", "determinism_taint_pass.cxx",
+    "merge_ordering_fire.cxx", "merge_ordering_pass.cxx",
+    "line_rules_fire.cxx", "line_rules_pass.cxx",
+    # A file named `serialize*` sits in the ordered-only layer.
+    "serialize_bad.cxx",
+    "header_bad.h", "header_good.h",
+]
+
+
 class FixtureCorpus(unittest.TestCase):
-    """Marker-driven: findings must equal the EXPECT set, exactly."""
+    def test_marked_fixtures(self):
+        for name in _MARKED:
+            with self.subTest(fixture=name):
+                path = os.path.join(_FIXTURES, name)
+                self.assertEqual(analyze(path), expected_findings(path),
+                                 f"{name}: findings diverge from EXPECT "
+                                 "markers")
 
-    def assert_fixture(self, name: str):
-        path = os.path.join(_FIXTURES, name)
-        self.assertEqual(analyze(path), expected_findings(path),
-                         f"{name}: findings diverge from EXPECT markers")
-
-    def test_arena_escape_fire(self):
-        self.assert_fixture("arena_escape_fire.cxx")
-
-    def test_arena_escape_pass(self):
-        self.assert_fixture("arena_escape_pass.cxx")
-
-    def test_view_lifetime_fire(self):
-        self.assert_fixture("view_lifetime_fire.cxx")
-
-    def test_view_lifetime_pass(self):
-        self.assert_fixture("view_lifetime_pass.cxx")
-
-    def test_determinism_taint_fire(self):
-        self.assert_fixture("determinism_taint_fire.cxx")
-
-    def test_determinism_taint_pass(self):
-        self.assert_fixture("determinism_taint_pass.cxx")
-
-    def test_merge_ordering_fire(self):
-        self.assert_fixture("merge_ordering_fire.cxx")
-
-    def test_merge_ordering_pass(self):
-        self.assert_fixture("merge_ordering_pass.cxx")
+    def test_every_fixture_is_asserted(self):
+        pragma = {"pragma_fire.cxx", "pragma_pass.cxx"}
+        self.assertEqual(set(os.listdir(_FIXTURES)), set(_MARKED) | pragma)
 
     def test_every_rule_has_fire_coverage(self):
         """No rule may silently die: the corpus proves each one fires."""
         covered = set()
-        for name in os.listdir(_FIXTURES):
+        for name in _MARKED:
             covered |= {r for _, r in expected_findings(
                 os.path.join(_FIXTURES, name))}
-        import rules
-        expected = set(rules.RULES) - {"pragma"}  # pragma: proven below
-        self.assertEqual(covered & expected, expected,
+        expected = set(RULES) - {"pragma"}  # pragma: proven below
+        self.assertEqual(len(expected), 9)
+        self.assertEqual(covered, expected,
                          "rules without a must-fire fixture")
 
 
@@ -96,29 +93,40 @@ class PragmaMachinery(unittest.TestCase):
         got = analyze(path)
         with open(path) as f:
             lines = f.readlines()
-        no_reason = next(i for i, l in enumerate(lines, 1)
-                         if "allow(view-lifetime)" in l)
-        unknown = next(i for i, l in enumerate(lines, 1)
-                       if "made-up-rule" in l)
+
+        def line_of(text: str) -> int:
+            return next(i for i, l in enumerate(lines, 1) if text in l)
+
+        unknown = line_of("made-up-rule")
         self.assertEqual(got, {
-            (no_reason, "pragma"),    # allow without a reason
-            (unknown, "pragma"),      # unknown rule name
+            # allow without a reason, still covering its own line
+            (line_of("allow(view-lifetime)"), "pragma"),
+            (line_of("allow(raw-rng)"), "pragma"),
+            # unknown rule names
+            (unknown, "pragma"),
+            (line_of("not-a-rule"), "pragma"),
             (unknown + 1, "view-lifetime"),  # bogus allow suppresses nothing
         })
 
     def test_pragma_pass(self):
         path = os.path.join(_FIXTURES, "pragma_pass.cxx")
         self.assertEqual(analyze(path), set(),
-                         "justified comment-line pragma must bind to the "
-                         "next code line and suppress the finding")
+                         "justified same-line and comment-line pragmas must "
+                         "suppress the findings they cover")
 
 
 class Baseline(unittest.TestCase):
-    def test_src_is_clean(self):
+    def test_src_and_tools_are_clean(self):
         """The tree-wide zero-findings baseline the CI job gates."""
-        files = spr_analyze.collect_files(["src"], _ROOT)
+        files = spr_analyze.collect_files(["src", "tools"], _ROOT)
         findings = spr_analyze.analyze_files(files, _ROOT, "fallback")
         self.assertEqual([str(f) for f in findings], [])
+
+
+class Usage(unittest.TestCase):
+    def test_missing_path_is_a_usage_error(self):
+        with contextlib.redirect_stderr(io.StringIO()):
+            self.assertEqual(spr_analyze.main(["src", "no-such-dir"]), 2)
 
 
 class Sarif(unittest.TestCase):
@@ -146,12 +154,26 @@ class EngineAgreement(unittest.TestCase):
                          "libclang bindings not importable")
     def test_fixtures_agree_across_engines(self):
         for name in sorted(os.listdir(_FIXTURES)):
-            if not name.endswith(".cxx"):
-                continue
             path = os.path.join(_FIXTURES, name)
             self.assertEqual(analyze(path, "clang"),
                              analyze(path, "fallback"),
                              f"{name}: engines disagree")
+
+    def test_clang_keeps_only_the_analyzed_file(self):
+        """An included header whose name ends like the analyzed file's
+        (lgf.h for gf.h) is not the analyzed file."""
+        import clang_backend
+
+        def cursor_in(name):
+            return SimpleNamespace(location=SimpleNamespace(
+                file=SimpleNamespace(name=name)))
+
+        source = os.path.abspath(os.path.join("src", "routing", "gf.h"))
+        self.assertTrue(clang_backend._in_file(
+            cursor_in(os.path.join("src", "routing", "gf.h")), source))
+        for other in ("src/routing/lgf.h", "src/routing/slgf.h",
+                      "src/graph/gf.h"):
+            self.assertFalse(clang_backend._in_file(cursor_in(other), source))
 
 
 if __name__ == "__main__":

@@ -58,12 +58,12 @@ void add_common(FlagSet& flags, CommonArgs& args) {
   flags.add_double("range", &args.range, "transmission radius (m)");
 }
 
-/// Rejects a count below 1, naming the flag on stderr like the parser's
-/// own usage errors.
-bool positive_count(const char* flag, int value) {
-  if (value >= 1) return true;
-  std::fprintf(stderr, "bad value '%d' for flag --%s: need >= 1\n", value,
-               flag);
+/// Rejects a count below `least`, naming the flag on stderr like the
+/// parser's own usage errors.
+bool count_at_least(const char* flag, int value, int least) {
+  if (value >= least) return true;
+  std::fprintf(stderr, "bad value '%d' for flag --%s: need >= %d\n", value,
+               flag, least);
   return false;
 }
 
@@ -72,7 +72,7 @@ bool positive_count(const char* flag, int value) {
 /// stderr like the parser's own usage errors. Every command that takes the
 /// common flags calls this right after parsing.
 bool validate_common(const CommonArgs& args) {
-  if (!positive_count("nodes", args.nodes)) return false;
+  if (!count_at_least("nodes", args.nodes, 1)) return false;
   if (!std::isfinite(args.range) || args.range <= 0.0) {
     std::fprintf(stderr,
                  "bad value '%g' for flag --range: need a finite radius > 0\n",
@@ -260,8 +260,8 @@ int cmd_sweep(int argc, const char* const* argv) {
   flags.add_string("json", &json_path,
                    "write the per-cell aggregates as a slice JSON here");
   if (!flags.parse(argc, argv) || !validate_common(args) ||
-      !positive_count("networks", networks) ||
-      !positive_count("pairs", pairs)) {
+      !count_at_least("networks", networks, 1) ||
+      !count_at_least("pairs", pairs, 1)) {
     return 1;
   }
   int slice_index = 0, slice_count = 1;
@@ -435,7 +435,11 @@ int cmd_scenario(int argc, const char* const* argv) {
   flags.add_string("json", &json_path, "also write a JSON report here");
   flags.add_string("csv", &csv_path, "also write CSV table exports here");
   flags.add_string("svg", &svg_path, "also write an SVG sweep plot here");
-  if (!flags.parse(argc, argv)) return 1;
+  // 0 keeps meaning "the scenario's default size".
+  if (!flags.parse(argc, argv) || !count_at_least("networks", networks, 0) ||
+      !count_at_least("pairs", pairs, 0)) {
+    return 1;
+  }
 
   const auto& suite = ScenarioSuite::builtin();
   if (list || flags.positional().empty()) {
