@@ -5,7 +5,11 @@
 # non-finite cell size (--range=0|-1|nan), printing an all-zero table
 # (sweep --networks=0, --pairs=0|-3) or silently running a scenario's
 # default size (scenario --networks=-2, --pairs=-1; 0 means the default).
-# A tiny finite range (--range=1e-300) is valid.
+# --threads outside [0, 256] is rejected before any worker pool starts
+# (0 means hardware), and `route <s> <d>` ids must be whole tokens in node
+# id range: a non-number, or one past 32 bits, names the argument instead
+# of aborting or wrapping to another node. A tiny finite range
+# (--range=1e-300) is valid.
 #
 # Invoked as:
 #   cmake -DSPR_CLI=<path-to-spr_cli> -P cli_args_gate.cmake
@@ -14,23 +18,29 @@ if(NOT DEFINED SPR_CLI)
   message(FATAL_ERROR "cli_args_gate.cmake needs -DSPR_CLI=...")
 endif()
 
-# Each case: "<command>|<flag name>|<arguments>".
+# Each case: "<command>|<text stderr must name>|<arguments>".
 set(cases
-    "label|nodes|--nodes=-5"
-    "label|range|--range=0"
-    "label|range|--range=-1"
-    "label|range|--range=nan"
-    "sweep|networks|--networks=-1 --pairs=2"
-    "sweep|networks|--networks=0"
-    "sweep|pairs|--pairs=0"
-    "sweep|pairs|--pairs=-3"
-    "scenario|networks|failure-dynamics --networks=-2"
-    "scenario|pairs|failure-dynamics --networks=1 --pairs=-1")
+    "label|--nodes|--nodes=-5"
+    "label|--range|--range=0"
+    "label|--range|--range=-1"
+    "label|--range|--range=nan"
+    "sweep|--networks|--networks=-1 --pairs=2"
+    "sweep|--networks|--networks=0"
+    "sweep|--pairs|--pairs=0"
+    "sweep|--pairs|--pairs=-3"
+    "sweep|--threads|--threads=-1"
+    "scenario|--networks|failure-dynamics --networks=-2"
+    "scenario|--pairs|failure-dynamics --networks=1 --pairs=-1"
+    "scenario|--threads|failure-dynamics --networks=1 --threads=-3"
+    "scenario|--threads|failure-dynamics --networks=1 --threads=100000"
+    "route|abc|abc 3"
+    "route|99999999999999999999|99999999999999999999 3"
+    "route|4294967296|5 4294967296")
 
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" parts "${case}")
   list(GET parts 0 command)
-  list(GET parts 1 flag)
+  list(GET parts 1 needle)
   list(GET parts 2 arg)
   separate_arguments(args UNIX_COMMAND "${arg}")
   execute_process(
@@ -42,10 +52,10 @@ foreach(case IN LISTS cases)
     message(FATAL_ERROR
             "spr_cli ${command} ${arg}: expected exit 1, got '${result}'")
   endif()
-  string(FIND "${stderr}" "--${flag}" at)
+  string(FIND "${stderr}" "${needle}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "spr_cli ${command} ${arg}: stderr does not name "
-                        "--${flag}: ${stderr}")
+                        "${needle}: ${stderr}")
   endif()
 endforeach()
 

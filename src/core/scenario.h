@@ -58,7 +58,8 @@ struct Scenario {
 class ScenarioSuite {
  public:
   /// The process-wide suite with every built-in scenario registered
-  /// (paper figures, ablation, hole-field, failure-dynamics, mobile-stream,
+  /// (paper figures, ablation, delivery, stretch, construction-cost,
+  /// hole-field, failure-dynamics, mobile-stream, the stream grids,
   /// sweep-scaling).
   static ScenarioSuite& builtin();
 
@@ -87,7 +88,7 @@ class ScenarioSuite {
 using MetricFn = std::function<double(const RouteAggregate&)>;
 
 /// Display name of a deployment model ("IA (uniform)" / "FA (forbidden
-/// areas)"), shared by the scenarios and the benches.
+/// areas)"), shared by the scenarios.
 const char* model_name(DeployModel model) noexcept;
 
 /// Exact equality of two sweep results (bitwise on every summary moment);

@@ -6,21 +6,19 @@
 
 namespace spr {
 
-// ------------------------------------------------------------ stats form
+namespace {
 
-void summary_stats_to_json(JsonWriter& w, const Summary& s) {
-  w.begin_object();
-  w.key("count").value(s.count());
-  w.key("mean").value(s.mean());
-  w.key("min").value(s.min());
-  w.key("max").value(s.max());
-  w.key("stddev").value(s.stddev());
-  w.end_object();
+JsonValue count_json(std::size_t n) {
+  return JsonValue::of(static_cast<std::uint64_t>(n));
 }
 
-JsonValue summary_stats(const Summary& s) {
+}  // namespace
+
+// ------------------------------------------------------------ stats form
+
+JsonValue stats_json(const Summary& s) {
   JsonValue v = JsonValue::object();
-  v.set("count", JsonValue::of(static_cast<std::uint64_t>(s.count())));
+  v.set("count", count_json(s.count()));
   v.set("mean", JsonValue::of(s.mean()));
   v.set("min", JsonValue::of(s.min()));
   v.set("max", JsonValue::of(s.max()));
@@ -28,78 +26,126 @@ JsonValue summary_stats(const Summary& s) {
   return v;
 }
 
-void aggregate_stats_to_json(JsonWriter& w, const RouteAggregate& agg) {
-  w.begin_object();
-  w.key("requested").value(agg.requested);
-  w.key("attempted").value(agg.attempted);
-  w.key("pair_shortfall").value(agg.pair_shortfall());
-  w.key("delivered").value(agg.delivered);
-  w.key("delivery_ratio").value(agg.delivery_ratio());
-  w.key("hops");
-  summary_stats_to_json(w, agg.hops);
-  w.key("length");
-  summary_stats_to_json(w, agg.length);
-  w.key("stretch_hops");
-  summary_stats_to_json(w, agg.stretch_hops);
-  w.key("stretch_length");
-  summary_stats_to_json(w, agg.stretch_length);
-  w.key("perimeter_hops");
-  summary_stats_to_json(w, agg.perimeter_hops);
-  w.key("backup_hops");
-  summary_stats_to_json(w, agg.backup_hops);
-  w.key("local_minima");
-  summary_stats_to_json(w, agg.local_minima);
-  w.end_object();
+JsonValue stats_json(const RouteAggregate& agg) {
+  JsonValue v = JsonValue::object();
+  v.set("requested", count_json(agg.requested));
+  v.set("attempted", count_json(agg.attempted));
+  v.set("pair_shortfall", count_json(agg.pair_shortfall()));
+  v.set("delivered", count_json(agg.delivered));
+  v.set("delivery_ratio", JsonValue::of(agg.delivery_ratio()));
+  v.set("hops", stats_json(agg.hops));
+  v.set("length", stats_json(agg.length));
+  v.set("stretch_hops", stats_json(agg.stretch_hops));
+  v.set("stretch_length", stats_json(agg.stretch_length));
+  v.set("perimeter_hops", stats_json(agg.perimeter_hops));
+  v.set("backup_hops", stats_json(agg.backup_hops));
+  v.set("local_minima", stats_json(agg.local_minima));
+  return v;
 }
 
-void sweep_section_to_json(JsonWriter& w, const SweepSection& section) {
-  w.begin_object();
-  w.key("model").value(deploy_model_tag(section.model));
-  w.key("networks_per_point").value(section.networks_per_point);
-  w.key("pairs_per_network").value(section.pairs_per_network);
-  w.key("base_seed").value(section.base_seed);
-  w.key("threads").value(section.threads);
-  w.key("wall_seconds").value(section.wall_seconds);
-  w.key("points").begin_array();
+JsonValue stats_json(const SweepSection& section) {
+  JsonValue points = JsonValue::array();
   for (const auto& point : section.points) {
-    w.begin_object();
-    w.key("nodes").value(point.node_count);
-    w.key("schemes").begin_object();
+    JsonValue schemes = JsonValue::object();
     for (const auto& [label, agg] : point.by_scheme) {
-      w.key(label);
-      aggregate_stats_to_json(w, agg);
+      schemes.set(label, stats_json(agg));
     }
-    w.end_object();
-    w.end_object();
+    JsonValue entry = JsonValue::object();
+    entry.set("nodes", JsonValue::of(point.node_count));
+    entry.set("schemes", std::move(schemes));
+    points.push(std::move(entry));
   }
-  w.end_array();
-  w.end_object();
+  JsonValue v = JsonValue::object();
+  v.set("model", JsonValue::of(deploy_model_tag(section.model)));
+  v.set("networks_per_point", JsonValue::of(section.networks_per_point));
+  v.set("pairs_per_network", JsonValue::of(section.pairs_per_network));
+  v.set("base_seed", JsonValue::of(section.base_seed));
+  v.set("threads", JsonValue::of(section.threads));
+  v.set("wall_seconds", JsonValue::of(section.wall_seconds));
+  v.set("points", std::move(points));
+  return v;
 }
 
-void timings_to_json(JsonWriter& w, const SweepTimings& t) {
-  w.begin_object();
-  w.key("construction_seconds").value(t.construction_seconds);
-  w.key("pair_draw_seconds").value(t.pair_draw_seconds);
-  w.key("oracle_seconds").value(t.oracle_seconds);
-  w.key("routing_seconds").value(t.routing_seconds);
-  w.key("oracle_bfs_searches").value(t.bfs_searches);
-  w.key("oracle_dijkstra_searches").value(t.dijkstra_searches);
-  w.key("pairs_requested").value(t.pairs_requested);
-  w.key("pairs_routed").value(t.pairs_routed);
-  w.end_object();
+JsonValue stats_json(const StreamStats& stats) {
+  JsonValue root = JsonValue::object();
+  root.set("virtual_time", JsonValue::of(stats.virtual_time));
+  root.set("events", count_json(stats.events));
+  root.set("repins", count_json(stats.repins));
+  JsonValue waves = JsonValue::array();
+  for (const WaveRecord& record : stats.waves) {
+    JsonValue wave = JsonValue::object();
+    wave.set("time", JsonValue::of(record.time));
+    wave.set("casualties", count_json(record.casualties));
+    wave.set("packets_in_flight", count_json(record.packets_in_flight));
+    wave.set("packets_dropped", count_json(record.packets_dropped));
+    wave.set("relabel_seeds", count_json(record.relabel.seeds));
+    wave.set("relabel_reevaluations", count_json(record.relabel.reevaluations));
+    wave.set("relabel_flips", count_json(record.relabel.flips));
+    if (record.verified) {
+      wave.set("matches_full_recompute",
+               JsonValue::of(record.matches_full_recompute));
+    }
+    waves.push(std::move(wave));
+  }
+  root.set("waves", std::move(waves));
+  JsonValue repins = JsonValue::array();
+  for (const RepinRecord& record : stats.repin_records) {
+    JsonValue repin = JsonValue::object();
+    repin.set("time", JsonValue::of(record.time));
+    repin.set("moved", count_json(record.moved));
+    repin.set("edges_added", count_json(record.edges_added));
+    repin.set("edges_removed", count_json(record.edges_removed));
+    repin.set("packets_in_flight", count_json(record.packets_in_flight));
+    repin.set("packets_dropped", count_json(record.packets_dropped));
+    repin.set("relabel_seeds", count_json(record.relabel.seeds));
+    repin.set("relabel_reevaluations",
+              count_json(record.relabel.reevaluations));
+    repin.set("relabel_demotions", count_json(record.relabel.flips));
+    repin.set("relabel_promotions", count_json(record.relabel.promotions));
+    if (record.verified) {
+      repin.set("matches_full_recompute",
+                JsonValue::of(record.matches_full_recompute));
+    }
+    repins.push(std::move(repin));
+  }
+  root.set("repin_records", std::move(repins));
+  JsonValue schemes = JsonValue::object();
+  for (const StreamSchemeStats& s : stats.schemes) {
+    JsonValue scheme = JsonValue::object();
+    scheme.set("injected", count_json(s.injected));
+    scheme.set("delivered", count_json(s.delivered));
+    scheme.set("dead_end", count_json(s.dead_end));
+    scheme.set("ttl_expired", count_json(s.ttl_expired));
+    scheme.set("node_failed", count_json(s.node_failed));
+    scheme.set("delivery_ratio", JsonValue::of(s.delivery_ratio()));
+    scheme.set("hops", stats_json(s.hops));
+    scheme.set("length", stats_json(s.length));
+    scheme.set("stretch_hops", stats_json(s.stretch_hops));
+    scheme.set("latency", stats_json(s.latency));
+    scheme.set("replans", stats_json(s.replans));
+    scheme.set("local_minima", stats_json(s.local_minima));
+    schemes.set(s.label, std::move(scheme));
+  }
+  root.set("schemes", std::move(schemes));
+  return root;
+}
+
+JsonValue to_json(const SweepTimings& t) {
+  JsonValue v = JsonValue::object();
+  v.set("construction_seconds", JsonValue::of(t.construction_seconds));
+  v.set("pair_draw_seconds", JsonValue::of(t.pair_draw_seconds));
+  v.set("oracle_seconds", JsonValue::of(t.oracle_seconds));
+  v.set("routing_seconds", JsonValue::of(t.routing_seconds));
+  v.set("oracle_bfs_searches", JsonValue::of(t.bfs_searches));
+  v.set("oracle_dijkstra_searches", JsonValue::of(t.dijkstra_searches));
+  v.set("pairs_requested", JsonValue::of(t.pairs_requested));
+  v.set("pairs_routed", JsonValue::of(t.pairs_routed));
+  return v;
 }
 
 // ------------------------------------------------------------- full form
 
 namespace {
-
-/// Reads a required finite-number member into `out`.
-bool read_double(const JsonValue& v, const char* key, double& out) {
-  const JsonValue* m = v.find(key);
-  if (m == nullptr || !m->is_number()) return false;
-  out = m->as_double();
-  return true;
-}
 
 bool read_uint(const JsonValue& v, const char* key, std::uint64_t& out) {
   const JsonValue* m = v.find(key);
@@ -131,12 +177,12 @@ bool read_summary(const JsonValue& v, const char* key, Summary& out) {
 
 }  // namespace
 
-void to_json(JsonWriter& w, const Summary& s) {
-  w.begin_object();
-  w.key("values").begin_array();
-  for (double value : s.values()) w.value(value);
-  w.end_array();
-  w.end_object();
+JsonValue to_json(const Summary& s) {
+  JsonValue values = JsonValue::array();
+  for (double value : s.values()) values.push(JsonValue::of(value));
+  JsonValue v = JsonValue::object();
+  v.set("values", std::move(values));
+  return v;
 }
 
 bool from_json(const JsonValue& v, Summary& out) {
@@ -151,26 +197,19 @@ bool from_json(const JsonValue& v, Summary& out) {
   return true;
 }
 
-void to_json(JsonWriter& w, const RouteAggregate& agg) {
-  w.begin_object();
-  w.key("requested").value(agg.requested);
-  w.key("attempted").value(agg.attempted);
-  w.key("delivered").value(agg.delivered);
-  w.key("hops");
-  to_json(w, agg.hops);
-  w.key("length");
-  to_json(w, agg.length);
-  w.key("stretch_hops");
-  to_json(w, agg.stretch_hops);
-  w.key("stretch_length");
-  to_json(w, agg.stretch_length);
-  w.key("perimeter_hops");
-  to_json(w, agg.perimeter_hops);
-  w.key("backup_hops");
-  to_json(w, agg.backup_hops);
-  w.key("local_minima");
-  to_json(w, agg.local_minima);
-  w.end_object();
+JsonValue to_json(const RouteAggregate& agg) {
+  JsonValue v = JsonValue::object();
+  v.set("requested", count_json(agg.requested));
+  v.set("attempted", count_json(agg.attempted));
+  v.set("delivered", count_json(agg.delivered));
+  v.set("hops", to_json(agg.hops));
+  v.set("length", to_json(agg.length));
+  v.set("stretch_hops", to_json(agg.stretch_hops));
+  v.set("stretch_length", to_json(agg.stretch_length));
+  v.set("perimeter_hops", to_json(agg.perimeter_hops));
+  v.set("backup_hops", to_json(agg.backup_hops));
+  v.set("local_minima", to_json(agg.local_minima));
+  return v;
 }
 
 bool from_json(const JsonValue& v, RouteAggregate& out) {
@@ -192,13 +231,10 @@ bool from_json(const JsonValue& v, RouteAggregate& out) {
   return true;
 }
 
-void to_json(JsonWriter& w, const CellResult& cell) {
-  w.begin_object();
-  for (const auto& [label, agg] : cell) {
-    w.key(label);
-    to_json(w, agg);
-  }
-  w.end_object();
+JsonValue to_json(const CellResult& cell) {
+  JsonValue v = JsonValue::object();
+  for (const auto& [label, agg] : cell) v.set(label, to_json(agg));
+  return v;
 }
 
 bool from_json(const JsonValue& v, CellResult& out) {
@@ -213,12 +249,11 @@ bool from_json(const JsonValue& v, CellResult& out) {
   return true;
 }
 
-void to_json(JsonWriter& w, const SweepPoint& point) {
-  w.begin_object();
-  w.key("nodes").value(point.node_count);
-  w.key("schemes");
-  to_json(w, point.by_scheme);
-  w.end_object();
+JsonValue to_json(const SweepPoint& point) {
+  JsonValue v = JsonValue::object();
+  v.set("nodes", JsonValue::of(point.node_count));
+  v.set("schemes", to_json(point.by_scheme));
+  return v;
 }
 
 bool from_json(const JsonValue& v, SweepPoint& out) {
@@ -227,296 +262,6 @@ bool from_json(const JsonValue& v, SweepPoint& out) {
   if (!read_int(v, "nodes", point.node_count)) return false;
   if (!from_json(v.get("schemes"), point.by_scheme)) return false;
   out = std::move(point);
-  return true;
-}
-
-// --------------------------------------------------------- stream results
-
-JsonValue stream_stats_json(const StreamStats& stats) {
-  auto uint_of = [](std::size_t n) {
-    return JsonValue::of(static_cast<std::uint64_t>(n));
-  };
-  JsonValue root = JsonValue::object();
-  root.set("virtual_time", JsonValue::of(stats.virtual_time));
-  root.set("events", uint_of(stats.events));
-  root.set("repins", uint_of(stats.repins));
-  JsonValue waves = JsonValue::array();
-  for (const WaveRecord& record : stats.waves) {
-    JsonValue wave = JsonValue::object();
-    wave.set("time", JsonValue::of(record.time));
-    wave.set("casualties", uint_of(record.casualties));
-    wave.set("packets_in_flight", uint_of(record.packets_in_flight));
-    wave.set("packets_dropped", uint_of(record.packets_dropped));
-    wave.set("relabel_seeds", uint_of(record.relabel.seeds));
-    wave.set("relabel_reevaluations", uint_of(record.relabel.reevaluations));
-    wave.set("relabel_flips", uint_of(record.relabel.flips));
-    if (record.verified) {
-      wave.set("matches_full_recompute",
-               JsonValue::of(record.matches_full_recompute));
-    }
-    waves.push(std::move(wave));
-  }
-  root.set("waves", std::move(waves));
-  JsonValue repins = JsonValue::array();
-  for (const RepinRecord& record : stats.repin_records) {
-    JsonValue repin = JsonValue::object();
-    repin.set("time", JsonValue::of(record.time));
-    repin.set("moved", uint_of(record.moved));
-    repin.set("edges_added", uint_of(record.edges_added));
-    repin.set("edges_removed", uint_of(record.edges_removed));
-    repin.set("packets_in_flight", uint_of(record.packets_in_flight));
-    repin.set("packets_dropped", uint_of(record.packets_dropped));
-    repin.set("relabel_seeds", uint_of(record.relabel.seeds));
-    repin.set("relabel_reevaluations", uint_of(record.relabel.reevaluations));
-    repin.set("relabel_demotions", uint_of(record.relabel.flips));
-    repin.set("relabel_promotions", uint_of(record.relabel.promotions));
-    if (record.verified) {
-      repin.set("matches_full_recompute",
-                JsonValue::of(record.matches_full_recompute));
-    }
-    repins.push(std::move(repin));
-  }
-  root.set("repin_records", std::move(repins));
-  JsonValue schemes = JsonValue::object();
-  for (const StreamSchemeStats& s : stats.schemes) {
-    JsonValue scheme = JsonValue::object();
-    scheme.set("injected", uint_of(s.injected));
-    scheme.set("delivered", uint_of(s.delivered));
-    scheme.set("dead_end", uint_of(s.dead_end));
-    scheme.set("ttl_expired", uint_of(s.ttl_expired));
-    scheme.set("node_failed", uint_of(s.node_failed));
-    scheme.set("delivery_ratio", JsonValue::of(s.delivery_ratio()));
-    scheme.set("hops", summary_stats(s.hops));
-    scheme.set("length", summary_stats(s.length));
-    scheme.set("stretch_hops", summary_stats(s.stretch_hops));
-    scheme.set("latency", summary_stats(s.latency));
-    scheme.set("replans", summary_stats(s.replans));
-    scheme.set("local_minima", summary_stats(s.local_minima));
-    schemes.set(s.label, std::move(scheme));
-  }
-  root.set("schemes", std::move(schemes));
-  return root;
-}
-
-void stream_stats_to_json(JsonWriter& w, const StreamStats& stats) {
-  stream_stats_json(stats).write(w);
-}
-
-void to_json(JsonWriter& w, const IncrementalStats& stats) {
-  w.begin_object();
-  w.key("seeds").value(static_cast<std::uint64_t>(stats.seeds));
-  w.key("reevaluations").value(static_cast<std::uint64_t>(stats.reevaluations));
-  w.key("flips").value(static_cast<std::uint64_t>(stats.flips));
-  w.key("promotions").value(static_cast<std::uint64_t>(stats.promotions));
-  w.key("anchor_recomputes")
-      .value(static_cast<std::uint64_t>(stats.anchor_recomputes));
-  w.key("arena_high_water")
-      .value(static_cast<std::uint64_t>(stats.arena_high_water));
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, IncrementalStats& out) {
-  if (!v.is_object()) return false;
-  IncrementalStats stats;
-  if (!read_size(v, "seeds", stats.seeds) ||
-      !read_size(v, "reevaluations", stats.reevaluations) ||
-      !read_size(v, "flips", stats.flips) ||
-      !read_size(v, "promotions", stats.promotions) ||
-      !read_size(v, "anchor_recomputes", stats.anchor_recomputes)) {
-    return false;
-  }
-  // Absent in artifacts written before the stat existed; default 0.
-  read_size(v, "arena_high_water", stats.arena_high_water);
-  out = stats;
-  return true;
-}
-
-void to_json(JsonWriter& w, const RepinRecord& record) {
-  w.begin_object();
-  w.key("time").value(record.time);
-  w.key("moved").value(static_cast<std::uint64_t>(record.moved));
-  w.key("edges_added").value(static_cast<std::uint64_t>(record.edges_added));
-  w.key("edges_removed")
-      .value(static_cast<std::uint64_t>(record.edges_removed));
-  w.key("packets_in_flight")
-      .value(static_cast<std::uint64_t>(record.packets_in_flight));
-  w.key("packets_dropped")
-      .value(static_cast<std::uint64_t>(record.packets_dropped));
-  w.key("relabel");
-  to_json(w, record.relabel);
-  w.key("verified").value(record.verified);
-  w.key("matches_full_recompute").value(record.matches_full_recompute);
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, RepinRecord& out) {
-  if (!v.is_object()) return false;
-  RepinRecord record;
-  const JsonValue* verified = v.find("verified");
-  const JsonValue* matches = v.find("matches_full_recompute");
-  if (!read_double(v, "time", record.time) ||
-      !read_size(v, "moved", record.moved) ||
-      !read_size(v, "edges_added", record.edges_added) ||
-      !read_size(v, "edges_removed", record.edges_removed) ||
-      !read_size(v, "packets_in_flight", record.packets_in_flight) ||
-      !read_size(v, "packets_dropped", record.packets_dropped) ||
-      !from_json(v.get("relabel"), record.relabel) || verified == nullptr ||
-      !verified->is_bool() || matches == nullptr || !matches->is_bool()) {
-    return false;
-  }
-  record.verified = verified->as_bool();
-  record.matches_full_recompute = matches->as_bool();
-  out = std::move(record);
-  return true;
-}
-
-void to_json(JsonWriter& w, const WaveRecord& record) {
-  w.begin_object();
-  w.key("time").value(record.time);
-  w.key("casualties").value(static_cast<std::uint64_t>(record.casualties));
-  w.key("packets_in_flight")
-      .value(static_cast<std::uint64_t>(record.packets_in_flight));
-  w.key("packets_dropped")
-      .value(static_cast<std::uint64_t>(record.packets_dropped));
-  w.key("relabel");
-  to_json(w, record.relabel);
-  w.key("verified").value(record.verified);
-  w.key("matches_full_recompute").value(record.matches_full_recompute);
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, WaveRecord& out) {
-  if (!v.is_object()) return false;
-  WaveRecord record;
-  const JsonValue* verified = v.find("verified");
-  const JsonValue* matches = v.find("matches_full_recompute");
-  if (!read_double(v, "time", record.time) ||
-      !read_size(v, "casualties", record.casualties) ||
-      !read_size(v, "packets_in_flight", record.packets_in_flight) ||
-      !read_size(v, "packets_dropped", record.packets_dropped) ||
-      !from_json(v.get("relabel"), record.relabel) || verified == nullptr ||
-      !verified->is_bool() || matches == nullptr || !matches->is_bool()) {
-    return false;
-  }
-  record.verified = verified->as_bool();
-  record.matches_full_recompute = matches->as_bool();
-  out = std::move(record);
-  return true;
-}
-
-void to_json(JsonWriter& w, const StreamSchemeStats& stats) {
-  w.begin_object();
-  w.key("label").value(stats.label);
-  w.key("injected").value(static_cast<std::uint64_t>(stats.injected));
-  w.key("delivered").value(static_cast<std::uint64_t>(stats.delivered));
-  w.key("dead_end").value(static_cast<std::uint64_t>(stats.dead_end));
-  w.key("ttl_expired").value(static_cast<std::uint64_t>(stats.ttl_expired));
-  w.key("node_failed").value(static_cast<std::uint64_t>(stats.node_failed));
-  w.key("hops");
-  to_json(w, stats.hops);
-  w.key("length");
-  to_json(w, stats.length);
-  w.key("stretch_hops");
-  to_json(w, stats.stretch_hops);
-  w.key("latency");
-  to_json(w, stats.latency);
-  w.key("replans");
-  to_json(w, stats.replans);
-  w.key("local_minima");
-  to_json(w, stats.local_minima);
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, StreamSchemeStats& out) {
-  if (!v.is_object()) return false;
-  StreamSchemeStats stats;
-  const JsonValue* label = v.find("label");
-  if (label == nullptr || !label->is_string()) return false;
-  stats.label = label->as_string();
-  if (!read_size(v, "injected", stats.injected) ||
-      !read_size(v, "delivered", stats.delivered) ||
-      !read_size(v, "dead_end", stats.dead_end) ||
-      !read_size(v, "ttl_expired", stats.ttl_expired) ||
-      !read_size(v, "node_failed", stats.node_failed) ||
-      !read_summary(v, "hops", stats.hops) ||
-      !read_summary(v, "length", stats.length) ||
-      !read_summary(v, "stretch_hops", stats.stretch_hops) ||
-      !read_summary(v, "latency", stats.latency) ||
-      !read_summary(v, "replans", stats.replans) ||
-      !read_summary(v, "local_minima", stats.local_minima)) {
-    return false;
-  }
-  out = std::move(stats);
-  return true;
-}
-
-void to_json(JsonWriter& w, const StreamStats& stats) {
-  w.begin_object();
-  w.key("virtual_time").value(stats.virtual_time);
-  w.key("events").value(static_cast<std::uint64_t>(stats.events));
-  w.key("repins").value(static_cast<std::uint64_t>(stats.repins));
-  w.key("waves").begin_array();
-  for (const WaveRecord& record : stats.waves) to_json(w, record);
-  w.end_array();
-  w.key("repin_records").begin_array();
-  for (const RepinRecord& record : stats.repin_records) to_json(w, record);
-  w.end_array();
-  w.key("schemes").begin_array();
-  for (const StreamSchemeStats& s : stats.schemes) to_json(w, s);
-  w.end_array();
-  w.end_object();
-}
-
-bool from_json(const JsonValue& v, StreamStats& out) {
-  if (!v.is_object()) return false;
-  StreamStats stats;
-  if (!read_double(v, "virtual_time", stats.virtual_time) ||
-      !read_size(v, "events", stats.events) ||
-      !read_size(v, "repins", stats.repins)) {
-    return false;
-  }
-  const JsonValue* waves = v.find("waves");
-  const JsonValue* repins = v.find("repin_records");
-  const JsonValue* schemes = v.find("schemes");
-  if (waves == nullptr || !waves->is_array() || repins == nullptr ||
-      !repins->is_array() || schemes == nullptr || !schemes->is_array()) {
-    return false;
-  }
-  for (const JsonValue& item : waves->items()) {
-    WaveRecord record;
-    if (!from_json(item, record)) return false;
-    stats.waves.push_back(std::move(record));
-  }
-  for (const JsonValue& item : repins->items()) {
-    RepinRecord record;
-    if (!from_json(item, record)) return false;
-    stats.repin_records.push_back(std::move(record));
-  }
-  for (const JsonValue& item : schemes->items()) {
-    StreamSchemeStats s;
-    if (!from_json(item, s)) return false;
-    stats.schemes.push_back(std::move(s));
-  }
-  out = std::move(stats);
-  return true;
-}
-
-void to_json(JsonWriter& w, const SweepTimings& t) { timings_to_json(w, t); }
-
-bool from_json(const JsonValue& v, SweepTimings& out) {
-  if (!v.is_object()) return false;
-  SweepTimings t;
-  if (!read_double(v, "construction_seconds", t.construction_seconds) ||
-      !read_double(v, "pair_draw_seconds", t.pair_draw_seconds) ||
-      !read_double(v, "oracle_seconds", t.oracle_seconds) ||
-      !read_double(v, "routing_seconds", t.routing_seconds) ||
-      !read_uint(v, "oracle_bfs_searches", t.bfs_searches) ||
-      !read_uint(v, "oracle_dijkstra_searches", t.dijkstra_searches) ||
-      !read_uint(v, "pairs_requested", t.pairs_requested) ||
-      !read_uint(v, "pairs_routed", t.pairs_routed)) {
-    return false;
-  }
-  out = t;
   return true;
 }
 
@@ -543,32 +288,33 @@ SweepSlice make_slice(const SweepConfig& config, int slice_index,
   return slice;
 }
 
-void to_json(JsonWriter& w, const SweepSlice& slice) {
-  w.begin_object();
-  w.key("spr_shard").value(kShardFormatVersion);
-  w.key("model").value(slice.model_tag);
-  w.key("node_counts").begin_array();
-  for (int n : slice.node_counts) w.value(n);
-  w.end_array();
-  w.key("networks_per_point").value(slice.networks_per_point);
-  w.key("pairs_per_network").value(slice.pairs_per_network);
-  w.key("base_seed").value(slice.base_seed);
-  w.key("schemes").begin_array();
-  for (const auto& label : slice.scheme_labels) w.value(label);
-  w.end_array();
-  w.key("shard_index").value(slice.slice_index);
-  w.key("shard_count").value(slice.slice_count);
-  w.key("cells").begin_array();
-  for (const auto& cell : slice.cells) {
-    w.begin_object();
-    w.key("node_count").value(cell.node_count);
-    w.key("net_index").value(cell.net_index);
-    w.key("results");
-    to_json(w, cell.result);
-    w.end_object();
+JsonValue to_json(const SweepSlice& slice) {
+  JsonValue node_counts = JsonValue::array();
+  for (int n : slice.node_counts) node_counts.push(JsonValue::of(n));
+  JsonValue schemes = JsonValue::array();
+  for (const auto& label : slice.scheme_labels) {
+    schemes.push(JsonValue::of(label));
   }
-  w.end_array();
-  w.end_object();
+  JsonValue cells = JsonValue::array();
+  for (const auto& cell : slice.cells) {
+    JsonValue entry = JsonValue::object();
+    entry.set("node_count", JsonValue::of(cell.node_count));
+    entry.set("net_index", JsonValue::of(cell.net_index));
+    entry.set("results", to_json(cell.result));
+    cells.push(std::move(entry));
+  }
+  JsonValue v = JsonValue::object();
+  v.set("spr_shard", JsonValue::of(kShardFormatVersion));
+  v.set("model", JsonValue::of(slice.model_tag));
+  v.set("node_counts", std::move(node_counts));
+  v.set("networks_per_point", JsonValue::of(slice.networks_per_point));
+  v.set("pairs_per_network", JsonValue::of(slice.pairs_per_network));
+  v.set("base_seed", JsonValue::of(slice.base_seed));
+  v.set("schemes", std::move(schemes));
+  v.set("shard_index", JsonValue::of(slice.slice_index));
+  v.set("shard_count", JsonValue::of(slice.slice_count));
+  v.set("cells", std::move(cells));
+  return v;
 }
 
 bool from_json(const JsonValue& v, SweepSlice& out) {

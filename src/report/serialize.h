@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file serialize.h
-/// JSON round-trip for the sweep result model. Two forms coexist:
+/// JSON forms of the sweep result model, each built as a JsonValue
+/// (util/json.h). A type has one function per form:
 ///
-/// - *Stats* form (`summary_stats_to_json` / `aggregate_stats_to_json`):
-///   the compact derived-moments shape the scenario reports have always
-///   emitted (count/mean/min/max/stddev). Lossy — for human and dashboard
-///   consumption.
+/// - *Stats* form (`stats_json`): the compact derived-moments shape the
+///   scenario reports emit (count/mean/min/max/stddev). Lossy — for human
+///   and dashboard consumption.
 /// - *Full* form (`to_json` / `from_json`): retains every Summary sample,
 ///   so deserializing re-adds the samples in order and reconstructs the
 ///   accumulator bit-identically. This is what makes the sweep cell the
@@ -30,58 +30,34 @@ namespace spr {
 
 // ------------------------------------------------------------ stats form
 /// {count, mean, min, max, stddev} — the report shape.
-void summary_stats_to_json(JsonWriter& w, const Summary& s);
-JsonValue summary_stats(const Summary& s);
+JsonValue stats_json(const Summary& s);
 /// The per-aggregate report shape (delivery ratio + stats summaries).
-void aggregate_stats_to_json(JsonWriter& w, const RouteAggregate& agg);
+JsonValue stats_json(const RouteAggregate& agg);
 /// One sweep section in the report shape (the "models" array element).
-void sweep_section_to_json(JsonWriter& w, const SweepSection& section);
-void timings_to_json(JsonWriter& w, const SweepTimings& t);
+JsonValue stats_json(const SweepSection& section);
+/// One StreamSim run (the stream-grid scenarios' per-stream shape):
+/// per-scheme delivery/hops/stretch/latency summaries plus the per-wave
+/// and per-re-pin incremental-relabeling records.
+JsonValue stats_json(const StreamStats& stats);
+
+/// The cost breakdown; every field is exact, so it has one form.
+JsonValue to_json(const SweepTimings& t);
 
 // ------------------------------------------------------------- full form
 /// {"values": [...]} — everything needed to rebuild the accumulator.
-void to_json(JsonWriter& w, const Summary& s);
+JsonValue to_json(const Summary& s);
 bool from_json(const JsonValue& v, Summary& out);
 
-void to_json(JsonWriter& w, const RouteAggregate& agg);
+JsonValue to_json(const RouteAggregate& agg);
 bool from_json(const JsonValue& v, RouteAggregate& out);
 
 /// {"nodes": n, "schemes": {label: aggregate...}}
-void to_json(JsonWriter& w, const SweepPoint& point);
+JsonValue to_json(const SweepPoint& point);
 bool from_json(const JsonValue& v, SweepPoint& out);
 
 /// {label: aggregate...}
-void to_json(JsonWriter& w, const CellResult& cell);
+JsonValue to_json(const CellResult& cell);
 bool from_json(const JsonValue& v, CellResult& out);
-
-void to_json(JsonWriter& w, const SweepTimings& t);
-bool from_json(const JsonValue& v, SweepTimings& out);
-
-// --------------------------------------------------------- stream results
-/// Stats form of one StreamSim run (the streaming-delivery scenario's
-/// report shape): per-scheme delivery/hops/stretch/latency summaries plus
-/// the per-wave incremental-relabeling records. The JsonValue form is the
-/// same document as a DOM — what report params and the example exports
-/// embed directly.
-JsonValue stream_stats_json(const StreamStats& stats);
-void stream_stats_to_json(JsonWriter& w, const StreamStats& stats);
-
-/// Full (sample-retaining) forms: a deserialized StreamStats reconstructs
-/// every Summary accumulator bit-identically, like the sweep cell forms.
-void to_json(JsonWriter& w, const IncrementalStats& stats);
-bool from_json(const JsonValue& v, IncrementalStats& out);
-
-void to_json(JsonWriter& w, const WaveRecord& record);
-bool from_json(const JsonValue& v, WaveRecord& out);
-
-void to_json(JsonWriter& w, const RepinRecord& record);
-bool from_json(const JsonValue& v, RepinRecord& out);
-
-void to_json(JsonWriter& w, const StreamSchemeStats& stats);
-bool from_json(const JsonValue& v, StreamSchemeStats& out);
-
-void to_json(JsonWriter& w, const StreamStats& stats);
-bool from_json(const JsonValue& v, StreamStats& out);
 
 // ------------------------------------------------------------ slice files
 /// A serialized sweep *slice*: the sweep's identity (enough to check that
@@ -105,7 +81,7 @@ struct SweepSlice {
 SweepSlice make_slice(const SweepConfig& config, int slice_index,
                       int slice_count, std::vector<SliceCell> cells);
 
-void to_json(JsonWriter& w, const SweepSlice& slice);
+JsonValue to_json(const SweepSlice& slice);
 bool from_json(const JsonValue& v, SweepSlice& out);
 
 /// Merges slice files into sweep points. Validates that every slice

@@ -52,8 +52,10 @@ class ConsoleSink final : public ReportSink {
   std::FILE* out_;
 };
 
-/// Writes the machine-readable JSON report (scenario, params, timings,
-/// sweep sections under "models", notes).
+/// Writes the machine-readable JSON report: one JsonValue document of the
+/// scenario name, the params in order (a repeated key keeps its first
+/// position and its last value), the sweep sections under "models", and
+/// the notes.
 class JsonSink final : public ReportSink {
  public:
   explicit JsonSink(std::string path) : path_(std::move(path)) {}

@@ -10,39 +10,37 @@
 namespace spr {
 namespace {
 
-TEST(JsonWriter, NestedContainersAndEscaping) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("name").value("line\nbreak \"quoted\"");
-  w.key("count").value(3);
-  w.key("ratio").value(0.5);
-  w.key("ok").value(true);
-  w.key("missing").null();
-  w.key("list").begin_array();
-  w.value(1).value(2);
-  w.begin_object().key("x").value(7).end_object();
-  w.end_array();
-  w.end_object();
-  EXPECT_EQ(w.str(),
+TEST(JsonValue, DumpNestsContainersAndEscapes) {
+  JsonValue list = JsonValue::array();
+  list.push(JsonValue::of(1)).push(JsonValue::of(2));
+  list.push(JsonValue::object().set("x", JsonValue::of(7)));
+  JsonValue doc = JsonValue::object();
+  doc.set("name", JsonValue::of("line\nbreak \"quoted\""));
+  doc.set("count", JsonValue::of(3));
+  doc.set("ratio", JsonValue::of(0.5));
+  doc.set("ok", JsonValue::of(true));
+  doc.set("missing", JsonValue());
+  doc.set("list", std::move(list));
+  EXPECT_EQ(doc.dump(),
             "{\"name\":\"line\\nbreak \\\"quoted\\\"\",\"count\":3,"
             "\"ratio\":0.5,\"ok\":true,\"missing\":null,"
             "\"list\":[1,2,{\"x\":7}]}");
 }
 
-TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
-  JsonWriter w;
-  w.begin_array();
-  w.value(std::numeric_limits<double>::infinity());
-  w.value(std::numeric_limits<double>::quiet_NaN());
-  w.end_array();
-  EXPECT_EQ(w.str(), "[null,null]");
+TEST(JsonValue, DumpWritesNonFiniteNumbersAsNull) {
+  JsonValue list = JsonValue::array();
+  list.push(JsonValue::of(std::numeric_limits<double>::infinity()));
+  list.push(JsonValue::of(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(list.dump(), "[null,null]");
 }
 
 TEST(ScenarioSuite, BuiltinRegistersTheNamedScenarios) {
   const auto& suite = ScenarioSuite::builtin();
   for (const char* name :
        {"fig5-max-hops", "fig6-avg-hops", "fig7-path-length", "ablation",
-        "hole-field", "failure-dynamics", "mobile-stream", "sweep-scaling"}) {
+        "delivery", "stretch", "construction-cost", "hole-field",
+        "failure-dynamics", "mobile-stream", "streaming-delivery",
+        "mobility-rate", "sweep-scaling"}) {
     EXPECT_NE(suite.find(name), nullptr) << name;
   }
   EXPECT_EQ(suite.find("no-such-scenario"), nullptr);

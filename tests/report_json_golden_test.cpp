@@ -111,7 +111,7 @@ TEST(JsonGolden, HandBuiltReportCoversEverySection) {
   timings.dijkstra_searches = 13;
   timings.pairs_requested = 20;
   timings.pairs_routed = 19;
-  report.add_timings("timings", timings);
+  report.param("timings", to_json(timings));
 
   SweepSection section;
   section.model = DeployModel::kForbiddenAreas;
@@ -182,9 +182,7 @@ TEST(JsonGolden, SweepSliceFile) {
   config.threads = 1;
   config.schemes = SweepConfig::paper_schemes();
   SweepSlice slice = make_slice(config, 0, 1, run_sweep_slice(config, 0, 1));
-  JsonWriter w;
-  to_json(w, slice);
-  expect_golden(w.str(), {0xc6ad1f5a5f72ef74ULL, 2980}, "slice");
+  expect_golden(to_json(slice).dump(), {0xc6ad1f5a5f72ef74ULL, 2980}, "slice");
 }
 
 }  // namespace

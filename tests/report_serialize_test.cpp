@@ -1,6 +1,6 @@
 /// \file report_serialize_test.cpp
 /// Exact JSON round-trip of the sweep result model (Summary,
-/// RouteAggregate, SweepPoint, CellResult, SweepTimings, shard files) and
+/// RouteAggregate, SweepPoint, CellResult, shard files) and
 /// the acceptance check behind distributed sweeps: merging N single-cell
 /// shard JSONs reproduces the in-process run_sweep aggregates
 /// bit-identically.
@@ -21,13 +21,12 @@ namespace {
 /// Serializes with to_json, parses the text, deserializes with from_json.
 template <typename T>
 T round_trip(const T& value) {
-  JsonWriter w;
-  to_json(w, value);
+  const std::string text = to_json(value).dump();
   JsonValue parsed;
   std::string error;
-  EXPECT_TRUE(JsonValue::parse(w.str(), parsed, &error)) << error;
+  EXPECT_TRUE(JsonValue::parse(text, parsed, &error)) << error;
   T out;
-  EXPECT_TRUE(from_json(parsed, out)) << w.str();
+  EXPECT_TRUE(from_json(parsed, out)) << text;
   return out;
 }
 
@@ -136,23 +135,6 @@ TEST(Serialize, CellResultAndSweepPointRoundTrip) {
                               point_copy.by_scheme.at("GF"));
 }
 
-TEST(Serialize, SweepTimingsRoundTrip) {
-  SweepTimings t;
-  t.construction_seconds = 1.25;
-  t.pair_draw_seconds = 0.5;
-  t.oracle_seconds = 2.0 / 3.0;
-  t.routing_seconds = 0.125;
-  t.bfs_searches = 123;
-  t.dijkstra_searches = 456;
-  t.pairs_requested = 1000;
-  t.pairs_routed = 990;
-  SweepTimings copy = round_trip(t);
-  EXPECT_EQ(copy.construction_seconds, t.construction_seconds);
-  EXPECT_EQ(copy.oracle_seconds, t.oracle_seconds);
-  EXPECT_EQ(copy.bfs_searches, t.bfs_searches);
-  EXPECT_EQ(copy.pairs_routed, t.pairs_routed);
-}
-
 SweepConfig small_sweep_config() {
   SweepConfig config;
   config.node_counts = {400, 500};
@@ -177,11 +159,10 @@ TEST(Shards, SingleCellShardsMergeBitIdenticallyToRunSweep) {
     auto cells = run_sweep_slice(config, i, total_cells);
     ASSERT_EQ(cells.size(), 1u) << i;
     SweepSlice shard = make_slice(config, i, total_cells, std::move(cells));
-    JsonWriter w;
-    to_json(w, shard);
     JsonValue parsed;
     std::string error;
-    ASSERT_TRUE(JsonValue::parse(w.str(), parsed, &error)) << error;
+    ASSERT_TRUE(JsonValue::parse(to_json(shard).dump(), parsed, &error))
+        << error;
     SweepSlice decoded;
     ASSERT_TRUE(from_json(parsed, decoded));
     shards.push_back(std::move(decoded));
@@ -255,14 +236,21 @@ TEST(Shards, MergeRejectsBadInput) {
 TEST(Serialize, IntegerFieldsRejectFractionalNumbers) {
   // A corrupted shard with "net_index": 1.7 must not silently truncate
   // into a different cell coordinate.
-  SweepTimings t;
+  SweepConfig config = small_sweep_config();
+  const std::string text =
+      to_json(make_slice(config, 0, 1, run_sweep_slice(config, 0, 1))).dump();
+  SweepSlice shard;
   JsonValue v;
-  ASSERT_TRUE(JsonValue::parse(
-      R"({"construction_seconds":0,"pair_draw_seconds":0,)"
-      R"("oracle_seconds":0,"routing_seconds":0,"oracle_bfs_searches":1.5,)"
-      R"("oracle_dijkstra_searches":1,"pairs_requested":1,"pairs_routed":1})",
-      v));
-  EXPECT_FALSE(from_json(v, t));
+  ASSERT_TRUE(JsonValue::parse(text, v));
+  ASSERT_TRUE(from_json(v, shard));  // the intact file loads
+  const std::string intact = "\"net_index\":1,";
+  std::size_t at = text.find(intact);
+  ASSERT_NE(at, std::string::npos);
+  std::string corrupted = text;
+  corrupted.replace(at, intact.size(), "\"net_index\":1.7,");
+  ASSERT_TRUE(JsonValue::parse(corrupted, v));
+  EXPECT_FALSE(from_json(v, shard));
+
   SweepPoint point;
   ASSERT_TRUE(JsonValue::parse(R"({"nodes":400.5,"schemes":{}})", v));
   EXPECT_FALSE(from_json(v, point));

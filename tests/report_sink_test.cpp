@@ -37,9 +37,8 @@ ScenarioOptions tiny_options() {
 }
 
 TEST(JsonSinkTest, EveryBuiltinScenarioReportParses) {
-  for (const char* name :
-       {"fig5-max-hops", "fig6-avg-hops", "fig7-path-length", "ablation",
-        "hole-field", "failure-dynamics", "mobile-stream", "sweep-scaling"}) {
+  for (const Scenario& scenario : ScenarioSuite::builtin().scenarios()) {
+    const char* name = scenario.name.c_str();
     ScenarioReport report = build_report(name, tiny_options());
     std::string document = JsonSink::render(report);
     JsonValue parsed;

@@ -13,6 +13,7 @@
 #include "report/serialize.h"
 #include "report/sink.h"
 #include "support/per_hop_stream.h"
+#include "support/stream_json.h"
 #include "test_helpers.h"
 
 namespace spr {
@@ -34,12 +35,6 @@ std::pair<NodeId, NodeId> far_pair(const Network& net, std::uint64_t seed) {
     }
   }
   return {s, d};
-}
-
-std::string stream_json(const StreamStats& stats) {
-  JsonWriter w;
-  to_json(w, stats);
-  return w.str();
 }
 
 /// With no world events, the stream is the atomic route repeated: per
@@ -150,7 +145,7 @@ TEST(StreamSim, RunIsAPureFunctionOfItsInputs) {
     config.mobility_interval = 6.0;  // exercise the re-pin path too
     config.mobility_dt = 15.0;
     StreamSim sim(std::move(net), config);
-    return stream_json(sim.run());
+    return test::stream_full_json(sim.run());
   };
   std::string first = run_once();
   std::string second = run_once();
@@ -345,36 +340,6 @@ TEST(StreamSim, MobilityRepinsRebuildTheSnapshot) {
   }
 }
 
-/// Full-form StreamStats JSON round-trips bit-identically (samples and
-/// all), like the sweep cell forms.
-TEST(StreamSim, StreamStatsJsonRoundTrip) {
-  Network net = test::random_network(500, 8, DeployModel::kForbiddenAreas);
-  auto [s, d] = far_pair(net, 0x8);
-  ASSERT_NE(s, kInvalidNode);
-  StreamConfig config;
-  config.pairs.emplace_back(s, d);
-  config.packets = 6;
-  StreamWave wave;
-  wave.time = 2.0;
-  for (NodeId u = 0; u < 40; ++u) {
-    if (u != s && u != d) wave.casualties.push_back(u);
-  }
-  config.waves.push_back(std::move(wave));
-  config.verify_relabeling = true;
-  config.mobility_interval = 2.5;  // repin_records round-trip too
-  config.mobility_dt = 8.0;
-  StreamSim sim(std::move(net), config);
-  StreamStats stats = sim.run();
-  ASSERT_GT(stats.repin_records.size(), 0u);
-
-  std::string text = stream_json(stats);
-  JsonValue parsed;
-  ASSERT_TRUE(JsonValue::parse(text, parsed));
-  StreamStats decoded;
-  ASSERT_TRUE(from_json(parsed, decoded));
-  EXPECT_EQ(stream_json(decoded), text);
-}
-
 /// The acceptance contract of the flight-record engine: everything in
 /// StreamStats except `events` is byte-identical to the per-hop reference
 /// (tests/support/per_hop_stream.h) — across seeds, failure waves, mobility re-pins, their
@@ -418,7 +383,7 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
                   : StreamSim(std::move(net), config).run();
       *events = stats.events;
       stats.events = 0;  // the one field the engines legitimately differ on
-      return stream_json(stats);
+      return test::stream_full_json(stats);
     };
     std::size_t ref_events = 0;
     std::size_t tick_events = 0;
@@ -481,9 +446,9 @@ TEST(StreamSim, PooledEpochOracleMatchesPerHopReferenceOverManyPairs) {
       return stats;
     };
     StreamStats ref = run(true, 1);
-    std::string serial = stream_json(run(false, 1));
-    std::string pooled = stream_json(run(false, 4));
-    EXPECT_EQ(serial, stream_json(ref)) << "seed " << seed;
+    std::string serial = test::stream_full_json(run(false, 1));
+    std::string pooled = test::stream_full_json(run(false, 4));
+    EXPECT_EQ(serial, test::stream_full_json(ref)) << "seed " << seed;
     EXPECT_EQ(pooled, serial) << "seed " << seed
                               << ": thread count changed the report";
     // The oracle was live: delivered copies were measured against it.

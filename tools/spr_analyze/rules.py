@@ -502,8 +502,7 @@ def _source_in(text: str) -> str | None:
 
 
 def _sink_names(registry: Registry) -> set[str]:
-    names = {"param", "note", "textf", "add_table", "add_timings",
-             "add_sweep", "to_json"}
+    names = {"param", "note", "textf", "add_table", "add_sweep", "to_json"}
     for fn in registry.functions:
         if _SINK_FILE_RE.search(fn.file):
             names.add(fn.name)

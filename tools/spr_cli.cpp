@@ -35,6 +35,7 @@
 #include "graph/graph_algos.h"
 #include "graph/metrics.h"
 #include "report/serialize.h"
+#include "report/sink.h"
 #include "safety/distributed.h"
 #include "stats/table.h"
 #include "util/flags.h"
@@ -64,6 +65,33 @@ bool count_at_least(const char* flag, int value, int least) {
   if (value >= least) return true;
   std::fprintf(stderr, "bad value '%d' for flag --%s: need >= %d\n", value,
                flag, least);
+  return false;
+}
+
+/// The most sweep / scenario worker threads a run may ask for. A pool
+/// starts its threads up front, so an unbounded --threads would ask the
+/// OS for that many before any work is done.
+constexpr int kMaxThreads = 256;
+
+/// Rejects a --threads value outside [0, kMaxThreads] (0 = hardware),
+/// naming the flag on stderr like the parser's own usage errors.
+bool threads_in_range(int threads) {
+  if (threads >= 0 && threads <= kMaxThreads) return true;
+  std::fprintf(stderr,
+               "bad value '%d' for flag --threads: need 0 (hardware) to %d\n",
+               threads, kMaxThreads);
+  return false;
+}
+
+/// Parses a positional node id as one full token in NodeId range; names
+/// the argument on stderr when it is not one.
+bool parse_node_id(const std::string& token, const char* argument,
+                   NodeId& out) {
+  auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), out);
+  if (ec == std::errc() && ptr == token.data() + token.size()) return true;
+  std::fprintf(stderr, "bad value '%s' for argument <%s>: need a node id\n",
+               token.c_str(), argument);
   return false;
 }
 
@@ -171,11 +199,14 @@ int cmd_route(int argc, const char* const* argv) {
   FlagSet flags("spr_cli route <s> <d>: route one pair with every scheme");
   add_common(flags, args);
   if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
+  const bool given = flags.positional().size() >= 2;
+  NodeId s = kInvalidNode, d = kInvalidNode;
+  if (given && (!parse_node_id(flags.positional()[0], "s", s) ||
+                !parse_node_id(flags.positional()[1], "d", d))) {
+    return 1;
+  }
   Network net = build_network(args);
-  NodeId s, d;
-  if (flags.positional().size() >= 2) {
-    s = static_cast<NodeId>(std::stoul(flags.positional()[0]));
-    d = static_cast<NodeId>(std::stoul(flags.positional()[1]));
+  if (given) {
     if (s >= net.graph().size() || d >= net.graph().size()) {
       std::fprintf(stderr, "node ids out of range (network has %zu nodes)\n",
                    net.graph().size());
@@ -261,7 +292,7 @@ int cmd_sweep(int argc, const char* const* argv) {
                    "write the per-cell aggregates as a slice JSON here");
   if (!flags.parse(argc, argv) || !validate_common(args) ||
       !count_at_least("networks", networks, 1) ||
-      !count_at_least("pairs", pairs, 1)) {
+      !count_at_least("pairs", pairs, 1) || !threads_in_range(threads)) {
     return 1;
   }
   int slice_index = 0, slice_count = 1;
@@ -293,9 +324,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   std::size_t cell_count = cells.size();
   SweepSlice slice = make_slice(config, slice_index, slice_count,
                                 std::move(cells));
-  JsonWriter w;
-  to_json(w, slice);
-  if (!w.write_file(json_path)) {
+  if (!to_json(slice).write_file(json_path)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
@@ -370,6 +399,12 @@ int cmd_merge(int argc, const char* const* argv) {
   std::fputs(table.render().c_str(), stdout);
 
   if (!json_path.empty()) {
+    // The merged sweep as a report: {"scenario":"merge","shards":N,
+    // "models":[section]}, rendered by the same sink as every scenario.
+    ScenarioReport report;
+    report.scenario = "merge";
+    report.param("shards", JsonValue::of(static_cast<std::uint64_t>(
+                               flags.positional().size())));
     SweepSection section;
     if (!deploy_model_from_tag(model_tag, section.model)) {
       section.model = DeployModel::kIdeal;
@@ -377,17 +412,9 @@ int cmd_merge(int argc, const char* const* argv) {
     section.networks_per_point = networks_per_point;
     section.pairs_per_network = pairs_per_network;
     section.base_seed = base_seed;
-    section.points = points;
-    JsonWriter w;
-    w.begin_object();
-    w.key("scenario").value("merge");
-    w.key("shards").value(
-        static_cast<std::uint64_t>(flags.positional().size()));
-    w.key("models").begin_array();
-    sweep_section_to_json(w, section);
-    w.end_array();
-    w.end_object();
-    if (!w.write_file(json_path)) {
+    section.points = std::move(points);
+    report.sweeps.push_back(std::move(section));
+    if (!JsonSink(json_path).emit(report)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
@@ -437,7 +464,7 @@ int cmd_scenario(int argc, const char* const* argv) {
   flags.add_string("svg", &svg_path, "also write an SVG sweep plot here");
   // 0 keeps meaning "the scenario's default size".
   if (!flags.parse(argc, argv) || !count_at_least("networks", networks, 0) ||
-      !count_at_least("pairs", pairs, 0)) {
+      !count_at_least("pairs", pairs, 0) || !threads_in_range(threads)) {
     return 1;
   }
 
