@@ -269,16 +269,18 @@ void BM_DistributedSafety(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedSafety)->Arg(400)->Arg(800);
 
+/// GF's BOUNDHOLE precomputation (stuck detection plus every boundary walk)
+/// on scaled FA fields; the 10^4 arm shows how the orphan walks scale.
 void BM_BoundHole(benchmark::State& state) {
-  Deployment dep = make_deployment(static_cast<int>(state.range(0)),
-                                   DeployModel::kForbiddenAreas);
+  Deployment dep = make_scaled_deployment(static_cast<int>(state.range(0)),
+                                          DeployModel::kForbiddenAreas);
   UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
   for (auto _ : state) {
     BoundHoleInfo info(g);
     benchmark::DoNotOptimize(info.stuck_count());
   }
 }
-BENCHMARK(BM_BoundHole)->Arg(400)->Arg(800);
+BENCHMARK(BM_BoundHole)->Arg(400)->Arg(800)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void route_scheme_bench(benchmark::State& state, Scheme scheme) {
   NetworkConfig config;

@@ -8,8 +8,11 @@
 # --threads outside [0, 256] is rejected before any worker pool starts
 # (0 means hardware), and `route <s> <d>` ids must be whole tokens in node
 # id range: a non-number, or one past 32 bits, names the argument instead
-# of aborting or wrapping to another node. A tiny finite range
-# (--range=1e-300) is valid.
+# of aborting or wrapping to another node; a lone `route <s>` names the
+# missing <d> instead of routing a random pair, and a third id is named
+# instead of being ignored. A given pair with no path between them still
+# routes (exit 0) but says so instead of printing a 0-hop optimum. A tiny
+# finite range (--range=1e-300) is valid.
 #
 # Invoked as:
 #   cmake -DSPR_CLI=<path-to-spr_cli> -P cli_args_gate.cmake
@@ -35,7 +38,9 @@ set(cases
     "scenario|--threads|failure-dynamics --networks=1 --threads=100000"
     "route|abc|abc 3"
     "route|99999999999999999999|99999999999999999999 3"
-    "route|4294967296|5 4294967296")
+    "route|4294967296|5 4294967296"
+    "route|<d>|5"
+    "route|'9'|5 7 9")
 
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" parts "${case}")
@@ -72,5 +77,22 @@ foreach(args IN ITEMS "label;--nodes=50;--range=20"
     OUTPUT_QUIET)
   if(NOT ok_result EQUAL 0)
     message(FATAL_ERROR "spr_cli ${args} failed (exit ${ok_result})")
+  endif()
+endforeach()
+
+# Nodes 5 and 7 of the default-seed 100-node network are disconnected: the
+# oracle line must say there is no path, and the routers still run.
+execute_process(
+  COMMAND "${SPR_CLI}" route 5 7 --nodes 100
+  RESULT_VARIABLE route_result
+  OUTPUT_VARIABLE route_stdout)
+if(NOT route_result EQUAL 0)
+  message(FATAL_ERROR "spr_cli route 5 7 --nodes 100 failed (exit ${route_result})")
+endif()
+foreach(needle IN ITEMS "optimal: no path" "SLGF2")
+  string(FIND "${route_stdout}" "${needle}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "spr_cli route 5 7 --nodes 100: stdout lacks "
+                        "'${needle}': ${route_stdout}")
   endif()
 endforeach()

@@ -33,9 +33,12 @@ struct DeploymentConfig {
 
   // FA-model knobs. The paper leaves the forbidden-area geometry
   // unspecified ("randomly set some forbidden areas ... to study the impact
-  // of larger holes"); these defaults are calibrated so that the holes are
-  // large enough to be routed around rather than absorbed by density —
-  // see DESIGN.md and EXPERIMENTS.md.
+  // of larger holes"), so these defaults are a documented substitution:
+  // 3-5 areas, each drawn within a 45-90 m extent (up to 4.5 radio ranges)
+  // in the 200 m field and kept 20 m (one range) inside its edge. Holes
+  // that size are wider than a hop, so routes must go around them rather
+  // than have density close them, while the populated rim keeps the
+  // network edge connected.
   int min_forbidden_areas = 3;
   int max_forbidden_areas = 5;
   double min_forbidden_extent = 45.0;  ///< meters, per axis / radius

@@ -10,6 +10,11 @@ double bearing(Vec2 v) noexcept { return normalize_angle(std::atan2(v.y, v.x)); 
 double bearing(Vec2 from, Vec2 to) noexcept { return bearing(to - from); }
 
 double normalize_angle(double radians) noexcept {
+  // fmod is exact and returns its argument unchanged when |x| < 2*pi, so
+  // the common in-range case skips the call with bit-identical results.
+  if (radians > -kTwoPi && radians < kTwoPi) {
+    return radians < 0.0 ? radians + kTwoPi : radians;
+  }
   double a = std::fmod(radians, kTwoPi);
   if (a < 0.0) a += kTwoPi;
   return a;

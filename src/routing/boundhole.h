@@ -8,12 +8,24 @@
 /// local minimum by walking the hole boundary instead of blind perimeter
 /// probing.
 ///
-/// Implementation notes (documented substitution, see DESIGN.md): we keep
-/// the TENT rule exact (perpendicular-bisector intersection inside the
-/// radio disc) and build each boundary with the right-hand sweep on the
-/// full unit-disk graph, omitting the original's crossing-edge "untie"
-/// refinement; boundaries that fail to close within a step cap are
-/// discarded (their stuck nodes then fall back to face routing).
+/// Implementation notes (a documented substitution): the TENT rule is kept
+/// exact (perpendicular-bisector intersection inside the radio disc), and
+/// each boundary is built with the right-hand sweep on the full unit-disk
+/// graph, omitting the original's crossing-edge "untie" refinement.
+/// Boundaries that fail to close within 2n steps are discarded, and their
+/// stuck nodes then fall back to face routing.
+///
+/// Cost. The constructor builds one rotation table over the CSR, local to
+/// the call: per dart (directed edge u->v) its bearing, one atan2 each; its
+/// reverse dart (u's slot in v's row); and its boundary successor, memoized
+/// on first use. The TENT test and the walk's aim read the row bearings
+/// from the table, and a boundary step is one table lookup once its dart
+/// has been visited. Building the table is O(E log deg); the walks are
+/// still O(orphans * n) steps in the worst case (an orphan is a stuck node
+/// of degree >= 2 on no kept boundary; its walk can run to the 2n cap), but
+/// each step after the first visit of its dart is O(1) instead of one
+/// atan2 per neighbor. The table takes 16 bytes per dart and is freed when
+/// the constructor returns.
 
 #include <vector>
 
@@ -35,9 +47,9 @@ bool tent_rule_stuck(const UnitDiskGraph& g, NodeId u);
 /// Precomputed boundary information for a network.
 class BoundHoleInfo {
  public:
-  /// Detects stuck nodes and builds boundaries. `max_cycle_factor` caps a
-  /// boundary walk at max_cycle_factor * n steps before discarding it.
-  explicit BoundHoleInfo(const UnitDiskGraph& g, std::size_t max_cycle_factor = 2);
+  /// Detects stuck nodes and builds boundaries. A boundary walk is
+  /// discarded after 2n steps.
+  explicit BoundHoleInfo(const UnitDiskGraph& g);
 
   bool is_stuck(NodeId u) const noexcept { return stuck_[u]; }
   std::size_t stuck_count() const noexcept;

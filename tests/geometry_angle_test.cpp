@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace spr {
@@ -24,6 +28,32 @@ TEST(Angle, NormalizeIntoRange) {
   EXPECT_NEAR(normalize_angle(-0.5), kTwoPi - 0.5, 1e-12);
   EXPECT_NEAR(normalize_angle(0.0), 0.0, 1e-12);
   EXPECT_NEAR(normalize_angle(-kTwoPi), 0.0, 1e-12);
+}
+
+TEST(Angle, NormalizeMatchesFmodReference) {
+  // The fmod form normalize_angle had before its in-range fast path.
+  auto reference = [](double radians) {
+    double a = std::fmod(radians, kTwoPi);
+    if (a < 0.0) a += kTwoPi;
+    return a;
+  };
+  using limits = std::numeric_limits<double>;
+  const double below = std::nextafter(kTwoPi, 0.0);
+  const double above = std::nextafter(kTwoPi, 4.0 * kTwoPi);
+  std::vector<double> inputs;
+  for (double x : {0.0, limits::denorm_min(), below, kTwoPi, above, 3.0 * kPi,
+                   1e300, limits::infinity(), 0.5, kPi}) {
+    inputs.push_back(x);
+    inputs.push_back(-x);
+  }
+  for (double x : inputs) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(normalize_angle(x)),
+              std::bit_cast<std::uint64_t>(reference(x)))
+        << "x = " << x;
+  }
+  EXPECT_TRUE(std::isnan(normalize_angle(limits::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(reference(limits::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(normalize_angle(limits::infinity())));
 }
 
 TEST(Angle, CcwDelta) {

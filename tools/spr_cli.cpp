@@ -199,7 +199,17 @@ int cmd_route(int argc, const char* const* argv) {
   FlagSet flags("spr_cli route <s> <d>: route one pair with every scheme");
   add_common(flags, args);
   if (!flags.parse(argc, argv) || !validate_common(args)) return 1;
-  const bool given = flags.positional().size() >= 2;
+  const std::size_t ids = flags.positional().size();
+  if (ids == 1) {
+    std::fprintf(stderr, "missing argument <d>: give both <s> <d>, or neither\n");
+    return 1;
+  }
+  if (ids > 2) {
+    std::fprintf(stderr, "unexpected argument '%s': give <s> <d>, or neither\n",
+                 flags.positional()[2].c_str());
+    return 1;
+  }
+  const bool given = ids == 2;
   NodeId s = kInvalidNode, d = kInvalidNode;
   if (given && (!parse_node_id(flags.positional()[0], "s", s) ||
                 !parse_node_id(flags.positional()[1], "d", d))) {
@@ -222,7 +232,11 @@ int cmd_route(int argc, const char* const* argv) {
     std::printf("(no pair given; picked %u -> %u)\n", s, d);
   }
   auto oracle = bfs_path(net.graph(), s, d);
-  std::printf("optimal: %zu hops, %.1fm\n", oracle.hops(), oracle.length);
+  if (oracle.path.empty()) {
+    std::printf("optimal: no path (%u and %u are disconnected)\n", s, d);
+  } else {
+    std::printf("optimal: %zu hops, %.1fm\n", oracle.hops(), oracle.length);
+  }
   for (Scheme scheme : {Scheme::kGf, Scheme::kGfFace, Scheme::kLgf,
                         Scheme::kSlgf, Scheme::kSlgf2}) {
     auto router = net.make_router(scheme);
