@@ -68,7 +68,7 @@ void BM_GabrielOverlay(benchmark::State& state) {
                                    DeployModel::kIdeal);
   UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
   for (auto _ : state) {
-    PlanarOverlay overlay(g, PlanarOverlay::Kind::kGabriel);
+    PlanarOverlay overlay(g);
     benchmark::DoNotOptimize(overlay.edge_count());
   }
 }
@@ -390,7 +390,7 @@ void BM_MobilityRepin(benchmark::State& state) {
     } else {
       Deployment moved = net.deployment();
       moved.positions = model.positions();
-      Network rebuilt(std::move(moved), net.edge_band());
+      Network rebuilt(std::move(moved));
       rebuilt.force(Network::kNeedsSafety);
       net = std::move(rebuilt);
     }
@@ -424,7 +424,7 @@ void BM_LocalMotionRepin(benchmark::State& state) {
     } else {
       Deployment d = net.deployment();
       d.positions = std::move(moved);
-      Network rebuilt(std::move(d), net.edge_band());
+      Network rebuilt(std::move(d));
       rebuilt.force(Network::kNeedsSafety);
       net = std::move(rebuilt);
     }

@@ -11,7 +11,8 @@
 # of aborting or wrapping to another node; a lone `route <s>` names the
 # missing <d> instead of routing a random pair, and a third id is named
 # instead of being ignored. A given pair with no path between them still
-# routes (exit 0) but says so instead of printing a 0-hop optimum. A tiny
+# routes (exit 0) but says so instead of printing a 0-hop optimum, and GF
+# stops at a dead end there instead of expiring its TTL. A tiny
 # finite range (--range=1e-300) is valid.
 #
 # Invoked as:
@@ -94,5 +95,16 @@ foreach(needle IN ITEMS "optimal: no path" "SLGF2")
   if(at EQUAL -1)
     message(FATAL_ERROR "spr_cli route 5 7 --nodes 100: stdout lacks "
                         "'${needle}': ${route_stdout}")
+  endif()
+endforeach()
+
+# GF's face walk stops once it has toured a whole face without progress
+# (GPSR's first-edge test): on this disconnected pair both GF variants end
+# at `dead-end` instead of burning the whole 8n TTL.
+foreach(scheme IN ITEMS "GF" "GF/face")
+  string(REGEX MATCH "\n${scheme} +[^\n]*" line "${route_stdout}")
+  if(line STREQUAL "" OR NOT line MATCHES "dead-end" OR line MATCHES "ttl-expired")
+    message(FATAL_ERROR "spr_cli route 5 7 --nodes 100: the ${scheme} line "
+                        "must end at dead-end, not ttl-expired: ${route_stdout}")
   endif()
 endforeach()

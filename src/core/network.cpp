@@ -32,25 +32,23 @@ unsigned Network::needs_for(Scheme scheme) noexcept {
 Network Network::create(const NetworkConfig& config) {
   Rng rng(config.seed);
   Deployment d = deploy(config.deployment, rng);
-  return Network(std::move(d), config.edge_band, config.build_pool);
+  return Network(std::move(d), config.build_pool);
 }
 
-Network::Network(Deployment deployment, double edge_band, TaskPool* build_pool)
+Network::Network(Deployment deployment, TaskPool* build_pool)
     : deployment_(std::move(deployment)),
       build_pool_(build_pool),
       lazy_(std::make_unique<LazyState>()) {
-  band_ = edge_band < 0.0 ? deployment_.radio_range : edge_band;
   graph_ = std::make_unique<UnitDiskGraph>(deployment_.positions,
                                            deployment_.radio_range,
                                            deployment_.field, build_pool_);
-  interest_area_ = std::make_unique<InterestArea>(*graph_, band_);
+  interest_area_ = std::make_unique<InterestArea>(*graph_, edge_band());
 }
 
 Network::Network(DerivedTag, const Network& base, UnitDiskGraph graph,
                  InterestArea area)
     : deployment_(base.deployment_),
       build_pool_(base.build_pool_),
-      band_(base.band_),
       lazy_(std::make_unique<LazyState>()) {
   graph_ = std::make_unique<UnitDiskGraph>(std::move(graph));
   // Moved siblings carry new coordinates; keep the deployment in sync (a
@@ -87,7 +85,7 @@ Network Network::with_failures(const std::vector<NodeId>& failed,
 Network Network::with_moves(const std::vector<Vec2>& positions,
                             IncrementalStats* stats, EdgeDiff* diff) const {
   UnitDiskGraph graph = graph_->with_moves(positions, diff, build_pool_);
-  InterestArea area(graph, band_);  // the hull moves with the nodes
+  InterestArea area(graph, edge_band());  // the hull moves with the nodes
   Network moved(DerivedTag{}, *this, std::move(graph), std::move(area));
   if (stats != nullptr) *stats = IncrementalStats{};
   if (has_safety()) {
@@ -130,8 +128,7 @@ const SafetyInfo& Network::safety() const {
 
 const PlanarOverlay& Network::overlay() const {
   std::call_once(lazy_->overlay_once, [this] {
-    lazy_->overlay =
-        std::make_unique<PlanarOverlay>(*graph_, PlanarOverlay::Kind::kGabriel);
+    lazy_->overlay = std::make_unique<PlanarOverlay>(*graph_);
     lazy_->overlay_built.store(true, std::memory_order_release);
   });
   return *lazy_->overlay;

@@ -52,8 +52,6 @@ const char* scheme_name(Scheme scheme) noexcept;
 struct NetworkConfig {
   DeploymentConfig deployment;
   std::uint64_t seed = 1;
-  /// Edge-node band around the hull; negative means one radio range.
-  double edge_band = -1.0;
   /// Non-owning pool for *within-network* build parallelism: unit-disk
   /// adjacency, the quadrant zones and the safety labeling's per-type
   /// anchor passes fan out over it with deterministic (node-id-ordered)
@@ -86,17 +84,17 @@ class Network {
   static Network create(const NetworkConfig& config);
 
   /// Builds from an existing deployment (e.g. hand-crafted in tests).
-  explicit Network(Deployment deployment, double edge_band = -1.0,
-                   TaskPool* build_pool = nullptr);
+  /// `build_pool` as in NetworkConfig.
+  explicit Network(Deployment deployment, TaskPool* build_pool = nullptr);
 
   const Deployment& deployment() const noexcept { return deployment_; }
   const UnitDiskGraph& graph() const noexcept { return *graph_; }
   const InterestArea& interest_area() const noexcept { return *interest_area_; }
 
-  /// The resolved edge-node band (meters) this network was built with —
-  /// what a caller rebuilding a sibling snapshot (e.g. a mobility re-pin)
-  /// passes as `edge_band` to reproduce the same interest area.
-  double edge_band() const noexcept { return band_; }
+  /// The interest area's edge-node band (meters): always one radio range.
+  /// A caller rebuilding a sibling snapshot's interest area (e.g. after a
+  /// mobility re-pin) passes it to InterestArea to reproduce the same area.
+  double edge_band() const noexcept { return deployment_.radio_range; }
 
   /// Lazy, memoized, thread-safe: built on first call, then cached.
   const SafetyInfo& safety() const;
@@ -195,7 +193,6 @@ class Network {
 
   Deployment deployment_;
   TaskPool* build_pool_ = nullptr;  ///< non-owning; see NetworkConfig
-  double band_ = 0.0;               ///< resolved edge band (meters)
   std::unique_ptr<UnitDiskGraph> graph_;
   std::unique_ptr<InterestArea> interest_area_;
   std::unique_ptr<LazyState> lazy_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "geometry/angle.h"
+#include "util/check.h"
 
 namespace spr {
 
@@ -15,6 +17,37 @@ bool Deployment::in_forbidden_area(Vec2 p) const noexcept {
 }
 
 namespace {
+
+/// Rejects configs no deployment can honour, naming the field, instead of
+/// letting them surface as an untyped allocation error or a silently wrong
+/// field. The FA knobs are checked only under the FA model.
+void check_config(const DeploymentConfig& config) {
+  SPR_CHECK(config.node_count >= 0, "DeploymentConfig: node_count ",
+            config.node_count, " is negative");
+  if (config.model != DeployModel::kForbiddenAreas) return;
+  SPR_CHECK(config.min_forbidden_areas >= 0 &&
+                config.min_forbidden_areas <= config.max_forbidden_areas,
+            "DeploymentConfig: min_forbidden_areas ",
+            config.min_forbidden_areas, " is not in [0, max_forbidden_areas ",
+            config.max_forbidden_areas, "]");
+  SPR_CHECK(config.min_forbidden_extent >= 0.0 &&
+                config.min_forbidden_extent <= config.max_forbidden_extent &&
+                std::isfinite(config.max_forbidden_extent),
+            "DeploymentConfig: min_forbidden_extent ",
+            config.min_forbidden_extent,
+            " is not in [0, max_forbidden_extent ", config.max_forbidden_extent,
+            "]");
+  SPR_CHECK(config.irregular_fraction >= 0.0 && config.irregular_fraction <= 1.0,
+            "DeploymentConfig: irregular_fraction ", config.irregular_fraction,
+            " is not in [0, 1]");
+  // A margin of half the field's shorter side or more leaves no room for a
+  // hole centre: every hole would collapse onto the field centre.
+  const double side = std::min(config.field.width(), config.field.height());
+  SPR_CHECK(config.forbidden_margin >= 0.0 &&
+                2.0 * config.forbidden_margin < side,
+            "DeploymentConfig: forbidden_margin ", config.forbidden_margin,
+            " is not in [0, ", side / 2.0, ") for this field");
+}
 
 Polygon random_forbidden_polygon(const DeploymentConfig& config, Rng& rng) {
   Rect inner = config.field.inflated(-config.forbidden_margin);
@@ -45,6 +78,7 @@ Polygon random_forbidden_polygon(const DeploymentConfig& config, Rng& rng) {
 }  // namespace
 
 Deployment deploy(const DeploymentConfig& config, Rng& rng) {
+  check_config(config);
   Deployment out;
   out.field = config.field;
   out.radio_range = config.radio_range;
@@ -61,36 +95,13 @@ Deployment deploy(const DeploymentConfig& config, Rng& rng) {
   out.positions.reserve(static_cast<size_t>(config.node_count));
   // Rejection sampling; forbidden areas cover a bounded field fraction, so
   // this terminates quickly. A hard cap guards against pathological configs.
-  const int max_attempts = config.node_count * 1000;
-  int attempts = 0;
+  const std::int64_t max_attempts = std::int64_t{config.node_count} * 1000;
+  std::int64_t attempts = 0;
   while (static_cast<int>(out.positions.size()) < config.node_count &&
          attempts++ < max_attempts) {
     Vec2 p{rng.uniform(config.field.lo().x, config.field.hi().x),
            rng.uniform(config.field.lo().y, config.field.hi().y)};
     if (!out.in_forbidden_area(p)) out.positions.push_back(p);
-  }
-  return out;
-}
-
-Deployment deploy_perturbed_grid(const DeploymentConfig& config, Rng& rng,
-                                 double jitter_fraction) {
-  Deployment out;
-  out.field = config.field;
-  out.radio_range = config.radio_range;
-
-  int per_side = std::max(
-      1, static_cast<int>(std::round(std::sqrt(config.node_count))));
-  double dx = config.field.width() / per_side;
-  double dy = config.field.height() / per_side;
-  out.positions.reserve(static_cast<size_t>(per_side) * per_side);
-  for (int row = 0; row < per_side; ++row) {
-    for (int col = 0; col < per_side; ++col) {
-      double cx = config.field.lo().x + (col + 0.5) * dx;
-      double cy = config.field.lo().y + (row + 0.5) * dy;
-      double jx = rng.uniform(-jitter_fraction, jitter_fraction) * dx;
-      double jy = rng.uniform(-jitter_fraction, jitter_fraction) * dy;
-      out.positions.push_back({cx + jx, cy + jy});
-    }
   }
   return out;
 }

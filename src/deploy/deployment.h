@@ -65,11 +65,10 @@ struct Deployment {
 
 /// Draws a deployment according to `config` using `rng`. Positions are
 /// i.i.d. uniform over the allowed region (rejection sampling for FA).
+/// SPR_CHECKs the config, naming the offending field: a negative
+/// node_count, and under FA an inverted area-count or extent range, an
+/// irregular_fraction outside [0, 1] or a forbidden_margin of half the
+/// field's shorter side or more.
 Deployment deploy(const DeploymentConfig& config, Rng& rng);
-
-/// Deterministic perturbed-grid deployment (regular coverage with jitter);
-/// used by tests that need hole-free fields.
-Deployment deploy_perturbed_grid(const DeploymentConfig& config, Rng& rng,
-                                 double jitter_fraction = 0.25);
 
 }  // namespace spr

@@ -10,9 +10,9 @@
 ///  status tuple as (1,1,1,1)."
 ///
 /// We classify a node as an *edge node* when it lies on the convex hull of
-/// the deployment or within `edge_band` of the hull boundary (default: one
-/// radio range). Sources and destinations are drawn from the complementary
-/// set of interior nodes.
+/// the deployment or within `edge_band` of the hull boundary (Network always
+/// passes one radio range). Sources and destinations are drawn from the
+/// complementary set of interior nodes.
 
 #include <vector>
 

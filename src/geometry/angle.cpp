@@ -1,6 +1,5 @@
 #include "geometry/angle.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace spr {
@@ -26,15 +25,6 @@ double ccw_delta(double start_bearing, double target_bearing) noexcept {
 
 double cw_delta(double start_bearing, double target_bearing) noexcept {
   return normalize_angle(start_bearing - target_bearing);
-}
-
-double interior_angle(Vec2 a, Vec2 b, Vec2 c) noexcept {
-  Vec2 ba = a - b;
-  Vec2 bc = c - b;
-  double na = ba.norm(), nc = bc.norm();
-  if (na <= 0.0 || nc <= 0.0) return 0.0;
-  double cosv = std::clamp(ba.dot(bc) / (na * nc), -1.0, 1.0);
-  return std::acos(cosv);
 }
 
 double CcwScan::sweep_to(Vec2 p) const noexcept {

@@ -34,9 +34,6 @@ double ccw_delta(double start_bearing, double target_bearing) noexcept;
 /// Clockwise sweep from `start_bearing` to `target_bearing`, in [0, 2*pi).
 double cw_delta(double start_bearing, double target_bearing) noexcept;
 
-/// Angle of the corner a-b-c at vertex b, in [0, pi].
-double interior_angle(Vec2 a, Vec2 b, Vec2 c) noexcept;
-
 /// Comparator object: orders points around `pivot` by counter-clockwise
 /// sweep starting at `start_bearing` (ties broken by distance to pivot,
 /// nearer first). Points coincident with the pivot sort last.

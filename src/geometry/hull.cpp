@@ -44,10 +44,6 @@ std::vector<std::size_t> convex_hull_indices(const std::vector<Vec2>& points) {
   return idx;
 }
 
-Polygon convex_hull_polygon(const std::vector<Vec2>& points) {
-  return Polygon(convex_hull(points));
-}
-
 double distance_to_hull_boundary(const std::vector<Vec2>& hull, Vec2 p) {
   const std::size_t n = hull.size();
   if (n == 0) return std::numeric_limits<double>::infinity();

@@ -64,14 +64,10 @@ constexpr bool in_quadrant(Vec2 u, Vec2 p, ZoneType t) noexcept {
   return false;
 }
 
-/// The request zone rectangle Z(u,d) = [x_u : x_d, y_u : y_d].
+/// The request zone rectangle Z(u,d) = [x_u : x_d, y_u : y_d]; closed, so
+/// u and d are members.
 constexpr Rect request_zone(Vec2 u, Vec2 d) noexcept {
   return Rect::from_corners(u, d);
-}
-
-/// Membership of p in Z(u,d). The zone is closed (u and d included).
-constexpr bool in_request_zone(Vec2 u, Vec2 d, Vec2 p) noexcept {
-  return request_zone(u, d).contains(p);
 }
 
 /// Bearing of the clockwise boundary axis of Q_t: quadrant t spans bearings

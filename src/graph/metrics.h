@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file metrics.h
-/// Structural metrics of a deployed network, used by the benches' context
-/// lines and by tests that sanity-check deployments (degree distribution,
-/// hop diameter, connectivity fraction).
+/// Structural metrics of a deployed network, printed by `spr_cli info`:
+/// degree distribution, connectivity fraction and estimated hop diameter.
 
 #include <cstddef>
 #include <vector>
@@ -25,16 +24,8 @@ DegreeStats degree_stats(const UnitDiskGraph& g);
 /// Fraction of alive nodes in the largest connected component.
 double largest_component_fraction(const UnitDiskGraph& g);
 
-/// Exact hop diameter of the largest component (max BFS eccentricity).
-/// O(n * (n + E)) — intended for analysis, not hot paths.
-std::size_t hop_diameter(const UnitDiskGraph& g);
-
 /// Approximate hop diameter by double-sweep BFS (lower bound, usually
 /// tight); O(n + E).
 std::size_t hop_diameter_estimate(const UnitDiskGraph& g);
-
-/// Average hop count between random connected pairs, sampled.
-double average_hop_distance(const UnitDiskGraph& g, std::size_t samples,
-                            std::uint64_t seed);
 
 }  // namespace spr

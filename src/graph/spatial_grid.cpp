@@ -173,16 +173,4 @@ void SpatialGrid::query_radius(Vec2 center, double radius, NodeId exclude,
   }
 }
 
-void SpatialGrid::query_rect(const Rect& rect, std::vector<NodeId>& out) const {
-  int c0 = cell_col(rect.lo().x), c1 = cell_col(rect.hi().x);
-  int r0 = cell_row(rect.lo().y), r1 = cell_row(rect.hi().y);
-  for (int r = r0; r <= r1; ++r) {
-    for (int c = c0; c <= c1; ++c) {
-      for (NodeId id : cell(c, r)) {
-        if (rect.contains(points_[id])) out.push_back(id);
-      }
-    }
-  }
-}
-
 }  // namespace spr

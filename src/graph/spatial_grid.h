@@ -39,9 +39,6 @@ class SpatialGrid {
   void query_radius(Vec2 center, double radius, NodeId exclude,
                     std::vector<NodeId>& out) const;
 
-  /// Ids of all points inside the axis-aligned rectangle.
-  void query_rect(const Rect& r, std::vector<NodeId>& out) const;
-
   /// Moves the points `ids[i] -> new_positions[i]` (parallel spans) to new
   /// coordinates *without* re-bucketing the unmoved points: cells whose
   /// membership did not change are block-copied, and only the moved points

@@ -48,8 +48,7 @@ class CompassRouter final : public Router {
 };
 
 /// Flooding "router": conceptually every node rebroadcasts once. route()
-/// reports the BFS-optimal path as the delivered path and accounts the
-/// broadcast cost (n transmissions) separately.
+/// reports the BFS-optimal path as the delivered path.
 class FloodingRouter final : public Router {
  public:
   explicit FloodingRouter(const UnitDiskGraph& g) : Router(g) {}
@@ -57,9 +56,6 @@ class FloodingRouter final : public Router {
 
   PathResult route(NodeId s, NodeId d,
                    const RouteOptions& options = {}) const override;
-
-  /// Transmissions a real flood would cost (every reachable node once).
-  std::size_t broadcast_cost(NodeId s) const;
 
  protected:
   Decision select_successor(NodeId, NodeId, PacketHeader&) const override;

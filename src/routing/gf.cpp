@@ -17,13 +17,28 @@ struct GfRouter::GfHeader final : public PacketHeader {
   double entry_dist = 0.0;
   NodeId prev = kInvalidNode;
   Vec2 best_cross{};     ///< closest crossing of (entry, d) seen on this walk
-  std::size_t face_steps = 0;
+  /// e0: the first directed edge walked on the current face. Walking it
+  /// again means the tour closed without exit or face change, so d is
+  /// unreachable (Karp & Kung, GPSR, MobiCom 2000).
+  NodeId first_from = kInvalidNode;
+  NodeId first_to = kInvalidNode;
 
   // Boundary-walk state.
   int boundary = -1;
   int direction = +1;    ///< +1 / -1 along the cycle
   int cycle_index = -1;
   std::size_t boundary_steps = 0;
+
+  /// (Re-)enters face traversal anchored at `at`.
+  void enter_face(Vec2 at, Vec2 dest) {
+    mode = Mode::kFace;
+    entry = at;
+    entry_dist = distance(at, dest);
+    best_cross = at;
+    prev = kInvalidNode;
+    first_from = kInvalidNode;
+    first_to = kInvalidNode;
+  }
 };
 
 GfRouter::GfRouter(const UnitDiskGraph& g, const PlanarOverlay& overlay,
@@ -100,11 +115,7 @@ Router::Decision GfRouter::select_successor(NodeId u, NodeId d,
       return {v, HopPhase::kGreedy, false};
     }
     // Local minimum: enter recovery.
-    h.entry = g.position(u);
-    h.entry_dist = distance(h.entry, dest);
-    h.best_cross = h.entry;
-    h.prev = kInvalidNode;
-    h.face_steps = 0;
+    h.enter_face(g.position(u), dest);
     h.boundary_steps = 0;
     if (recovery_ == Recovery::kBoundHole && boundhole() != nullptr &&
         boundhole()->boundary_of(u) != -1) {
@@ -125,7 +136,6 @@ Router::Decision GfRouter::select_successor(NodeId u, NodeId d,
       dec.hit_local_minimum = true;
       return dec;
     }
-    h.mode = GfHeader::Mode::kFace;
     Decision dec = face_step(u, d, h);
     dec.hit_local_minimum = true;
     return dec;
@@ -145,12 +155,7 @@ Router::Decision GfRouter::boundary_step_decision(NodeId u, NodeId d,
   // re-anchored at the current node (stale entry state corrupts both the
   // exit rule and the face-change geometry).
   if (h.boundary_steps >= static_cast<std::size_t>(sz)) {
-    h.mode = GfHeader::Mode::kFace;
-    h.prev = kInvalidNode;
-    h.face_steps = 0;
-    h.entry = g.position(u);
-    h.entry_dist = distance(h.entry, g.position(d));
-    h.best_cross = h.entry;
+    h.enter_face(g.position(u), g.position(d));
     return face_step(u, d, h);
   }
   ++h.boundary_steps;
@@ -163,12 +168,7 @@ Router::Decision GfRouter::boundary_step_decision(NodeId u, NodeId d,
   if (!g.are_neighbors(u, next) && next != u) {
     // Cycle bookkeeping no longer matches the walk (duplicate nodes); fall
     // back to face traversal rather than teleporting.
-    h.mode = GfHeader::Mode::kFace;
-    h.prev = kInvalidNode;
-    h.face_steps = 0;
-    h.entry = g.position(u);
-    h.entry_dist = distance(h.entry, g.position(d));
-    h.best_cross = h.entry;
+    h.enter_face(g.position(u), g.position(d));
     return face_step(u, d, h);
   }
   h.prev = u;
@@ -182,17 +182,6 @@ Router::Decision GfRouter::face_step(NodeId u, NodeId d, GfHeader& h) const {
 
   auto nbrs = overlay().neighbors(u);
   if (nbrs.empty()) return {kInvalidNode, HopPhase::kPerimeter, false};
-
-  // Livelock breaker: a correct face walk visits each overlay edge at most
-  // twice; a walk that has gone on far longer is cycling on stale state.
-  // Re-anchor the traversal at the current node.
-  if (h.face_steps > 2 * g.size()) {
-    h.prev = kInvalidNode;
-    h.face_steps = 0;
-    h.entry = pu;
-    h.entry_dist = distance(pu, dest);
-    h.best_cross = pu;
-  }
 
   // Right-hand rule: first overlay neighbor counter-clockwise from the
   // incoming edge (or from the ray u->d on entry).
@@ -220,19 +209,28 @@ Router::Decision GfRouter::face_step(NodeId u, NodeId d, GfHeader& h) const {
   // Face change: never traverse an edge that crosses (entry, d) at a point
   // closer to d than the best crossing so far; rotate past it instead.
   Segment entry_to_dest{h.entry, dest};
+  bool new_face = h.first_from == kInvalidNode;
   for (std::size_t guard = 0; guard < nbrs.size(); ++guard) {
     Segment edge{pu, g.position(next)};
     auto cross = segment_intersection(edge, entry_to_dest);
     if (!cross) break;
     if (distance(*cross, dest) >= distance(h.best_cross, dest) - 1e-12) break;
     h.best_cross = *cross;
+    new_face = true;
     NodeId after = rotate_next(bearing(pu, g.position(next)), next);
     if (after == kInvalidNode || after == next) break;
     next = after;
   }
 
+  // Face-tour completion: about to walk e0 again on the same face.
+  if (new_face) {
+    h.first_from = u;
+    h.first_to = next;
+  } else if (u == h.first_from && next == h.first_to) {
+    return {kInvalidNode, HopPhase::kPerimeter, false};
+  }
+
   h.prev = u;
-  ++h.face_steps;
   return {next, HopPhase::kPerimeter, false};
 }
 

@@ -8,7 +8,9 @@
 ///
 ///  * kFace — GPSR-style right-hand face traversal of the Gabriel overlay
 ///    with the standard closer-than-entry exit rule and face changes on
-///    crossings of the entry->destination segment; or
+///    crossings of the entry->destination segment. A walk about to repeat
+///    the first edge of its current face has toured the whole face: d is
+///    unreachable and the packet stops with kDeadEnd; or
 ///  * kBoundHole — the paper's evaluation setup: if the stuck node lies on
 ///    a precomputed BOUNDHOLE boundary, walk that boundary (direction by
 ///    right hand w.r.t. the ray u->d) until a node closer to d than the

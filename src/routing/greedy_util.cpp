@@ -35,19 +35,4 @@ NodeId zone_greedy_successor(const UnitDiskGraph& g, NodeId u, Vec2 dest,
   return pick;
 }
 
-NodeId closest_successor(const UnitDiskGraph& g, NodeId u, Vec2 dest,
-                         const NodeFilter& keep) {
-  double best = -1.0;
-  NodeId pick = kInvalidNode;
-  for (NodeId v : g.neighbors(u)) {
-    if (keep && !keep(v)) continue;
-    double d = distance_sq(g.position(v), dest);
-    if (pick == kInvalidNode || d < best) {
-      best = d;
-      pick = v;
-    }
-  }
-  return pick;
-}
-
 }  // namespace spr

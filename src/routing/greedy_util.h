@@ -24,8 +24,4 @@ NodeId greedy_successor(const UnitDiskGraph& g, NodeId u, Vec2 dest);
 NodeId zone_greedy_successor(const UnitDiskGraph& g, NodeId u, Vec2 dest,
                              const NodeFilter& keep = {});
 
-/// Generic: closest-to-dest neighbor among those passing `keep`.
-NodeId closest_successor(const UnitDiskGraph& g, NodeId u, Vec2 dest,
-                         const NodeFilter& keep);
-
 }  // namespace spr

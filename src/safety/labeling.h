@@ -57,12 +57,6 @@ SafetyInfo compute_safety(const UnitDiskGraph& g, const InterestArea& area,
                           TaskPool* build_pool = nullptr,
                           LabelingStats* stats = nullptr);
 
-/// Convenience: one node's connected unsafe area of type `t` (the connected
-/// component of type-t unsafe nodes containing `u`, via UDG edges).
-std::vector<NodeId> unsafe_area_members(const UnitDiskGraph& g,
-                                        const SafetyInfo& info, NodeId u,
-                                        ZoneType t);
-
 /// Recomputes the shape anchors u(1)/u(2) for every unsafe (node, type) of
 /// `info` from its current statuses (Algorithm 2 step 3). Used by the
 /// incremental updater after statuses changed; `compute_safety` calls the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace spr {
 
@@ -28,32 +27,6 @@ double Summary::variance() const noexcept {
 }
 
 double Summary::stddev() const noexcept { return std::sqrt(variance()); }
-
-double Summary::percentile(double p) const {
-  // Empty summaries answer 0.0 across the board (mean/min/max do), so an
-  // aggregate with no samples — a scheme that delivered nothing at a high
-  // failure fraction, say — renders as zeros instead of throwing mid-report.
-  if (values_.empty()) return 0.0;
-  std::vector<double> sorted = values_;
-  std::sort(sorted.begin(), sorted.end());
-  double clamped = std::clamp(p, 0.0, 100.0);
-  auto rank = static_cast<std::size_t>(
-      std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
-  if (rank == 0) rank = 1;
-  return sorted[rank - 1];
-}
-
-double Summary::ci95_half_width() const noexcept {
-  if (values_.size() < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(values_.size()));
-}
-
-std::string Summary::to_string() const {
-  std::ostringstream out;
-  out << mean() << " ± " << ci95_half_width() << " (" << min() << ".." << max()
-      << ", n=" << count() << ")";
-  return out.str();
-}
 
 void Summary::merge(const Summary& other) {
   for (double v : other.values_) add(v);

@@ -217,6 +217,8 @@ void expect_fresh_area(const Network& net) {
 
 TEST(Network, FailureAndMoveChainsKeepTheFreshInterestArea) {
   Network net = test::random_network(600, 41, DeployModel::kForbiddenAreas);
+  // The edge band is always one radio range, on every sibling snapshot.
+  EXPECT_EQ(net.edge_band(), net.deployment().radio_range);
   net.force(Network::kNeedsSafety);
   Rng rng(17);
   for (int epoch = 0; epoch < 3; ++epoch) {
@@ -226,6 +228,7 @@ TEST(Network, FailureAndMoveChainsKeepTheFreshInterestArea) {
     }
     net = net.with_failures(failed);
     expect_fresh_area(net);
+    EXPECT_EQ(net.edge_band(), net.deployment().radio_range);
 
     std::vector<Vec2> positions = net.graph().positions();
     const Rect field = net.deployment().field;
@@ -238,6 +241,7 @@ TEST(Network, FailureAndMoveChainsKeepTheFreshInterestArea) {
     positions[net.interest_area().interior_nodes().front()] = field.lo();
     net = net.with_moves(positions);
     expect_fresh_area(net);
+    EXPECT_EQ(net.edge_band(), net.deployment().radio_range);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "test_helpers.h"
+#include "util/check.h"
+
 namespace spr {
 namespace {
 
@@ -101,7 +106,7 @@ TEST(Deployment, PerturbedGridCoversField) {
   DeploymentConfig config;
   config.node_count = 400;
   Rng rng(10);
-  Deployment d = deploy_perturbed_grid(config, rng);
+  Deployment d = test::deploy_perturbed_grid(config, rng);
   EXPECT_EQ(d.positions.size(), 400u);  // 20 x 20
   // Every 20m x 20m tile should be populated for a 200m field with 400 nodes.
   int tiles[10][10] = {};
@@ -113,6 +118,81 @@ TEST(Deployment, PerturbedGridCoversField) {
   for (int x = 0; x < 10; ++x) {
     for (int y = 0; y < 10; ++y) EXPECT_GT(tiles[x][y], 0);
   }
+}
+
+/// deploy() rejects `config` with a CheckError naming `field`.
+void expect_rejected(const DeploymentConfig& config, const std::string& field) {
+  ScopedCheckHandler scoped(throwing_check_handler);
+  Rng rng(1);
+  try {
+    deploy(config, rng);
+    ADD_FAILURE() << "deploy accepted a bad " << field;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(Deployment, RejectsNegativeNodeCount) {
+  DeploymentConfig config;
+  config.node_count = -5;
+  expect_rejected(config, "node_count");
+}
+
+TEST(Deployment, RejectsFaKnobsNoFieldCanHonour) {
+  DeploymentConfig base;
+  base.model = DeployModel::kForbiddenAreas;
+  {
+    DeploymentConfig config = base;
+    config.min_forbidden_areas = 6;  // max is 5
+    expect_rejected(config, "min_forbidden_areas");
+  }
+  {
+    DeploymentConfig config = base;
+    config.min_forbidden_areas = -1;
+    expect_rejected(config, "min_forbidden_areas");
+  }
+  {
+    DeploymentConfig config = base;
+    config.min_forbidden_extent = 100.0;  // max is 90
+    expect_rejected(config, "min_forbidden_extent");
+  }
+  for (double fraction : {-0.1, 1.5}) {
+    DeploymentConfig config = base;
+    config.irregular_fraction = fraction;
+    expect_rejected(config, "irregular_fraction");
+  }
+  // Half the 200 m field or more leaves no room for a hole centre.
+  for (double margin : {-1.0, 100.0, 1e6}) {
+    DeploymentConfig config = base;
+    config.forbidden_margin = margin;
+    expect_rejected(config, "forbidden_margin");
+  }
+}
+
+TEST(Deployment, ZeroNodesAndIaIgnoredFaKnobsAreValid) {
+  ScopedCheckHandler scoped(throwing_check_handler);
+  for (DeployModel model : {DeployModel::kIdeal, DeployModel::kForbiddenAreas}) {
+    DeploymentConfig config;
+    config.model = model;
+    config.node_count = 0;
+    Rng rng(2);
+    EXPECT_TRUE(deploy(config, rng).positions.empty());
+  }
+  // The FA knobs mean nothing under IA, so they are not checked there.
+  DeploymentConfig config;
+  config.node_count = 10;
+  config.forbidden_margin = 1e6;
+  config.irregular_fraction = 2.0;
+  Rng rng(3);
+  EXPECT_EQ(deploy(config, rng).positions.size(), 10u);
+}
+
+TEST(Deployment, AttemptCapDoesNotOverflowForLargeCounts) {
+  // 1000 attempts per node passes INT_MAX from 2,147,484 nodes on.
+  DeploymentConfig config;
+  config.node_count = 2'147'484;
+  Rng rng(4);
+  EXPECT_EQ(deploy(config, rng).positions.size(), 2'147'484u);
 }
 
 TEST(Deployment, CustomField) {

@@ -76,12 +76,6 @@ TEST(Angle, CcwPlusCwIsFullTurn) {
   }
 }
 
-TEST(Angle, InteriorAngle) {
-  EXPECT_NEAR(interior_angle({1.0, 0.0}, {0.0, 0.0}, {0.0, 1.0}), kPi / 2, 1e-12);
-  EXPECT_NEAR(interior_angle({1.0, 0.0}, {0.0, 0.0}, {-1.0, 0.0}), kPi, 1e-12);
-  EXPECT_NEAR(interior_angle({1.0, 0.0}, {0.0, 0.0}, {2.0, 0.0}), 0.0, 1e-12);
-}
-
 TEST(CcwScan, OrdersBySweep) {
   CcwScan scan({0.0, 0.0}, 0.0);  // start at +x
   std::vector<Vec2> pts = {{0.0, 1.0}, {1.0, 0.1}, {-1.0, 0.5}, {0.5, -1.0}};

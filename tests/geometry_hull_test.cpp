@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "deploy/rng.h"
+#include "geometry/polygon.h"
 #include "geometry/vec2.h"
 
 namespace spr {
@@ -47,7 +48,7 @@ TEST(Hull, AllPointsInsideHullPolygon) {
   for (int i = 0; i < 200; ++i) {
     pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
   }
-  Polygon hull = convex_hull_polygon(pts);
+  Polygon hull(convex_hull(pts));
   for (Vec2 p : pts) EXPECT_TRUE(hull.contains(p));
 }
 

@@ -66,12 +66,6 @@ TEST(Polygon, BoundingBox) {
   EXPECT_EQ(box.hi(), Vec2(5.0, 7.0));
 }
 
-TEST(Polygon, Centroid) {
-  Vec2 c = unit_square().centroid();
-  EXPECT_NEAR(c.x, 0.5, 1e-12);
-  EXPECT_NEAR(c.y, 0.5, 1e-12);
-}
-
 TEST(Polygon, EmptyAndDegenerate) {
   Polygon empty;
   EXPECT_TRUE(empty.empty());

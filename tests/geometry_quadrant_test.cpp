@@ -56,14 +56,14 @@ TEST(Quadrant, RequestZoneIsCornerRect) {
   Rect z = request_zone({2.0, 8.0}, {6.0, 3.0});
   EXPECT_EQ(z.lo(), Vec2(2.0, 3.0));
   EXPECT_EQ(z.hi(), Vec2(6.0, 8.0));
-  EXPECT_TRUE(in_request_zone({2.0, 8.0}, {6.0, 3.0}, {4.0, 5.0}));
-  EXPECT_FALSE(in_request_zone({2.0, 8.0}, {6.0, 3.0}, {1.0, 5.0}));
+  EXPECT_TRUE(z.contains({4.0, 5.0}));
+  EXPECT_FALSE(z.contains({1.0, 5.0}));
 }
 
 TEST(Quadrant, RequestZoneContainsEndpoints) {
   Vec2 u{1.0, 1.0}, d{5.0, 9.0};
-  EXPECT_TRUE(in_request_zone(u, d, u));
-  EXPECT_TRUE(in_request_zone(u, d, d));
+  EXPECT_TRUE(request_zone(u, d).contains(u));
+  EXPECT_TRUE(request_zone(u, d).contains(d));
 }
 
 TEST(Quadrant, StartBearings) {

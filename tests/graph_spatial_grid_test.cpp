@@ -103,29 +103,6 @@ TEST(SpatialGrid, QueryRadiusKeepsEverythingWithInvalidExclude) {
               with_self.end());
 }
 
-TEST(SpatialGrid, QueryRectMatchesBruteForce) {
-  for (std::uint64_t seed : {7ull, 8ull}) {
-    Deployment d = random_deployment(300, seed, DeployModel::kForbiddenAreas);
-    SpatialGrid grid(d.positions, d.field, d.radio_range);
-    Rng rng(seed ^ 0x5a);
-    for (int trial = 0; trial < 25; ++trial) {
-      Vec2 a{d.field.lo().x + rng.next_double() * d.field.width(),
-             d.field.lo().y + rng.next_double() * d.field.height()};
-      Vec2 b{d.field.lo().x + rng.next_double() * d.field.width(),
-             d.field.lo().y + rng.next_double() * d.field.height()};
-      Rect query = Rect::from_bounds({std::min(a.x, b.x), std::min(a.y, b.y)},
-                                     {std::max(a.x, b.x), std::max(a.y, b.y)});
-      std::vector<NodeId> fast;
-      grid.query_rect(query, fast);
-      std::vector<NodeId> brute;
-      for (NodeId v = 0; v < d.positions.size(); ++v) {
-        if (query.contains(d.positions[v])) brute.push_back(v);
-      }
-      EXPECT_EQ(sorted(fast), sorted(brute)) << "seed " << seed;
-    }
-  }
-}
-
 TEST(SpatialGrid, OwnsItsPointCopy) {
   std::vector<Vec2> points = {{1.0, 1.0}, {5.0, 5.0}};
   Rect bounds = Rect::from_bounds({0.0, 0.0}, {10.0, 10.0});

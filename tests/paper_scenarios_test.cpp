@@ -11,7 +11,6 @@
 #include "core/network.h"
 #include "geometry/segment.h"
 #include "graph/graph_algos.h"
-#include "routing/trace.h"
 #include "safety/regions.h"
 #include "test_helpers.h"
 
@@ -26,7 +25,7 @@ class BlockedFieldScenario : public ::testing::Test {
   BlockedFieldScenario() {
     dep_ = test::grid_with_void(
         22, 10.0, Rect::from_corners({70.0, 40.0}, {150.0, 180.0}));
-    net_.emplace(Network(dep_, 15.0));
+    net_.emplace(Network(dep_));
     // West of the void at mid height / east of the void.
     s_ = find_node({50.0, 110.0});
     d_ = find_node({170.0, 110.0});
@@ -89,11 +88,20 @@ TEST_F(BlockedFieldScenario, TraceShowsSingleDetourEpisode) {
   auto slgf2 = net_->make_router(Scheme::kSlgf2);
   PathResult r = slgf2->route(s_, d_);
   ASSERT_TRUE(r.delivered());
-  RouteTrace trace(net_->graph(), r, d_);
-  // One void, one detour around it (allowing one extra micro-episode for
-  // the re-approach).
-  EXPECT_LE(trace.detours().size(), 2u);
-  EXPECT_GT(trace.straightness(), 0.4);
+  // Detour episodes are the maximal runs of non-greedy hops. One void, one
+  // detour around it (allowing one extra micro-episode for the re-approach).
+  std::size_t detours = 0;
+  for (std::size_t i = 0; i < r.hop_phases.size(); ++i) {
+    if (r.hop_phases[i] != HopPhase::kGreedy &&
+        (i == 0 || r.hop_phases[i - 1] == HopPhase::kGreedy)) {
+      ++detours;
+    }
+  }
+  EXPECT_LE(detours, 2u);
+  // Straightness: |sd| over the path length.
+  const double straight =
+      distance(net_->graph().position(s_), net_->graph().position(d_));
+  EXPECT_GT(straight / r.length, 0.4);
 }
 
 /// Fig. 4(a-c): when source and destination are both safe and no unsafe

@@ -20,7 +20,7 @@ namespace {
 TEST(Regression, ThinZonePingPongDeadEnd) {
   Deployment dep = test::grid_with_void(
       22, 10.0, Rect::from_corners({70.0, 40.0}, {150.0, 180.0}));
-  Network net(dep, 15.0);
+  Network net(dep);
   NodeId s = kInvalidNode, d = kInvalidNode;
   for (NodeId u = 0; u < net.graph().size(); ++u) {
     if (almost_equal(net.graph().position(u), {50.0, 110.0})) s = u;
@@ -41,7 +41,7 @@ TEST(Regression, ThinZonePingPongDeadEnd) {
 TEST(Regression, BackupHandNotRechoseMidDetour) {
   Deployment dep = test::grid_with_void(
       22, 10.0, Rect::from_corners({70.0, 40.0}, {150.0, 180.0}));
-  Network net(dep, 15.0);
+  Network net(dep);
   NodeId s = kInvalidNode, d = kInvalidNode;
   for (NodeId u = 0; u < net.graph().size(); ++u) {
     if (almost_equal(net.graph().position(u), {50.0, 110.0})) s = u;

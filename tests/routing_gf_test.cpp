@@ -11,7 +11,7 @@ namespace {
 struct GfFixture {
   explicit GfFixture(Deployment dep)
       : g(dep.positions, dep.radio_range, dep.field),
-        overlay(g, PlanarOverlay::Kind::kGabriel),
+        overlay(g),
         boundhole(g) {}
 
   GfRouter face_router() {
@@ -29,12 +29,37 @@ struct GfFixture {
 TEST(Gf, GreedyDeliversOnLine) {
   auto g = test::make_graph(
       {{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}, {30.0, 0.0}}, 12.0);
-  PlanarOverlay overlay(g, PlanarOverlay::Kind::kGabriel);
+  PlanarOverlay overlay(g);
   GfRouter router(g, overlay, nullptr, GfRouter::Recovery::kFace);
   PathResult r = router.route(0, 3);
   EXPECT_TRUE(r.delivered());
   EXPECT_EQ(r.hops(), 3u);
   EXPECT_EQ(r.local_minima, 0u);
+}
+
+TEST(Gf, FaceTourCompletionStopsAtUnreachableDestination) {
+  // A 3 x 3 lattice and a far node out of range of all of it: greedy stalls
+  // at (20, 0), and the face walk tours the lattice's outer face once. The
+  // walk must stop with kDeadEnd when it is about to repeat the face's first
+  // edge, instead of circling until the 8n TTL runs out.
+  std::vector<Vec2> positions;
+  for (int y = 0; y < 3; ++y) {
+    for (int x = 0; x < 3; ++x) positions.push_back({10.0 * x, 10.0 * y});
+  }
+  positions.push_back({200.0, 0.0});
+  auto g = test::make_graph(positions, 12.0);
+  const NodeId far = 9;
+  PlanarOverlay overlay(g);
+  BoundHoleInfo boundhole(g);
+  for (GfRouter::Recovery recovery :
+       {GfRouter::Recovery::kFace, GfRouter::Recovery::kBoundHole}) {
+    GfRouter router(g, overlay, &boundhole, recovery);
+    PathResult r = router.route(0, far);
+    EXPECT_EQ(r.status, RouteStatus::kDeadEnd) << router.name();
+    EXPECT_EQ(r.local_minima, 1u) << router.name();
+    // Two greedy hops, then at most one tour of the outer face.
+    EXPECT_LE(r.hops(), 2u + 2 * overlay.edge_count()) << router.name();
+  }
 }
 
 TEST(Gf, GreedyHopsAlwaysProgress) {

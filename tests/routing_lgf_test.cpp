@@ -76,8 +76,8 @@ TEST(Lgf, GreedyPhaseStaysInRequestZone) {
     for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
       if (r.hop_phases[i] != HopPhase::kGreedy) continue;
       // Greedy hops keep the successor inside Z(u, d).
-      EXPECT_TRUE(in_request_zone(g.position(r.path[i]), dest,
-                                  g.position(r.path[i + 1])));
+      EXPECT_TRUE(request_zone(g.position(r.path[i]), dest)
+                      .contains(g.position(r.path[i + 1])));
     }
   }
 }

@@ -113,6 +113,34 @@ TEST(Slgf2, NoWorseHopsThanLgfOnAverage) {
       << "SLGF2 avg " << slgf2_hops / both << " vs LGF " << lgf_hops / both;
 }
 
+TEST(Slgf2, RealRoutesStraightnessOrdering) {
+  // Straightness is |sd| over the path length, in (0, 1]. SLGF2's should
+  // roughly match or beat LGF's on average (paired over both-delivered
+  // pairs, which biases toward the easy pairs LGF survives; a 10% band
+  // absorbs that skew — the full sweeps show the true ordering).
+  double lgf_sum = 0.0, slgf2_sum = 0.0;
+  int counted = 0;
+  for (std::uint64_t seed : test::property_seeds()) {
+    Network net = test::random_network(500, seed, DeployModel::kForbiddenAreas);
+    auto lgf = net.make_router(Scheme::kLgf);
+    auto slgf2 = net.make_router(Scheme::kSlgf2);
+    Rng rng(seed ^ 0x1212);
+    for (int trial = 0; trial < 10; ++trial) {
+      auto [s, d] = net.random_connected_interior_pair(rng);
+      auto a = lgf->route(s, d);
+      auto b = slgf2->route(s, d);
+      if (!a.delivered() || !b.delivered()) continue;
+      const double straight =
+          distance(net.graph().position(s), net.graph().position(d));
+      lgf_sum += straight / a.length;
+      slgf2_sum += straight / b.length;
+      ++counted;
+    }
+  }
+  ASSERT_GT(counted, 20);
+  EXPECT_GE(slgf2_sum, lgf_sum * 0.90);
+}
+
 TEST(Slgf2, AblationTogglesCompile) {
   Network net = test::random_network(400, 61, DeployModel::kForbiddenAreas);
   for (bool either_hand : {false, true}) {

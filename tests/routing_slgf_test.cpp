@@ -60,7 +60,7 @@ TEST(Slgf, PrefersSafeSuccessors) {
       // v unsafe: then no safe zone candidate may have existed at u.
       bool safe_candidate_existed = false;
       for (NodeId w : g.neighbors(u)) {
-        if (!in_request_zone(g.position(u), dest, g.position(w))) continue;
+        if (!request_zone(g.position(u), dest).contains(g.position(w))) continue;
         if (info.is_safe(w, zone_type(g.position(w), dest))) {
           safe_candidate_existed = true;
           break;

@@ -208,7 +208,7 @@ TEST(FlatKernel, StagedFailureAndMoveChainMatchesScalarEveryEpoch) {
     Network net = test::random_network(420, seed, DeployModel::kForbiddenAreas);
     net.force(Network::kNeedsSafety);
     TaskPool pool(3);
-    Network pooled(net.deployment(), net.edge_band(), &pool);
+    Network pooled(net.deployment(), &pool);
     pooled.force(Network::kNeedsSafety);
     ASSERT_EQ(net.safety(), pooled.safety()) << "seed " << seed;
 

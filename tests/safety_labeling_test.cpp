@@ -102,20 +102,6 @@ TEST_F(PocketFixture, EstimatedAreaIsPaperRectangle) {
   EXPECT_EQ(ew.hi(), Vec2(110.0, 110.0));
 }
 
-TEST_F(PocketFixture, UnsafeAreaMembers) {
-  auto members = unsafe_area_members(*graph_, info_, u_, ZoneType::k1);
-  // All four pocket nodes are type-1 unsafe and mutually connected.
-  EXPECT_EQ(members.size(), 4u);
-  EXPECT_TRUE(std::binary_search(members.begin(), members.end(), w_));
-  EXPECT_TRUE(std::binary_search(members.begin(), members.end(), u1_));
-  auto none = unsafe_area_members(*graph_, info_, u1_, ZoneType::k2);
-  // u1 is type-2 unsafe too (u2's zone-2 chain), so this is non-empty; but
-  // querying a *safe* pair must return empty:
-  auto safe_query = unsafe_area_members(*graph_, info_, 0, ZoneType::k1);
-  EXPECT_TRUE(safe_query.empty());
-  (void)none;
-}
-
 TEST(SafetyLabeling, HoleFreeGridHasNoUnsafeInterior) {
   Deployment d = test::dense_grid_deployment(400, 3);
   UnitDiskGraph g(d.positions, d.radio_range, d.field);

@@ -18,18 +18,6 @@ TEST(Summary, EmptyDefaults) {
   EXPECT_DOUBLE_EQ(s.sum(), 0.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.ci95_half_width(), 0.0);
-  EXPECT_DOUBLE_EQ(s.percentile(50.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.median(), 0.0);
-}
-
-/// An aggregate whose Summary fields never saw a sample (a scheme with zero
-/// delivered packets) serializes and renders without throwing.
-TEST(Summary, EmptySummaryStatsFormIsAllZeros) {
-  Summary s;
-  EXPECT_NE(s.to_string().find("n=0"), std::string::npos);
 }
 
 TEST(Summary, SingleValue) {
@@ -39,7 +27,6 @@ TEST(Summary, SingleValue) {
   EXPECT_DOUBLE_EQ(s.min(), 4.0);
   EXPECT_DOUBLE_EQ(s.max(), 4.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.median(), 4.0);
 }
 
 TEST(Summary, MeanMinMaxSum) {
@@ -75,23 +62,6 @@ TEST(Summary, WelfordMatchesNaive) {
   EXPECT_NEAR(s.variance(), var, var * 1e-9);
 }
 
-TEST(Summary, Percentiles) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.percentile(50.0), 50.0);
-  EXPECT_DOUBLE_EQ(s.percentile(90.0), 90.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100.0), 100.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(1.0), 1.0);
-}
-
-TEST(Summary, Ci95ShrinksWithSamples) {
-  Summary small, large;
-  for (int i = 0; i < 10; ++i) small.add(i % 2 ? 1.0 : -1.0);
-  for (int i = 0; i < 1000; ++i) large.add(i % 2 ? 1.0 : -1.0);
-  EXPECT_GT(small.ci95_half_width(), large.ci95_half_width());
-}
-
 TEST(Summary, Merge) {
   Summary a, b;
   for (double v : {1.0, 2.0, 3.0}) a.add(v);
@@ -100,13 +70,6 @@ TEST(Summary, Merge) {
   EXPECT_EQ(a.count(), 5u);
   EXPECT_DOUBLE_EQ(a.mean(), 3.0);
   EXPECT_DOUBLE_EQ(a.max(), 5.0);
-}
-
-TEST(Summary, ToStringMentionsCount) {
-  Summary s;
-  s.add(2.0);
-  s.add(4.0);
-  EXPECT_NE(s.to_string().find("n=2"), std::string::npos);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "test_helpers.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace spr::test {
 
 UnitDiskGraph make_graph(std::vector<Vec2> positions, double range) {
@@ -7,6 +10,29 @@ UnitDiskGraph make_graph(std::vector<Vec2> positions, double range) {
   for (Vec2 p : positions) bounds = bounds.expanded_to(p);
   bounds = bounds.inflated(range);
   return UnitDiskGraph(std::move(positions), range, bounds);
+}
+
+Deployment deploy_perturbed_grid(const DeploymentConfig& config, Rng& rng,
+                                 double jitter_fraction) {
+  Deployment out;
+  out.field = config.field;
+  out.radio_range = config.radio_range;
+
+  int per_side = std::max(
+      1, static_cast<int>(std::round(std::sqrt(config.node_count))));
+  double dx = config.field.width() / per_side;
+  double dy = config.field.height() / per_side;
+  out.positions.reserve(static_cast<size_t>(per_side) * per_side);
+  for (int row = 0; row < per_side; ++row) {
+    for (int col = 0; col < per_side; ++col) {
+      double cx = config.field.lo().x + (col + 0.5) * dx;
+      double cy = config.field.lo().y + (row + 0.5) * dy;
+      double jx = rng.uniform(-jitter_fraction, jitter_fraction) * dx;
+      double jy = rng.uniform(-jitter_fraction, jitter_fraction) * dy;
+      out.positions.push_back({cx + jx, cy + jy});
+    }
+  }
+  return out;
 }
 
 Deployment dense_grid_deployment(int node_count, std::uint64_t seed) {

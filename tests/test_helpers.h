@@ -18,6 +18,12 @@ namespace spr::test {
 /// fit with margin).
 UnitDiskGraph make_graph(std::vector<Vec2> positions, double range = 20.0);
 
+/// Deterministic perturbed-grid deployment: round(sqrt(node_count))^2 nodes,
+/// one per cell of `config.field`, each jittered by up to `jitter_fraction`
+/// of the cell side (regular coverage for tests that need hole-free fields).
+Deployment deploy_perturbed_grid(const DeploymentConfig& config, Rng& rng,
+                                 double jitter_fraction = 0.25);
+
 /// A dense perturbed-grid deployment: hole-free, every interior node safe.
 Deployment dense_grid_deployment(int node_count = 400, std::uint64_t seed = 7);
 
