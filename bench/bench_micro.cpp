@@ -316,7 +316,10 @@ BENCHMARK(BM_RouteLgf);
 BENCHMARK(BM_RouteSlgf);
 BENCHMARK(BM_RouteSlgf2);
 
-void BM_ShortestPathOracle(benchmark::State& state) {
+/// The sweep cells' stretch oracle (`OracleBatch`: one bidirectional BFS
+/// and one A* search per pair) over 64 connected interior pairs of a
+/// 600-node field.
+void BM_SweepOracle(benchmark::State& state) {
   NetworkConfig config;
   config.deployment.node_count = 600;
   config.seed = 99;
@@ -331,14 +334,12 @@ void BM_ShortestPathOracle(benchmark::State& state) {
     state.SkipWithError("no connected interior pairs");
     return;
   }
-  std::size_t i = 0;
   for (auto _ : state) {
-    auto [s, d] = pairs[i++ % pairs.size()];
-    auto sp = dijkstra_path(net.graph(), s, d);
-    benchmark::DoNotOptimize(sp.length);
+    OracleBatch oracles(net.graph(), pairs);
+    benchmark::DoNotOptimize(oracles.length_optimal(0));
   }
 }
-BENCHMARK(BM_ShortestPathOracle);
+BENCHMARK(BM_SweepOracle);
 
 /// Cost of the slice serialization round trip (report/serialize.h): one
 /// sweep cell's full aggregates to JSON text, parsed back, deserialized.

@@ -68,7 +68,7 @@ void draw_cell_pairs(const SweepConfig& config, const Network& network,
 }
 
 /// Runs one independent sweep cell: draw the network, pick the pairs, run
-/// the shared per-source oracle, batch-route every scheme over the same
+/// the per-pair oracle, batch-route every scheme over the same
 /// pairs. `timings` (never null) receives this cell's cost breakdown.
 CellResult run_cell(const SweepConfig& config, int n, int net_index,
                     SweepTimings* timings) {
@@ -95,10 +95,9 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   network.force(needs);
   timings->construction_seconds += seconds_since(start);
 
-  // Per-cell scratch — the pair buffer and the oracle's grouping arrays —
-  // comes from a worker-local monotonic arena: reset per cell, high-water
-  // block kept, so steady-state cells stop touching the general heap for
-  // it.
+  // The per-cell pair buffer comes from a worker-local monotonic arena:
+  // reset per cell, high-water block kept, so steady-state cells stop
+  // touching the general heap for it.
   thread_local Arena cell_scratch;
   cell_scratch.reset();
   ArenaVector<std::pair<NodeId, NodeId>> pairs{
@@ -112,13 +111,10 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
       std::max(config.pairs_per_network, 0));
   timings->pairs_routed += pairs.size();
 
-  // One BFS + one Dijkstra per distinct source, shared by every pair from
-  // that source and every scheme.
+  // Each pair's optima, shared by every scheme.
   start = std::chrono::steady_clock::now();
-  OracleBatch oracles(network.graph(), pairs, cell_scratch);
+  OracleBatch oracles(network.graph(), pairs);
   timings->oracle_seconds += seconds_since(start);
-  timings->bfs_searches += oracles.distinct_sources();
-  timings->dijkstra_searches += oracles.distinct_sources();
 
   start = std::chrono::steady_clock::now();
   for (const auto& spec : config.schemes) {
@@ -240,8 +236,6 @@ void SweepTimings::merge(const SweepTimings& other) {
   pair_draw_seconds += other.pair_draw_seconds;
   oracle_seconds += other.oracle_seconds;
   routing_seconds += other.routing_seconds;
-  bfs_searches += other.bfs_searches;
-  dijkstra_searches += other.dijkstra_searches;
   pairs_requested += other.pairs_requested;
   pairs_routed += other.pairs_routed;
 }

@@ -3,8 +3,8 @@
 namespace spr {
 
 void RouteAggregate::record(const PathResult& result,
-                            const ShortestPath* oracle_hop,
-                            const ShortestPath* oracle_len) {
+                            const std::size_t* oracle_hops,
+                            const double* oracle_length) {
   ++attempted;
   local_minima.add(static_cast<double>(result.local_minima));
   if (!result.delivered()) return;
@@ -13,12 +13,12 @@ void RouteAggregate::record(const PathResult& result,
   length.add(result.length);
   perimeter_hops.add(static_cast<double>(result.perimeter_hops()));
   backup_hops.add(static_cast<double>(result.backup_hops()));
-  if (oracle_hop != nullptr && oracle_hop->hops() > 0) {
+  if (oracle_hops != nullptr && *oracle_hops > 0) {
     stretch_hops.add(static_cast<double>(result.hops()) /
-                     static_cast<double>(oracle_hop->hops()));
+                     static_cast<double>(*oracle_hops));
   }
-  if (oracle_len != nullptr && oracle_len->length > 0.0) {
-    stretch_length.add(result.length / oracle_len->length);
+  if (oracle_length != nullptr && *oracle_length > 0.0) {
+    stretch_length.add(result.length / *oracle_length);
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 
-#include "graph/graph_algos.h"
 #include "routing/packet.h"
 #include "stats/summary.h"
 
@@ -41,10 +40,11 @@ struct RouteAggregate {
     return requested > attempted ? requested - attempted : 0;
   }
 
-  /// Records one packet. `oracle_hop` / `oracle_len` are the BFS/Dijkstra
-  /// optima for the pair (pass nullptr to skip stretch).
-  void record(const PathResult& result, const ShortestPath* oracle_hop,
-              const ShortestPath* oracle_len);
+  /// Records one packet. `oracle_hops` / `oracle_length` are the pair's
+  /// optimal hop count and Euclidean length (`OracleBatch`); pass nullptr
+  /// to skip stretch. A zero optimum (unreachable pair) records none.
+  void record(const PathResult& result, const std::size_t* oracle_hops,
+              const double* oracle_length);
 
   void merge(const RouteAggregate& other);
 };

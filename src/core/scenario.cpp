@@ -1239,13 +1239,8 @@ int run_sweep_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
                serial_timings.construction_seconds,
                serial_timings.pair_draw_seconds,
                serial_timings.oracle_seconds, serial_timings.routing_seconds);
-  std::uint64_t per_pair_searches = 2 * serial_timings.pairs_routed;
-  std::uint64_t shared_searches =
-      serial_timings.bfs_searches + serial_timings.dijkstra_searches;
-  report.textf("oracle searches: %llu (vs %llu per-pair) for %llu pairs — "
-               "one BFS + one Dijkstra per distinct source\n",
-               static_cast<unsigned long long>(shared_searches),
-               static_cast<unsigned long long>(per_pair_searches),
+  report.textf("oracle: one bidirectional BFS + one A* search per pair, "
+               "%llu pairs\n",
                static_cast<unsigned long long>(serial_timings.pairs_routed));
   if (serial_timings.pairs_routed < serial_timings.pairs_requested) {
     report.textf("pair shortfall: %llu of %llu requested pairs not drawn\n",

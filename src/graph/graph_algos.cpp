@@ -1,29 +1,12 @@
 #include "graph/graph_algos.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <queue>
 
-#include "util/arena.h"
 #include "util/task_pool.h"
 
 namespace spr {
-
-namespace {
-std::atomic<std::uint64_t> g_bfs_trees{0};
-std::atomic<std::uint64_t> g_dijkstra_trees{0};
-}  // namespace
-
-OracleSearchCounts oracle_search_counts() noexcept {
-  return {g_bfs_trees.load(std::memory_order_relaxed),
-          g_dijkstra_trees.load(std::memory_order_relaxed)};
-}
-
-void reset_oracle_search_counts() noexcept {
-  g_bfs_trees.store(0, std::memory_order_relaxed);
-  g_dijkstra_trees.store(0, std::memory_order_relaxed);
-}
 
 std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source) {
   std::vector<std::size_t> dist(g.size(), kUnreachableHops);
@@ -43,151 +26,193 @@ std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source) {
   return dist;
 }
 
-ShortestPathTree::ShortestPathTree(const UnitDiskGraph& g, NodeId source,
-                                   Metric metric, NodeId stop_at)
-    : g_(&g), source_(source), metric_(metric) {
-  parent_.assign(g.size(), kInvalidNode);
-  if (source >= g.size()) return;  // invalid source: everything unreachable
-  if (stop_at >= g.size()) stop_at = kInvalidNode;  // out-of-range: full tree
-  if (metric == Metric::kHops) {
-    g_bfs_trees.fetch_add(1, std::memory_order_relaxed);
-    std::vector<bool> seen(g.size(), false);
-    std::queue<NodeId> frontier;
-    seen[source] = true;
-    frontier.push(source);
-    while (!frontier.empty() &&
-           (stop_at == kInvalidNode || !seen[stop_at])) {
-      NodeId u = frontier.front();
-      frontier.pop();
-      for (NodeId v : g.neighbors(u)) {
-        if (!seen[v]) {
-          seen[v] = true;
-          parent_[v] = u;
-          frontier.push(v);
-        }
-      }
-    }
-  } else {
-    g_dijkstra_trees.fetch_add(1, std::memory_order_relaxed);
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> dist(g.size(), kInf);
-    using Entry = std::pair<double, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    dist[source] = 0.0;
-    heap.emplace(0.0, source);
-    while (!heap.empty()) {
-      auto [d, u] = heap.top();
-      heap.pop();
-      if (d > dist[u]) continue;
-      if (u == stop_at) break;
-      for (NodeId v : g.neighbors(u)) {
-        double nd = d + distance(g.position(u), g.position(v));
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          parent_[v] = u;
-          heap.emplace(nd, v);
-        }
-      }
-    }
-  }
-}
+namespace {
 
-ShortestPath ShortestPathTree::extract(NodeId target) const {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The source..target path along a parent array, its length summed in path
+/// order — the same left fold that built the search's distances, so a
+/// Dijkstra path reports its distance bit for bit. Empty when `target` was
+/// not reached.
+ShortestPath extract_path(const UnitDiskGraph& g,
+                          const std::vector<NodeId>& parent, NodeId source,
+                          NodeId target) {
   ShortestPath result;
-  if (target >= parent_.size() || !reached(target)) return result;
-  for (NodeId v = target; v != source_; v = parent_[v]) result.path.push_back(v);
-  result.path.push_back(source_);
+  if (target != source && parent[target] == kInvalidNode) return result;
+  for (NodeId v = target; v != source; v = parent[v]) result.path.push_back(v);
+  result.path.push_back(source);
   std::reverse(result.path.begin(), result.path.end());
   for (std::size_t i = 1; i < result.path.size(); ++i) {
     result.length +=
-        distance(g_->position(result.path[i - 1]), g_->position(result.path[i]));
+        distance(g.position(result.path[i - 1]), g.position(result.path[i]));
   }
   return result;
 }
 
-namespace {
-
-/// OracleBatch's grouping + search body. Groups pair indices by source in
-/// CSR form (counts -> offsets -> fill; first-appearance slot order, pair
-/// order within a slot), then runs one BFS + one Dijkstra per distinct
-/// source. The grouping scratch lives in `scratch`.
-std::size_t build_oracles(const UnitDiskGraph& g,
-                          std::span<const std::pair<NodeId, NodeId>> pairs,
-                          Arena& scratch,
-                          std::vector<ShortestPath>& hop_optimal,
-                          std::vector<ShortestPath>& length_optimal) {
-  hop_optimal.resize(pairs.size());
-  length_optimal.resize(pairs.size());
-
-  ArenaAllocator<std::size_t> salloc(scratch);
-  ArenaVector<std::size_t> slot_of(salloc), count(salloc), grouped(salloc);
-  ArenaVector<NodeId> sources{ArenaAllocator<NodeId>(scratch)};
-  slot_of.assign(g.size(), SIZE_MAX);
-  std::size_t valid = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    NodeId s = pairs[i].first;
-    if (s >= g.size()) continue;  // invalid source: optima stay empty
-    if (slot_of[s] == SIZE_MAX) {
-      slot_of[s] = sources.size();
-      sources.push_back(s);
-      count.push_back(0);
-    }
-    ++count[slot_of[s]];
-    ++valid;
-  }
-
-  // `count` becomes the slot's cursor into `grouped`; the running prefix
-  // sum in `begin` marks each slot's segment start.
-  grouped.resize(valid);
-  std::size_t begin = 0;
-  for (std::size_t si = 0; si < count.size(); ++si) {
-    std::size_t slot_count = count[si];
-    count[si] = begin;
-    begin += slot_count;
-  }
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    NodeId s = pairs[i].first;
-    if (s >= g.size()) continue;
-    grouped[count[slot_of[s]]++] = i;
-  }
-
-  // One BFS + one Dijkstra per distinct source; the trees are transient —
-  // only the per-pair extracted optima are kept (matching the memory
-  // profile of the per-pair loop this replaces). A source with a single
-  // destination keeps the per-pair early exit via stop_at, so the batch is
-  // never more work than the loop it replaced.
-  for (std::size_t si = 0; si < sources.size(); ++si) {
-    std::size_t seg_begin = si == 0 ? 0 : count[si - 1];
-    std::size_t seg_end = count[si];
-    NodeId stop_at = seg_end - seg_begin == 1 ? pairs[grouped[seg_begin]].second
-                                              : kInvalidNode;
-    ShortestPathTree hop_tree(g, sources[si], ShortestPathTree::Metric::kHops,
-                              stop_at);
-    ShortestPathTree len_tree(g, sources[si], ShortestPathTree::Metric::kLength,
-                              stop_at);
-    for (std::size_t gi = seg_begin; gi < seg_end; ++gi) {
-      std::size_t i = grouped[gi];
-      hop_optimal[i] = hop_tree.extract(pairs[i].second);
-      length_optimal[i] = len_tree.extract(pairs[i].second);
+/// BFS tree parents from `source`, grown until `target` is discovered.
+std::vector<NodeId> bfs_parents(const UnitDiskGraph& g, NodeId source,
+                                NodeId target) {
+  std::vector<NodeId> parent(g.size(), kInvalidNode);
+  std::vector<bool> seen(g.size(), false);
+  std::queue<NodeId> frontier;
+  seen[source] = true;
+  frontier.push(source);
+  while (!frontier.empty() && !seen[target]) {
+    NodeId u = frontier.front();
+    frontier.pop();
+    for (NodeId v : g.neighbors(u)) {
+      if (!seen[v]) {
+        seen[v] = true;
+        parent[v] = u;
+        frontier.push(v);
+      }
     }
   }
-  return sources.size();
+  return parent;
+}
+
+/// Dijkstra tree parents from `source`, grown until `target` is settled.
+std::vector<NodeId> dijkstra_parents(const UnitDiskGraph& g, NodeId source,
+                                     NodeId target) {
+  std::vector<NodeId> parent(g.size(), kInvalidNode);
+  std::vector<double> dist(g.size(), kInf);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[source] = 0.0;
+  heap.emplace(0.0, source);
+  while (!heap.empty()) {
+    auto [d, u] = heap.top();
+    heap.pop();
+    if (d > dist[u]) continue;
+    if (u == target) break;
+    for (NodeId v : g.neighbors(u)) {
+      double nd = d + distance(g.position(u), g.position(v));
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        parent[v] = u;
+        heap.emplace(nd, v);
+      }
+    }
+  }
+  return parent;
+}
+
+/// The A* length search over one graph, with its reusable state: per-node
+/// g values, valid where the stamp equals the current query (so a query
+/// costs no O(n) clear), and the heap's storage.
+class LengthSearch {
+ public:
+  explicit LengthSearch(const UnitDiskGraph& g)
+      : graph_(g),
+        stop_factor_(1.0 + 4.0 * static_cast<double>(g.size() + 16) *
+                               std::numeric_limits<double>::epsilon()),
+        g_(g.size()),
+        stamp_(g.size(), 0) {}
+
+  /// The optimal Euclidean length from `source` to `target` (both in
+  /// range and distinct), bit-identical to Dijkstra's distance; 0.0 when
+  /// unreachable.
+  ///
+  /// An A* search that keeps Dijkstra's left fold g(v) = g(u) + |uv|, with
+  /// h(v) = |vt|·(1 − 1e-9), ties on equal keys broken by node id, and no
+  /// closed set: a node whose g improves is pushed and expanded again.
+  /// Let u = 2^-53 and let (s = p_0, ..., p_k = t) be a Dijkstra tree path,
+  /// whose prefix folds F_j are the optimal g values (fl addition is
+  /// monotone, so F_k is the least left fold over all s-t paths, whatever
+  /// the tie breaking).
+  ///  * Each computed length is within 3u of the exact distance between
+  ///    the stored points — differences of doubles round relative to the
+  ///    difference, so the coordinates' magnitude does not enter — and the
+  ///    1e-9 margin absorbs that: h(p_j) <= |p_j t| exactly.
+  ///  * Each of the k - j additions from p_j on loses at most u, and the
+  ///    exact edges from p_j on sum to at least |p_j t|, so
+  ///    F_k >= (F_j + |p_j t|)(1 − 3u)(1 − u)^(k−j), while p_j's key is
+  ///    fl(F_j + h(p_j)) <= (F_j + |p_j t|)(1 + u): a key on the path
+  ///    exceeds F_k by at most a factor 1 + (k + 5)u.
+  /// The search stops only when the popped key exceeds fl(best g(t) ·
+  /// stop_factor_), and stop_factor_ = 1 + 8(n + 16)u covers that factor
+  /// for every k < n. So while g(t) > F_k, the first unexpanded p_j holds
+  /// its optimal g under a key below the limit, and the search goes on.
+  /// Every g is some path's fold, never below the optimum, so at the stop
+  /// g(t) == F_k bit for bit.
+  double length(NodeId source, NodeId target);
+
+ private:
+  struct Entry {
+    double key;  ///< g + h
+    double g;
+    NodeId node;
+  };
+  /// Heap order: the smallest key on top, the smaller id first on a tie.
+  static bool later(const Entry& a, const Entry& b) noexcept {
+    return a.key > b.key || (a.key == b.key && a.node > b.node);
+  }
+  static constexpr double kHeuristicMargin = 1.0 - 1e-9;
+
+  const UnitDiskGraph& graph_;
+  const double stop_factor_;
+  std::vector<double> g_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t query_ = 0;
+  std::vector<Entry> heap_;
+};
+
+double LengthSearch::length(NodeId source, NodeId target) {
+  if (++query_ == 0) {  // wrapped: clear once and restart the count
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    query_ = 1;
+  }
+  const UnitDiskGraph& g = graph_;
+  const Vec2 goal = g.position(target);
+  auto h = [&](NodeId v) {
+    return distance(g.position(v), goal) * kHeuristicMargin;
+  };
+  heap_.clear();
+  stamp_[source] = query_;
+  g_[source] = 0.0;
+  heap_.push_back({h(source), 0.0, source});
+  double best = kInf;   // g(target) so far
+  double limit = kInf;  // best * stop_factor_
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Entry e = heap_.back();
+    heap_.pop_back();
+    if (e.key > limit) break;
+    if (e.g > g_[e.node]) continue;  // stale: a shorter g was pushed since
+    const Vec2 pu = g.position(e.node);
+    for (NodeId v : g.neighbors(e.node)) {
+      const double nd = e.g + distance(pu, g.position(v));
+      if (stamp_[v] == query_ && nd >= g_[v]) continue;
+      stamp_[v] = query_;
+      g_[v] = nd;
+      if (v == target) {  // never expanded: no path through t improves t
+        best = nd;
+        limit = best * stop_factor_;
+        continue;
+      }
+      heap_.push_back({nd + h(v), nd, v});
+      std::push_heap(heap_.begin(), heap_.end(), later);
+    }
+  }
+  return best == kInf ? 0.0 : best;
 }
 
 }  // namespace
 
 OracleBatch::OracleBatch(const UnitDiskGraph& g,
-                         std::span<const std::pair<NodeId, NodeId>> pairs) {
-  Arena scratch;
-  distinct_sources_ =
-      build_oracles(g, pairs, scratch, hop_optimal_, length_optimal_);
-}
-
-OracleBatch::OracleBatch(const UnitDiskGraph& g,
-                         std::span<const std::pair<NodeId, NodeId>> pairs,
-                         Arena& scratch) {
-  distinct_sources_ =
-      build_oracles(g, pairs, scratch, hop_optimal_, length_optimal_);
+                         std::span<const std::pair<NodeId, NodeId>> pairs)
+    : hop_optimal_(pairs.size(), 0), length_optimal_(pairs.size(), 0.0) {
+  HopSearchScratch hop_scratch;
+  LengthSearch length_search(g);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [s, d] = pairs[i];
+    const std::size_t hops = hop_distance(g, s, d, hop_scratch);
+    // Unreachable or out of range: both optima stay 0. A self-pair is 0
+    // hops and 0.0 long.
+    if (hops == kUnreachableHops || hops == 0) continue;
+    hop_optimal_[i] = hops;
+    length_optimal_[i] = length_search.length(s, d);
+  }
 }
 
 std::size_t hop_distance(const UnitDiskGraph& g, NodeId source, NodeId target,
@@ -257,13 +282,13 @@ std::vector<std::size_t> hop_distances(
 }
 
 ShortestPath bfs_path(const UnitDiskGraph& g, NodeId source, NodeId target) {
-  return ShortestPathTree(g, source, ShortestPathTree::Metric::kHops, target)
-      .extract(target);
+  if (source >= g.size() || target >= g.size()) return {};
+  return extract_path(g, bfs_parents(g, source, target), source, target);
 }
 
 ShortestPath dijkstra_path(const UnitDiskGraph& g, NodeId source, NodeId target) {
-  return ShortestPathTree(g, source, ShortestPathTree::Metric::kLength, target)
-      .extract(target);
+  if (source >= g.size() || target >= g.size()) return {};
+  return extract_path(g, dijkstra_parents(g, source, target), source, target);
 }
 
 std::vector<int> connected_components(const UnitDiskGraph& g) {
@@ -290,9 +315,8 @@ std::vector<int> connected_components(const UnitDiskGraph& g) {
 }
 
 bool connected(const UnitDiskGraph& g, NodeId u, NodeId v) {
-  if (u == v) return true;
-  auto dist = bfs_hops(g, u);
-  return dist[v] != kUnreachableHops;
+  thread_local HopSearchScratch scratch;
+  return hop_distance(g, u, v, scratch) != kUnreachableHops;
 }
 
 std::vector<NodeId> largest_component(const UnitDiskGraph& g) {

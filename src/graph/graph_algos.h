@@ -7,17 +7,14 @@
 /// them (they are strictly local, as in the paper).
 ///
 /// Two oracle shapes serve the two consumers:
-///  * paths — a `ShortestPathTree` is one full single-source search whose
-///    parent array answers *every* target via `extract`, and an
-///    `OracleBatch` groups a span of (s, d) pairs by source so each
-///    distinct source costs exactly one BFS and one Dijkstra shared by all
-///    of its destinations (the sweep cells, which need both optima). The
-///    per-pair `bfs_path` / `dijkstra_path` entry points are thin wrappers
-///    over a single-use tree.
-///  * hop counts only — `hop_distance` is a bidirectional, level-synchronous
-///    BFS that stops where the two balls meet, and `hop_distances` fans a
-///    span of pairs out over a TaskPool (the streaming simulator's
-///    per-epoch stretch oracle, whose far pairs make a full tree wasteful).
+///  * paths — `bfs_path` / `dijkstra_path` return one hop- or
+///    length-optimal path (the flooding baseline and `spr_cli route`).
+///  * optima only — `hop_distance` is a bidirectional, level-synchronous
+///    BFS that stops where the two balls meet; `hop_distances` fans a span
+///    of pairs out over a TaskPool (the streaming simulator's per-epoch
+///    stretch oracle), and `OracleBatch` pairs it with a goal-directed A*
+///    length search per pair (the sweep cells' stretch oracle, which reads
+///    only the two optima, never a path).
 
 #include <cstdint>
 #include <span>
@@ -31,103 +28,38 @@ namespace spr {
 
 class TaskPool;
 
-/// Result of a single-source search.
+/// Result of a single-pair search.
 struct ShortestPath {
   std::vector<NodeId> path;  ///< s ... d inclusive; empty when unreachable
   double length = 0.0;       ///< sum of Euclidean edge lengths
   std::size_t hops() const noexcept { return path.empty() ? 0 : path.size() - 1; }
 };
 
-/// Process-wide count of single-source tree searches, the hook behind the
-/// "one search per distinct source" assertions in tests and the sweep
-/// benches. Every `ShortestPathTree` construction increments one counter
-/// (the per-pair wrappers build a tree, so they count too); `bfs_hops`,
-/// `hop_distance` and the connectivity helpers do not.
-struct OracleSearchCounts {
-  std::uint64_t bfs_trees = 0;
-  std::uint64_t dijkstra_trees = 0;
-};
-
-/// Snapshot of the process-wide counters (atomic, safe under sweeps).
-OracleSearchCounts oracle_search_counts() noexcept;
-
-/// Resets both counters to zero (tests and bench sections).
-void reset_oracle_search_counts() noexcept;
-
-/// One single-source search, memoized as a parent array: BFS (hop-optimal)
-/// or Dijkstra (Euclidean-length-optimal). Answers any number of targets
-/// without re-searching; `extract(t)` yields exactly the path the per-pair
-/// `bfs_path(g, s, t)` / `dijkstra_path(g, s, t)` would return.
-///
-/// `stop_at` bounds the search: the frontier halts once that node is
-/// settled, which is what the per-pair wrappers use to keep their old
-/// early-exit cost. A stopped tree is only valid for targets settled
-/// before the stop (in particular `stop_at` itself); batch consumers that
-/// extract many targets must build the full tree (the default).
-class ShortestPathTree {
- public:
-  enum class Metric { kHops, kLength };
-
-  ShortestPathTree(const UnitDiskGraph& g, NodeId source, Metric metric,
-                   NodeId stop_at = kInvalidNode);
-
-  NodeId source() const noexcept { return source_; }
-  Metric metric() const noexcept { return metric_; }
-
-  bool reached(NodeId target) const noexcept {
-    if (target >= parent_.size()) return false;  // also: invalid source
-    return target == source_ || parent_[target] != kInvalidNode;
-  }
-
-  /// Tree parent of `target` (kInvalidNode for the source and unreached).
-  NodeId parent(NodeId target) const noexcept { return parent_[target]; }
-
-  /// The s..target path along the tree; empty when unreachable. Identical
-  /// (nodes and floating-point length) to the per-pair search result.
-  ShortestPath extract(NodeId target) const;
-
- private:
-  const UnitDiskGraph* g_;
-  NodeId source_;
-  Metric metric_;
-  std::vector<NodeId> parent_;
-};
-
-class Arena;
-
-/// The shared-frontier oracle for a batch of (source, destination) pairs:
-/// groups the span by source and runs one BFS tree and one Dijkstra tree
-/// per *distinct* source, then extracts the per-pair optima. Replaces the
-/// two-searches-per-pair loop in the sweep cells.
+/// The optima of a batch of (source, destination) pairs: per pair, the
+/// hop count of `hop_distance` and the Euclidean length of an A* search
+/// that is bit-identical to `dijkstra_path(g, s, d).length` (the sweep
+/// cells' stretch oracle).
 class OracleBatch {
  public:
-  /// The transient grouping scratch (slot map, CSR group arrays) is
-  /// bump-allocated from a local arena (util/arena.h).
   OracleBatch(const UnitDiskGraph& g,
               std::span<const std::pair<NodeId, NodeId>> pairs);
 
-  /// As above, with the scratch taken from `scratch` — the sweep cells
-  /// pass their worker-local arena, so steady-state cells stop touching
-  /// the general heap for it.
-  OracleBatch(const UnitDiskGraph& g,
-              std::span<const std::pair<NodeId, NodeId>> pairs,
-              Arena& scratch);
-
   std::size_t size() const noexcept { return hop_optimal_.size(); }
-  std::size_t distinct_sources() const noexcept { return distinct_sources_; }
 
-  /// BFS / Dijkstra optimum of pairs[i]; empty path when unreachable.
-  const ShortestPath& hop_optimal(std::size_t i) const noexcept {
+  /// Optimal hop count of pairs[i]; 0 when unreachable or an id is out of
+  /// range (as an empty `ShortestPath` reports).
+  const std::size_t& hop_optimal(std::size_t i) const noexcept {
     return hop_optimal_[i];
   }
-  const ShortestPath& length_optimal(std::size_t i) const noexcept {
+  /// Optimal Euclidean length of pairs[i]; 0.0 when unreachable or an id is
+  /// out of range.
+  const double& length_optimal(std::size_t i) const noexcept {
     return length_optimal_[i];
   }
 
  private:
-  std::vector<ShortestPath> hop_optimal_;
-  std::vector<ShortestPath> length_optimal_;
-  std::size_t distinct_sources_ = 0;
+  std::vector<std::size_t> hop_optimal_;
+  std::vector<double> length_optimal_;
 };
 
 /// Hop count of an unreachable target (`bfs_hops`, `hop_distance`).
@@ -180,7 +112,9 @@ ShortestPath dijkstra_path(const UnitDiskGraph& g, NodeId source, NodeId target)
 /// Component label per node (dead nodes get their own singleton labels).
 std::vector<int> connected_components(const UnitDiskGraph& g);
 
-/// True when u and v are in the same component.
+/// True when u and v are in the same component: a `hop_distance` probe on a
+/// thread-local scratch, so it costs two half-radius balls, not a full BFS.
+/// False when either id is out of range.
 bool connected(const UnitDiskGraph& g, NodeId u, NodeId v);
 
 /// Ids of the largest connected component.

@@ -136,8 +136,6 @@ JsonValue to_json(const SweepTimings& t) {
   v.set("pair_draw_seconds", JsonValue::of(t.pair_draw_seconds));
   v.set("oracle_seconds", JsonValue::of(t.oracle_seconds));
   v.set("routing_seconds", JsonValue::of(t.routing_seconds));
-  v.set("oracle_bfs_searches", JsonValue::of(t.bfs_searches));
-  v.set("oracle_dijkstra_searches", JsonValue::of(t.dijkstra_searches));
   v.set("pairs_requested", JsonValue::of(t.pairs_requested));
   v.set("pairs_routed", JsonValue::of(t.pairs_routed));
   return v;

@@ -28,6 +28,37 @@ TEST(GraphAlgos, BfsUnreachable) {
   EXPECT_FALSE(connected(g, 0, 1));
 }
 
+TEST(GraphAlgos, ConnectedAgreesWithFullBfs) {
+  // Components {0}, {2, 3} (split by the dead node 1), {4, 5, 6} and the
+  // isolated node 7.
+  std::vector<Vec2> positions = {{0.0, 0.0},    {10.0, 0.0},  {20.0, 0.0},
+                                 {20.0, 10.0},  {100.0, 0.0}, {110.0, 0.0},
+                                 {110.0, 10.0}, {200.0, 200.0}};
+  std::vector<bool> alive(positions.size(), true);
+  alive[1] = false;
+  UnitDiskGraph g(positions, 12.0,
+                  Rect::from_bounds({-20.0, -20.0}, {220.0, 220.0}), alive);
+  for (NodeId u = 0; u < g.size(); ++u) {
+    auto dist = bfs_hops(g, u);
+    for (NodeId v = 0; v < g.size(); ++v) {
+      EXPECT_EQ(connected(g, u, v), dist[v] != kUnreached)
+          << u << " -> " << v;
+    }
+  }
+  EXPECT_FALSE(connected(g, 0, 2));
+  EXPECT_TRUE(connected(g, 4, 6));
+}
+
+TEST(GraphAlgos, ConnectedOutOfRangeIsFalse) {
+  auto g = test::make_graph({{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}}, 12.0);
+  const NodeId n = static_cast<NodeId>(g.size());
+  EXPECT_FALSE(connected(g, 0, n));
+  EXPECT_FALSE(connected(g, n, 0));
+  EXPECT_FALSE(connected(g, n, n));
+  EXPECT_FALSE(connected(g, kInvalidNode, 0));
+  EXPECT_TRUE(connected(g, 0, 2));
+}
+
 TEST(GraphAlgos, BfsPathEndpoints) {
   auto g = test::make_graph(
       {{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}, {30.0, 0.0}}, 12.0);

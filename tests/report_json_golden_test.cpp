@@ -107,8 +107,6 @@ TEST(JsonGolden, HandBuiltReportCoversEverySection) {
   timings.pair_draw_seconds = 0.5;
   timings.oracle_seconds = 2.0 / 3.0;
   timings.routing_seconds = 0.125;
-  timings.bfs_searches = 12;
-  timings.dijkstra_searches = 13;
   timings.pairs_requested = 20;
   timings.pairs_routed = 19;
   report.param("timings", to_json(timings));
@@ -144,8 +142,7 @@ TEST(JsonGolden, HandBuiltReportCoversEverySection) {
       R"GOLD("label":"tab\there\nline","list":[1,2.5,null],"nested":{"k":"v",)GOLD"
       R"GOLD("empty":[]},"timings":{"construction_seconds":1.25,)GOLD"
       R"GOLD("pair_draw_seconds":0.5,"oracle_seconds":0.66666666666666663,)GOLD"
-      R"GOLD("routing_seconds":0.125,"oracle_bfs_searches":12,)GOLD"
-      R"GOLD("oracle_dijkstra_searches":13,"pairs_requested":20,)GOLD"
+      R"GOLD("routing_seconds":0.125,"pairs_requested":20,)GOLD"
       R"GOLD("pairs_routed":19},"models":[{"model":"FA","networks_per_point":2,)GOLD"
       R"GOLD("pairs_per_network":3,"base_seed":2009,"threads":4,)GOLD"
       R"GOLD("wall_seconds":0.75,"points":[{"nodes":400,)GOLD"

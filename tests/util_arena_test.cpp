@@ -5,9 +5,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "graph/graph_algos.h"
-#include "test_helpers.h"
-
 namespace spr {
 namespace {
 
@@ -58,32 +55,6 @@ TEST(Arena, VectorGrowsThroughTheArena) {
   for (int i = 0; i < 10000; ++i) v.push_back(i);
   for (int i = 0; i < 10000; ++i) ASSERT_EQ(v[i], i);
   EXPECT_GE(arena.bytes_allocated(), 10000u * sizeof(int));
-}
-
-TEST(Arena, OracleBatchScratchVariantMatchesHeapVariant) {
-  Network net = test::random_network(450, 19);
-  Rng rng(2);
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (int i = 0; i < 12; ++i) {
-    auto pair = net.random_connected_interior_pair(rng);
-    if (pair.first != kInvalidNode) pairs.push_back(pair);
-  }
-  // Repeat sources so the grouping actually groups.
-  if (pairs.size() >= 2) pairs.push_back({pairs[0].first, pairs[1].second});
-  ASSERT_FALSE(pairs.empty());
-
-  OracleBatch heap(net.graph(), pairs);
-  Arena arena;
-  OracleBatch scratch(net.graph(), pairs, arena);
-  ASSERT_EQ(heap.size(), scratch.size());
-  EXPECT_EQ(heap.distinct_sources(), scratch.distinct_sources());
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    EXPECT_EQ(heap.hop_optimal(i).path, scratch.hop_optimal(i).path);
-    EXPECT_EQ(heap.hop_optimal(i).length, scratch.hop_optimal(i).length);
-    EXPECT_EQ(heap.length_optimal(i).path, scratch.length_optimal(i).path);
-    EXPECT_EQ(heap.length_optimal(i).length, scratch.length_optimal(i).length);
-  }
 }
 
 }  // namespace
