@@ -1,8 +1,6 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <chrono>
-#include <mutex>
 
 #include "graph/graph_algos.h"
 #include "util/arena.h"
@@ -67,11 +65,29 @@ void draw_cell_pairs(const SweepConfig& config, const Network& network,
   }
 }
 
-/// Runs one independent sweep cell: draw the network, pick the pairs, run
-/// the per-pair oracle, batch-route every scheme over the same
-/// pairs. `timings` (never null) receives this cell's cost breakdown.
-CellResult run_cell(const SweepConfig& config, int n, int net_index,
-                    SweepTimings* timings) {
+/// A negative count would size the cell list from a wrapped-around
+/// unsigned; zero is an empty sweep. A repeated node count would make two
+/// points whose cells share coordinates, which the cell-order reduction
+/// (and a slice file) cannot tell apart.
+void check_sweep_config(const SweepConfig& config) {
+  SPR_CHECK(config.networks_per_point >= 0,
+            "SweepConfig::networks_per_point = ", config.networks_per_point,
+            ", need >= 0");
+  SPR_CHECK(config.pairs_per_network >= 0,
+            "SweepConfig::pairs_per_network = ", config.pairs_per_network,
+            ", need >= 0");
+  for (auto it = config.node_counts.begin(); it != config.node_counts.end();
+       ++it) {
+    SPR_CHECK(std::find(config.node_counts.begin(), it, *it) == it,
+              "SweepConfig::node_counts repeats ", *it);
+  }
+}
+
+}  // namespace
+
+// One cell: draw the network, pick the pairs, run the per-pair oracle,
+// batch-route every scheme over the same pairs.
+CellResult run_sweep_cell(const SweepConfig& config, int n, int net_index) {
   CellResult cell;
   for (const auto& spec : config.schemes) {
     cell.emplace(spec.display_label(), RouteAggregate{});
@@ -82,18 +98,15 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
   net_config.deployment.model = config.model;
   net_config.deployment.node_count = n;
   net_config.seed = sweep_cell_seed(config, n, net_index);
-  auto start = std::chrono::steady_clock::now();
   Network network = Network::create(net_config);
-  // Force every structure the scheme set will touch, so the construction
-  // bucket really holds construction (GF's recovery structures stay lazy by
-  // design — if a packet gets stuck their build lands in the routing
-  // bucket, which is exactly the cost model the paper argues about).
+  // Force every structure the scheme set will touch before routing (GF's
+  // recovery structures stay lazy by design: a stuck packet builds them,
+  // which is exactly the cost model the paper argues about).
   unsigned needs = Network::kNeedsNone;
   for (const auto& spec : config.schemes) {
     needs |= Network::needs_for(spec.scheme);
   }
   network.force(needs);
-  timings->construction_seconds += seconds_since(start);
 
   // The per-cell pair buffer comes from a worker-local monotonic arena:
   // reset per cell, high-water block kept, so steady-state cells stop
@@ -104,19 +117,11 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
       ArenaAllocator<std::pair<NodeId, NodeId>>(cell_scratch)};
 
   // Same pairs for every scheme: the comparison is paired.
-  start = std::chrono::steady_clock::now();
   draw_cell_pairs(config, network, n, net_index, pairs);
-  timings->pair_draw_seconds += seconds_since(start);
-  timings->pairs_requested += static_cast<std::uint64_t>(
-      std::max(config.pairs_per_network, 0));
-  timings->pairs_routed += pairs.size();
 
   // Each pair's optima, shared by every scheme.
-  start = std::chrono::steady_clock::now();
   OracleBatch oracles(network.graph(), pairs);
-  timings->oracle_seconds += seconds_since(start);
 
-  start = std::chrono::steady_clock::now();
   for (const auto& spec : config.schemes) {
     auto router = network.make_router(spec.scheme, spec.slgf2_options);
     RouteAggregate& agg = cell.at(spec.display_label());
@@ -129,34 +134,12 @@ CellResult run_cell(const SweepConfig& config, int n, int net_index,
                  &oracles.length_optimal(i));
     }
   }
-  timings->routing_seconds += seconds_since(start);
   return cell;
 }
 
-/// A negative count would size the cell list from a wrapped-around
-/// unsigned; zero is an empty sweep.
-void check_cell_counts(const SweepConfig& config) {
-  SPR_CHECK(config.networks_per_point >= 0,
-            "SweepConfig::networks_per_point = ", config.networks_per_point,
-            ", need >= 0");
-  SPR_CHECK(config.pairs_per_network >= 0,
-            "SweepConfig::pairs_per_network = ", config.pairs_per_network,
-            ", need >= 0");
-}
-
-}  // namespace
-
-CellResult run_sweep_cell(const SweepConfig& config, int node_count,
-                          int net_index, SweepTimings* timings) {
-  SweepTimings scratch;
-  return run_cell(config, node_count, net_index,
-                  timings != nullptr ? timings : &scratch);
-}
-
 std::vector<SliceCell> run_sweep_slice(const SweepConfig& config,
-                                       int slice_index, int slice_count,
-                                       SweepTimings* timings) {
-  check_cell_counts(config);
+                                       int slice_index, int slice_count) {
+  check_sweep_config(config);
   std::vector<SliceCell> slice;
   if (slice_count < 1 || slice_index < 0 || slice_index >= slice_count) {
     return slice;
@@ -173,14 +156,11 @@ std::vector<SliceCell> run_sweep_slice(const SweepConfig& config,
     }
   }
 
-  SweepTimings accumulated;
-  std::mutex timings_mutex;
+  // Every cell is independent, so the pool may run them in any order; each
+  // result lands in its own canonical slot.
   auto run_one = [&](std::size_t ci) {
-    SweepTimings cell_timings;
-    slice[ci].result = run_cell(config, slice[ci].node_count,
-                                slice[ci].net_index, &cell_timings);
-    std::lock_guard<std::mutex> lock(timings_mutex);
-    accumulated.merge(cell_timings);
+    slice[ci].result =
+        run_sweep_cell(config, slice[ci].node_count, slice[ci].net_index);
   };
   if (config.threads == 1) {
     for (std::size_t ci = 0; ci < slice.size(); ++ci) run_one(ci);
@@ -188,7 +168,6 @@ std::vector<SliceCell> run_sweep_slice(const SweepConfig& config,
     TaskPool pool(config.threads);
     pool.parallel_for(slice.size(), run_one);
   }
-  if (timings != nullptr) timings->merge(accumulated);
   return slice;
 }
 
@@ -203,8 +182,9 @@ std::vector<SweepPoint> merge_cell_results(
     }
     return node_counts.size();
   };
-  // run_sweep merges cells point-major in net_index order; replay that
-  // order exactly so Summary::merge sees the same sample sequence.
+  // Merge point-major in net_index order, the canonical cell order, so
+  // Summary::merge sees the same sample sequence however the cells were
+  // split into slices or scheduled.
   std::stable_sort(cells.begin(), cells.end(),
                    [&](const SliceCell& a, const SliceCell& b) {
                      std::size_t pa = point_of(a.node_count);
@@ -231,15 +211,6 @@ std::vector<SweepPoint> merge_cell_results(
   return points;
 }
 
-void SweepTimings::merge(const SweepTimings& other) {
-  construction_seconds += other.construction_seconds;
-  pair_draw_seconds += other.pair_draw_seconds;
-  oracle_seconds += other.oracle_seconds;
-  routing_seconds += other.routing_seconds;
-  pairs_requested += other.pairs_requested;
-  pairs_routed += other.pairs_routed;
-}
-
 std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
     const SweepConfig& config, const Network& network, int node_count,
     int net_index) {
@@ -250,75 +221,17 @@ std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
   return {pairs.begin(), pairs.end()};
 }
 
-std::vector<SweepPoint> run_sweep(const SweepConfig& config,
-                                  const SweepProgress& progress,
-                                  SweepTimings* timings) {
-  check_cell_counts(config);
-  // Flatten the sweep into independent (node_count, network_index) cells.
-  struct Cell {
-    std::size_t point_index;
-    int node_count;
-    int net_index;
-  };
-  std::vector<Cell> cells;
-  cells.reserve(config.node_counts.size() *
-                static_cast<std::size_t>(config.networks_per_point));
-  for (std::size_t pi = 0; pi < config.node_counts.size(); ++pi) {
-    for (int i = 0; i < config.networks_per_point; ++i) {
-      cells.push_back({pi, config.node_counts[pi], i});
-    }
+std::vector<SweepPoint> run_sweep(const SweepConfig& config) {
+  // Summary::merge replays samples in insertion order, so the cell-order
+  // reduction is bit-identical to a serial accumulation regardless of
+  // which thread ran which cell.
+  std::vector<std::string> labels;
+  labels.reserve(config.schemes.size());
+  for (const auto& spec : config.schemes) {
+    labels.push_back(spec.display_label());
   }
-
-  std::vector<CellResult> results(cells.size());
-  SweepTimings accumulated;
-  std::mutex progress_mutex;
-  std::mutex timings_mutex;
-  auto run_one = [&](std::size_t ci) {
-    const Cell& cell = cells[ci];
-    if (progress) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      progress(cell.node_count, cell.net_index, config.networks_per_point);
-    }
-    SweepTimings cell_timings;
-    results[ci] = run_cell(config, cell.node_count, cell.net_index,
-                           &cell_timings);
-    {
-      std::lock_guard<std::mutex> lock(timings_mutex);
-      accumulated.merge(cell_timings);
-    }
-  };
-
-  if (config.threads == 1) {
-    for (std::size_t ci = 0; ci < cells.size(); ++ci) run_one(ci);
-  } else {
-    TaskPool pool(config.threads);
-    pool.parallel_for(cells.size(), run_one);
-  }
-
-  // Merge per-cell aggregates in cell order. Summary::merge replays samples
-  // in insertion order, so this reduction is bit-identical to the serial
-  // accumulation regardless of which thread ran which cell.
-  std::vector<SweepPoint> points(config.node_counts.size());
-  for (std::size_t pi = 0; pi < config.node_counts.size(); ++pi) {
-    points[pi].node_count = config.node_counts[pi];
-    for (const auto& spec : config.schemes) {
-      points[pi].by_scheme.emplace(spec.display_label(), RouteAggregate{});
-    }
-  }
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    SweepPoint& point = points[cells[ci].point_index];
-    for (auto& [label, agg] : results[ci]) {
-      point.by_scheme.at(label).merge(agg);
-    }
-  }
-  if (timings != nullptr) *timings = accumulated;
-  return points;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+  return merge_cell_results(config.node_counts, labels,
+                            run_sweep_slice(config, 0, 1));
 }
 
 }  // namespace spr

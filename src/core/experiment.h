@@ -18,9 +18,7 @@
 /// parallel result is bit-identical to the serial one, thread count and
 /// scheduling notwithstanding.
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -81,51 +79,26 @@ struct SliceCell {
   CellResult result;
 };
 
-/// Progress callback: (node_count, network_index, networks_total). Invoked
-/// once per network cell under a mutex (never concurrently); with threads>1
-/// the invocation order across cells is unspecified.
-using SweepProgress = std::function<void(int, int, int)>;
-
-/// Cost breakdown of a sweep, accumulated over all cells. The seconds are
-/// wall-clock (timing-noisy, summed across workers); the counts are exact
-/// and deterministic. The oracle runs one bidirectional BFS and one A*
-/// search per routed pair (`OracleBatch`).
-struct SweepTimings {
-  double construction_seconds = 0.0;  ///< Network::create + forced structures
-  double pair_draw_seconds = 0.0;     ///< connected-pair sampling (BFS probes)
-  double oracle_seconds = 0.0;        ///< OracleBatch per-pair searches
-  double routing_seconds = 0.0;       ///< route_batch over every scheme
-  std::uint64_t pairs_requested = 0;  ///< cells x pairs_per_network
-  std::uint64_t pairs_routed = 0;     ///< pairs actually drawn and routed
-
-  /// Accumulates another breakdown (the sweep's cell-order reduction).
-  void merge(const SweepTimings& other);
-};
-
 /// Runs the sweep; one SweepPoint per node count, in order. Deterministic:
 /// the result depends only on `config`, not on `config.threads` or timing.
-/// `timings`, when non-null, receives the accumulated cost breakdown.
+/// It is `merge_cell_results` over `run_sweep_slice(config, 0, 1)`.
 /// Throws CheckError when `networks_per_point` or `pairs_per_network` is
-/// negative.
-std::vector<SweepPoint> run_sweep(const SweepConfig& config,
-                                  const SweepProgress& progress = {},
-                                  SweepTimings* timings = nullptr);
+/// negative, or when `node_counts` repeats a value.
+std::vector<SweepPoint> run_sweep(const SweepConfig& config);
 
 /// Runs one independent sweep cell — exactly what run_sweep does for cell
 /// (node_count, net_index). Exposed so slice runners and tests can compute
-/// any cell out of process. `timings`, when non-null, accumulates the
-/// cell's cost breakdown.
+/// any cell out of process.
 CellResult run_sweep_cell(const SweepConfig& config, int node_count,
-                          int net_index, SweepTimings* timings = nullptr);
+                          int net_index);
 
 /// Runs the subset of the sweep's cells whose canonical index (point-major:
 /// node_counts outer, net_index inner) is congruent to `slice_index` modulo
-/// `slice_count`, in parallel per `config.threads`. The union of all slices
-/// is exactly the cell set run_sweep computes. Checks the counts as
-/// run_sweep does.
+/// `slice_count`, in parallel per `config.threads`, and returns them in
+/// canonical order. The union of all slices is exactly the cell set
+/// run_sweep computes. Checks the config as run_sweep does.
 std::vector<SliceCell> run_sweep_slice(const SweepConfig& config,
-                                       int slice_index, int slice_count,
-                                       SweepTimings* timings = nullptr);
+                                       int slice_index, int slice_count);
 
 /// Merges tagged cell results into sweep points, replaying run_sweep's
 /// canonical cell-order reduction (node_counts outer, net_index inner) —
@@ -152,9 +125,5 @@ std::vector<std::pair<NodeId, NodeId>> sweep_cell_pairs(
 /// exposed so scenarios and tests can reconstruct any cell's network.
 std::uint64_t sweep_cell_seed(const SweepConfig& config, int node_count,
                               int net_index);
-
-/// Seconds elapsed since `start` — the wall-clock helper behind
-/// SweepTimings and the scenario reports.
-double seconds_since(std::chrono::steady_clock::time_point start);
 
 }  // namespace spr

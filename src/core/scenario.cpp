@@ -1,11 +1,6 @@
 #include "core/scenario.h"
-// spr-analyze-file: allow(determinism-taint) timing scenarios report
-// wall-clock curves (seconds, speedup, hardware threads) by design; the
-// determinism contract covers statuses/anchors/aggregates, which the
-// bit_identical gates in this file verify on every run.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -29,24 +24,6 @@
 namespace spr {
 
 namespace {
-
-bool summaries_identical(const Summary& a, const Summary& b) {
-  return a.count() == b.count() && a.sum() == b.sum() && a.mean() == b.mean() &&
-         a.min() == b.min() && a.max() == b.max() &&
-         a.variance() == b.variance();
-}
-
-bool aggregates_identical(const RouteAggregate& a, const RouteAggregate& b) {
-  return a.requested == b.requested && a.attempted == b.attempted &&
-         a.delivered == b.delivered &&
-         summaries_identical(a.hops, b.hops) &&
-         summaries_identical(a.length, b.length) &&
-         summaries_identical(a.stretch_hops, b.stretch_hops) &&
-         summaries_identical(a.stretch_length, b.stretch_length) &&
-         summaries_identical(a.perimeter_hops, b.perimeter_hops) &&
-         summaries_identical(a.backup_hops, b.backup_hops) &&
-         summaries_identical(a.local_minima, b.local_minima);
-}
 
 /// The paper sweep config with scenario-option overrides applied.
 SweepConfig figure_config(DeployModel model, const ScenarioOptions& opts) {
@@ -82,55 +59,91 @@ ReportCurve metric_curve(std::string title, const std::string& y_label,
   return curve;
 }
 
-/// Shared driver for the fig5/6/7 scenarios: runs both deployment models,
-/// records one table (and one plot curve) per panel and one sweep section
-/// per model.
-int run_figure(const ScenarioOptions& opts, const std::string& figure_title,
-               const std::string& metric_label, const MetricFn& metric,
-               int decimals, ScenarioReport& report) {
+/// One paper figure: its console heading, its panel title, and the number
+/// it plots per (scheme, point) with the decimals the table shows.
+struct Figure {
+  const char* heading;
+  const char* title;
+  const char* metric_label;
+  MetricFn metric;
+  int decimals;
+};
+
+/// The paper's Figs. 5-7 from one sweep per deployment model: each figure
+/// prints one table (and records one plot curve) per model, and the report
+/// carries one sweep section per model.
+int run_figures(const ScenarioOptions& opts, ScenarioReport& report) {
+  const Figure figures[] = {
+      {"== Fig. 5: maximum number of hops of a GF, LGF, SLGF, SLGF2 "
+       "routing ==\n\n",
+       "Fig. 5", "max hops",
+       [](const RouteAggregate& agg) { return agg.max_hops(); }, 0},
+      {"== Fig. 6: average number of hops of a GF, LGF, SLGF, SLGF2 "
+       "routing ==\n\n",
+       "Fig. 6", "avg hops",
+       [](const RouteAggregate& agg) { return agg.hops.mean(); }, 2},
+      {"== Fig. 7: average length of a GF, LGF, SLGF, SLGF2 routing ==\n\n",
+       "Fig. 7", "avg path length (m)",
+       [](const RouteAggregate& agg) { return agg.length.mean(); }, 1},
+  };
+  struct ModelSweep {
+    SweepConfig config;
+    std::vector<SweepPoint> points;
+    std::string delivery;  ///< worst-point delivery ratio per scheme
+  };
+  std::vector<ModelSweep> sweeps;
   for (DeployModel model :
        {DeployModel::kIdeal, DeployModel::kForbiddenAreas}) {
-    SweepConfig config = figure_config(model, opts);
-    report.textf("%s — %s model, %d networks x %d pairs per point\n",
-                 figure_title.c_str(), model_name(model),
-                 config.networks_per_point, config.pairs_per_network);
-    auto start = std::chrono::steady_clock::now();
-    auto points = run_sweep(config);
-    double wall = seconds_since(start);
-
-    std::vector<std::string> header{"nodes"};
-    for (const auto& spec : config.schemes)
-      header.push_back(spec.display_label());
-    Table table(std::move(header));
-    for (const auto& point : points) {
-      std::vector<std::string> row{std::to_string(point.node_count)};
-      for (const auto& spec : config.schemes) {
-        const auto& agg = point.by_scheme.at(spec.display_label());
-        row.push_back(Table::fmt(metric(agg), decimals));
-      }
-      table.add_row(std::move(row));
-    }
-    report.add_table(std::move(table), deploy_model_tag(model));
+    ModelSweep sweep{figure_config(model, opts), {}, {}};
+    sweep.points = run_sweep(sweep.config);
     // Delivery context so failed routes are visible, not silently dropped.
-    std::string delivery = "delivery ratio per scheme (worst point):";
-    for (const auto& spec : config.schemes) {
+    sweep.delivery = "delivery ratio per scheme (worst point):";
+    for (const auto& spec : sweep.config.schemes) {
       double worst = 1.0;
-      for (const auto& point : points) {
+      for (const auto& point : sweep.points) {
         worst = std::min(
             worst, point.by_scheme.at(spec.display_label()).delivery_ratio());
       }
       char buf[96];
       std::snprintf(buf, sizeof(buf), "  %s>=%.2f",
                     spec.display_label().c_str(), worst);
-      delivery += buf;
+      sweep.delivery += buf;
     }
-    report.note(std::move(delivery));
-    report.text("\n");
+    sweeps.push_back(std::move(sweep));
+  }
 
-    report.curves.push_back(metric_curve(
-        figure_title + " — " + model_name(model), metric_label, config,
-        points, metric));
-    report.add_sweep(config, std::move(points), wall);
+  for (const Figure& figure : figures) {
+    report.text(figure.heading);
+    for (const ModelSweep& sweep : sweeps) {
+      const SweepConfig& config = sweep.config;
+      report.textf("%s — %s model, %d networks x %d pairs per point\n",
+                   figure.title, model_name(config.model),
+                   config.networks_per_point, config.pairs_per_network);
+      std::vector<std::string> header{"nodes"};
+      for (const auto& spec : config.schemes)
+        header.push_back(spec.display_label());
+      Table table(std::move(header));
+      for (const auto& point : sweep.points) {
+        std::vector<std::string> row{std::to_string(point.node_count)};
+        for (const auto& spec : config.schemes) {
+          const auto& agg = point.by_scheme.at(spec.display_label());
+          row.push_back(Table::fmt(figure.metric(agg), figure.decimals));
+        }
+        table.add_row(std::move(row));
+      }
+      report.add_table(std::move(table), std::string(figure.title) + " " +
+                                             deploy_model_tag(config.model));
+      report.text(sweep.delivery + "\n\n");
+      report.curves.push_back(metric_curve(
+          std::string(figure.title) + " — " + model_name(config.model),
+          figure.metric_label, config, sweep.points, figure.metric));
+    }
+  }
+  // The delivery line prints under every figure; the notes list it once
+  // per model.
+  for (ModelSweep& sweep : sweeps) {
+    report.notes.push_back(std::move(sweep.delivery));
+    report.add_sweep(sweep.config, std::move(sweep.points));
   }
   return 0;
 }
@@ -151,9 +164,7 @@ int run_ablation(const ScenarioOptions& opts, ScenarioReport& report) {
   config.schemes = schemes;
   config.node_counts = {400, 600, 800};
 
-  auto start = std::chrono::steady_clock::now();
   auto points = run_sweep(config);
-  double wall = seconds_since(start);
 
   struct Metric {
     const char* name;
@@ -186,7 +197,7 @@ int run_ablation(const ScenarioOptions& opts, ScenarioReport& report) {
         metric.fn));
   }
 
-  report.add_sweep(config, std::move(points), wall);
+  report.add_sweep(config, std::move(points));
   return 0;
 }
 
@@ -199,9 +210,7 @@ int run_hole_field(const ScenarioOptions& opts, ScenarioReport& report) {
   if (opts.networks == 0) config.networks_per_point = 20;
   config.node_counts = {500, 600, 700};
 
-  auto start = std::chrono::steady_clock::now();
   auto points = run_sweep(config);
-  double wall = seconds_since(start);
 
   // Unsafe-node share, sampled over this sweep's own networks (the sweep
   // itself never builds the labeling for GF/LGF — that's the point of the
@@ -259,7 +268,7 @@ int run_hole_field(const ScenarioOptions& opts, ScenarioReport& report) {
       "hole-field — delivery ratio", "delivery ratio", config, points,
       [](const RouteAggregate& a) { return a.delivery_ratio(); }));
 
-  report.add_sweep(config, std::move(points), wall);
+  report.add_sweep(config, std::move(points));
   return 0;
 }
 
@@ -655,9 +664,7 @@ int finish_stream_grid(const StreamGridSpec& spec, const StreamGrid& grid,
   // Sweep sections so the JSON report carries the standard "models" shape,
   // with per-scheme RouteAggregates built from the stream totals. The point
   // key carries the swept value, not a node count (the x-axis note and the
-  // sweep_section_x_axis param say which). wall_seconds/threads stay 0 by
-  // design: the report must be byte-identical across reruns and thread
-  // counts.
+  // sweep_section_x_axis param say which).
   for (std::size_t first = 0; first < spec.points;
        first += spec.points_per_section) {
     SweepSection section;
@@ -1033,9 +1040,7 @@ int run_stretch(const ScenarioOptions& opts, ScenarioReport& report) {
     SweepConfig config = figure_config(model, opts);
     if (opts.networks == 0) config.networks_per_point = 30;
     config.node_counts = {400, 500, 600, 700, 800};
-    auto start = std::chrono::steady_clock::now();
     auto points = run_sweep(config);
-    double wall = seconds_since(start);
 
     std::vector<std::string> header{"nodes"};
     for (const auto& spec : config.schemes) {
@@ -1072,7 +1077,7 @@ int run_stretch(const ScenarioOptions& opts, ScenarioReport& report) {
         metric_curve(std::string("stretch — length stretch — ") +
                          model_name(model),
                      "length stretch", config, points, length_stretch));
-    report.add_sweep(config, std::move(points), wall);
+    report.add_sweep(config, std::move(points));
   }
   return 0;
 }
@@ -1195,72 +1200,6 @@ int run_construction_cost(const ScenarioOptions& opts,
   report.text("broadcasts stay near one per node: only nodes whose status or\n"
               "anchors change rebroadcast, matching the minimality claim.\n");
   return 0;
-}
-
-/// Parallel-sweep scaling: the same sweep serial and parallel, verifying
-/// bit-identical aggregates and reporting the wall-clock ratio plus the
-/// construction / oracle / routing breakdown and the per-source oracle
-/// saving over the per-pair search loop.
-int run_sweep_scaling(const ScenarioOptions& opts, ScenarioReport& report) {
-  SweepConfig config = figure_config(DeployModel::kIdeal, opts);
-  if (opts.networks == 0) config.networks_per_point = 8;
-  if (opts.pairs == 0) config.pairs_per_network = 6;
-  config.node_counts = {400, 600, 800};
-  int hardware = TaskPool::hardware_threads();
-  int parallel_threads = opts.threads > 1 ? opts.threads : hardware;
-  report.textf("== Sweep scaling: %zu points x %d networks x %d pairs, "
-               "%d hardware threads ==\n\n",
-               config.node_counts.size(), config.networks_per_point,
-               config.pairs_per_network, hardware);
-
-  config.threads = 1;
-  auto start = std::chrono::steady_clock::now();
-  SweepTimings serial_timings;
-  auto serial = run_sweep(config, {}, &serial_timings);
-  double serial_seconds = seconds_since(start);
-
-  config.threads = parallel_threads;
-  start = std::chrono::steady_clock::now();
-  SweepTimings parallel_timings;
-  auto parallel = run_sweep(config, {}, &parallel_timings);
-  double parallel_seconds = seconds_since(start);
-
-  bool identical = sweep_results_identical(serial, parallel);
-  double speedup =
-      parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
-  report.textf("serial (threads=1):   %.2fs\n", serial_seconds);
-  report.textf("parallel (threads=%d): %.2fs\n", parallel_threads,
-               parallel_seconds);
-  report.textf("speedup: %.2fx, aggregates bit-identical: %s\n", speedup,
-               identical ? "yes" : "NO");
-  // Cost breakdown (serial run: the parallel one sums worker wall-clocks).
-  report.textf("serial breakdown: construction %.2fs, pair draw %.2fs, "
-               "oracle %.2fs, routing %.2fs\n",
-               serial_timings.construction_seconds,
-               serial_timings.pair_draw_seconds,
-               serial_timings.oracle_seconds, serial_timings.routing_seconds);
-  report.textf("oracle: one bidirectional BFS + one A* search per pair, "
-               "%llu pairs\n",
-               static_cast<unsigned long long>(serial_timings.pairs_routed));
-  if (serial_timings.pairs_routed < serial_timings.pairs_requested) {
-    report.textf("pair shortfall: %llu of %llu requested pairs not drawn\n",
-                 static_cast<unsigned long long>(
-                     serial_timings.pairs_requested -
-                     serial_timings.pairs_routed),
-                 static_cast<unsigned long long>(
-                     serial_timings.pairs_requested));
-  }
-
-  report.param("hardware_threads", JsonValue::of(hardware));
-  report.param("parallel_threads", JsonValue::of(parallel_threads));
-  report.param("serial_seconds", JsonValue::of(serial_seconds));
-  report.param("parallel_seconds", JsonValue::of(parallel_seconds));
-  report.param("speedup", JsonValue::of(speedup));
-  report.param("bit_identical", JsonValue::of(identical));
-  report.param("serial_timings", to_json(serial_timings));
-  report.param("parallel_timings", to_json(parallel_timings));
-  report.add_sweep(config, std::move(parallel), parallel_seconds);
-  return identical ? 0 : 1;
 }
 
 }  // namespace
@@ -1404,36 +1343,10 @@ int ScenarioSuite::run(std::string_view name,
 ScenarioSuite& ScenarioSuite::builtin() {
   static ScenarioSuite suite = [] {
     ScenarioSuite s;
-    s.add({"fig5-max-hops",
-           "paper Fig. 5: maximum hops per scheme, IA + FA models",
-           [](const ScenarioOptions& o, ScenarioReport& r) {
-             r.textf("== Fig. 5: maximum number of hops of a GF, LGF, "
-                     "SLGF, SLGF2 routing ==\n\n");
-             return run_figure(
-                 o, "Fig. 5", "max hops",
-                 [](const RouteAggregate& agg) { return agg.max_hops(); }, 0,
-                 r);
-           }});
-    s.add({"fig6-avg-hops",
-           "paper Fig. 6: average hops per scheme, IA + FA models",
-           [](const ScenarioOptions& o, ScenarioReport& r) {
-             r.textf("== Fig. 6: average number of hops of a GF, LGF, "
-                     "SLGF, SLGF2 routing ==\n\n");
-             return run_figure(
-                 o, "Fig. 6", "avg hops",
-                 [](const RouteAggregate& agg) { return agg.hops.mean(); }, 2,
-                 r);
-           }});
-    s.add({"fig7-path-length",
-           "paper Fig. 7: average path length per scheme, IA + FA models",
-           [](const ScenarioOptions& o, ScenarioReport& r) {
-             r.textf("== Fig. 7: average length of a GF, LGF, SLGF, SLGF2 "
-                     "routing ==\n\n");
-             return run_figure(
-                 o, "Fig. 7", "avg path length (m)",
-                 [](const RouteAggregate& agg) { return agg.length.mean(); },
-                 1, r);
-           }});
+    s.add({"figures",
+           "paper Figs. 5-7: max hops, average hops and path length per "
+           "scheme, IA + FA models",
+           run_figures});
     s.add({"ablation", "SLGF2 mechanism ablation (FA model)", run_ablation});
     s.add({"delivery",
            "delivery ratio per scheme incl. MFR/Compass/flooding baselines",
@@ -1460,27 +1373,9 @@ ScenarioSuite& ScenarioSuite::builtin() {
            "re-pin interval x speed sweep: incremental with_moves relabeling "
            "under random-waypoint motion",
            run_mobility_rate});
-    s.add({"sweep-scaling",
-           "parallel vs serial sweep: wall-clock ratio + bit-identical check",
-           run_sweep_scaling});
     return s;
   }();
   return suite;
-}
-
-bool sweep_results_identical(const std::vector<SweepPoint>& a,
-                             const std::vector<SweepPoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].node_count != b[i].node_count) return false;
-    if (a[i].by_scheme.size() != b[i].by_scheme.size()) return false;
-    for (const auto& [label, agg] : a[i].by_scheme) {
-      auto it = b[i].by_scheme.find(label);
-      if (it == b[i].by_scheme.end()) return false;
-      if (!aggregates_identical(agg, it->second)) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace spr

@@ -2,13 +2,14 @@
 
 /// \file scenario.h
 /// ScenarioSuite: the shared runner behind `spr_cli run` and CI. A
-/// scenario is a named, parameterized experiment (a paper figure, a
-/// hole-field study, failure dynamics, a mobile stream, the parallel-sweep
-/// scaling check). Scenarios don't print: each builds a typed
-/// ScenarioReport (report/report.h) and the suite renders it through the
-/// selected ReportSink backends (report/sink.h) — console tables by
-/// default, plus JSON / CSV / SVG when requested via
-/// `ScenarioOptions::formats` (`--format`) or an explicit output path.
+/// scenario is a named, parameterized experiment (the paper's figures, a
+/// hole-field study, failure dynamics, a mobile stream). Scenarios don't
+/// print: each builds a typed ScenarioReport (report/report.h) and the
+/// suite renders it through the selected ReportSink backends
+/// (report/sink.h) — console tables by default, plus JSON / CSV / SVG when
+/// requested via `ScenarioOptions::formats` (`--format`) or an explicit
+/// output path. No wall-clock or thread-count value enters a report, so
+/// every artifact is a pure function of the options and seed.
 ///
 /// Trade-off of the report model: the console stream renders after the
 /// scenario completes, so a paper-scale sweep prints nothing while it
@@ -18,7 +19,7 @@
 ///
 ///   spr::ScenarioOptions opts;
 ///   opts.networks = 5;
-///   return spr::ScenarioSuite::builtin().run("fig6-avg-hops", opts);
+///   return spr::ScenarioSuite::builtin().run("figures", opts);
 
 #include <functional>
 #include <string>
@@ -58,9 +59,8 @@ struct Scenario {
 class ScenarioSuite {
  public:
   /// The process-wide suite with every built-in scenario registered
-  /// (paper figures, ablation, delivery, stretch, construction-cost,
-  /// hole-field, failure-dynamics, mobile-stream, the stream grids,
-  /// sweep-scaling).
+  /// (figures, ablation, delivery, stretch, construction-cost, hole-field,
+  /// failure-dynamics, mobile-stream, the stream grids).
   static ScenarioSuite& builtin();
 
   void add(Scenario scenario);
@@ -90,11 +90,5 @@ using MetricFn = std::function<double(const RouteAggregate&)>;
 /// Display name of a deployment model ("IA (uniform)" / "FA (forbidden
 /// areas)"), shared by the scenarios.
 const char* model_name(DeployModel model) noexcept;
-
-/// Exact equality of two sweep results (bitwise on every summary moment);
-/// the determinism check behind the sweep-scaling scenario, the slice
-/// merge acceptance tests, and the parallel-sweep tests.
-bool sweep_results_identical(const std::vector<SweepPoint>& a,
-                             const std::vector<SweepPoint>& b);
 
 }  // namespace spr

@@ -10,6 +10,7 @@ namespace spr {
 
 std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source) {
   std::vector<std::size_t> dist(g.size(), kUnreachableHops);
+  if (source >= g.size()) return dist;
   std::queue<NodeId> frontier;
   dist[source] = 0;
   frontier.push(source);

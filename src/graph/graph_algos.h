@@ -66,7 +66,8 @@ class OracleBatch {
 inline constexpr std::size_t kUnreachableHops = static_cast<std::size_t>(-1);
 
 /// Hop counts from `source` to every node (kUnreachableHops when
-/// unreachable).
+/// unreachable). An out-of-range `source` reaches nothing: every entry is
+/// kUnreachableHops, as `hop_distance` reports for out-of-range ids.
 std::vector<std::size_t> bfs_hops(const UnitDiskGraph& g, NodeId source);
 
 /// Reusable state of `hop_distance`: per-node visit stamps plus flat

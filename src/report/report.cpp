@@ -36,15 +36,12 @@ void ScenarioReport::param(std::string key, JsonValue value) {
 }
 
 void ScenarioReport::add_sweep(const SweepConfig& config,
-                               std::vector<SweepPoint> points,
-                               double wall_seconds) {
+                               std::vector<SweepPoint> points) {
   SweepSection section;
   section.model = config.model;
   section.networks_per_point = config.networks_per_point;
   section.pairs_per_network = config.pairs_per_network;
   section.base_seed = config.base_seed;
-  section.threads = config.threads;
-  section.wall_seconds = wall_seconds;
   section.points = std::move(points);
   sweeps.push_back(std::move(section));
 }

@@ -9,10 +9,10 @@
 /// console text, JSON, CSV or SVG.
 ///
 ///   ScenarioReport report;
-///   report.scenario = "fig6-avg-hops";
+///   report.scenario = "figures";
 ///   report.textf("== Fig. 6 ==\n\n");
 ///   report.add_table(std::move(table));
-///   report.add_sweep(config, points, wall_seconds);
+///   report.add_sweep(config, points);
 ///   // runner: for (auto& sink : sinks) sink->emit(report);
 
 #include <cstdarg>
@@ -35,14 +35,14 @@ struct ReportTable {
 };
 
 /// One sweep's points under the configuration identity that produced them
-/// — the element shape of the JSON report's "models" array.
+/// — the element shape of the JSON report's "models" array. It holds no
+/// wall-clock or thread-count value, so a report is a pure function of its
+/// scenario options and seed.
 struct SweepSection {
   DeployModel model = DeployModel::kIdeal;
   int networks_per_point = 0;
   int pairs_per_network = 0;
   std::uint64_t base_seed = 0;
-  int threads = 0;
-  double wall_seconds = 0.0;
   std::vector<SweepPoint> points;
 };
 
@@ -93,8 +93,7 @@ struct ScenarioReport {
   /// Appends an ordered machine-readable param.
   void param(std::string key, JsonValue value);
   /// Appends a sweep section from a finished run_sweep call.
-  void add_sweep(const SweepConfig& config, std::vector<SweepPoint> points,
-                 double wall_seconds);
+  void add_sweep(const SweepConfig& config, std::vector<SweepPoint> points);
   /// Records `line` as a note and prints it (plus '\n') on the console
   /// stream.
   void note(std::string line);

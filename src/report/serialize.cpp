@@ -60,8 +60,6 @@ JsonValue stats_json(const SweepSection& section) {
   v.set("networks_per_point", JsonValue::of(section.networks_per_point));
   v.set("pairs_per_network", JsonValue::of(section.pairs_per_network));
   v.set("base_seed", JsonValue::of(section.base_seed));
-  v.set("threads", JsonValue::of(section.threads));
-  v.set("wall_seconds", JsonValue::of(section.wall_seconds));
   v.set("points", std::move(points));
   return v;
 }
@@ -128,17 +126,6 @@ JsonValue stats_json(const StreamStats& stats) {
   }
   root.set("schemes", std::move(schemes));
   return root;
-}
-
-JsonValue to_json(const SweepTimings& t) {
-  JsonValue v = JsonValue::object();
-  v.set("construction_seconds", JsonValue::of(t.construction_seconds));
-  v.set("pair_draw_seconds", JsonValue::of(t.pair_draw_seconds));
-  v.set("oracle_seconds", JsonValue::of(t.oracle_seconds));
-  v.set("routing_seconds", JsonValue::of(t.routing_seconds));
-  v.set("pairs_requested", JsonValue::of(t.pairs_requested));
-  v.set("pairs_routed", JsonValue::of(t.pairs_routed));
-  return v;
 }
 
 // ------------------------------------------------------------- full form

@@ -40,9 +40,6 @@ JsonValue stats_json(const SweepSection& section);
 /// and per-re-pin incremental-relabeling records.
 JsonValue stats_json(const StreamStats& stats);
 
-/// The cost breakdown; every field is exact, so it has one form.
-JsonValue to_json(const SweepTimings& t);
-
 // ------------------------------------------------------------- full form
 /// {"values": [...]} — everything needed to rebuild the accumulator.
 JsonValue to_json(const Summary& s);

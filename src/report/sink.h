@@ -7,7 +7,7 @@
 /// artifact, CSV exports and an SVG plot together:
 ///
 ///   ConsoleSink console;
-///   JsonSink json("fig6.json");
+///   JsonSink json("figures.json");
 ///   console.emit(report);
 ///   json.emit(report);
 ///

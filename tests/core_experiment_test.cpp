@@ -61,24 +61,6 @@ TEST(Experiment, ModelsProduceDifferentNetworks) {
             pb[0].by_scheme.at("SLGF2").hops.mean());
 }
 
-TEST(Experiment, ProgressCallbackFires) {
-  int calls = 0;
-  SweepConfig config = tiny_sweep();
-  run_sweep(config, [&](int, int, int) { ++calls; });
-  EXPECT_EQ(calls, 2);  // one per network
-}
-
-TEST(Experiment, ProgressCallbackFiresOncePerCellUnderParallelism) {
-  // The callback is serialized by the sweep, so a plain int is enough even
-  // with worker threads.
-  int calls = 0;
-  SweepConfig config = tiny_sweep();
-  config.node_counts = {400, 450};
-  config.threads = 4;
-  run_sweep(config, [&](int, int, int) { ++calls; });
-  EXPECT_EQ(calls, 4);  // 2 points x 2 networks
-}
-
 TEST(Experiment, ParallelAggregatesBitIdenticalToSerial) {
   SweepConfig config = tiny_sweep();
   config.node_counts = {400, 450};
@@ -130,9 +112,10 @@ TEST(Experiment, PairsRoutedCountsTheCellsDrawnPairs) {
   auto pairs = sweep_cell_pairs(config, network, 400, 0);
   ASSERT_FALSE(pairs.empty());
 
-  SweepTimings timings;
-  run_sweep(config, {}, &timings);
-  EXPECT_EQ(timings.pairs_routed, pairs.size());
+  auto points = run_sweep(config);
+  for (const auto& [label, agg] : points[0].by_scheme) {
+    EXPECT_EQ(agg.attempted, pairs.size()) << label;
+  }
 }
 
 TEST(Experiment, RequestedPairsAccounted) {
@@ -147,6 +130,10 @@ TEST(Experiment, RequestedPairsAccounted) {
   ScopedCheckHandler guard(&throwing_check_handler);
   config.networks_per_point = -1;
   EXPECT_THROW(run_sweep(config), CheckError);
+  // So is a repeated node count: its cells would share coordinates.
+  config.networks_per_point = 1;
+  config.node_counts = {400, 450, 400};
+  EXPECT_THROW(run_sweep(config), CheckError);
 }
 
 TEST(Experiment, PairShortfallSurfacesOnUndrawablePairs) {
@@ -156,29 +143,12 @@ TEST(Experiment, PairShortfallSurfacesOnUndrawablePairs) {
   SweepConfig config = tiny_sweep();
   config.node_counts = {3};
   config.networks_per_point = 1;
-  SweepTimings timings;
-  auto points = run_sweep(config, {}, &timings);
+  auto points = run_sweep(config);
   for (const auto& [label, agg] : points[0].by_scheme) {
     EXPECT_EQ(agg.requested, 4u) << label;
     EXPECT_EQ(agg.attempted, 0u) << label;
     EXPECT_EQ(agg.pair_shortfall(), 4u) << label;
   }
-  EXPECT_EQ(timings.pairs_requested, 4u);
-  EXPECT_EQ(timings.pairs_routed, 0u);
-}
-
-TEST(Experiment, TimingsAccumulateAcrossCells) {
-  SweepConfig config = tiny_sweep();
-  SweepTimings timings;
-  run_sweep(config, {}, &timings);
-  EXPECT_EQ(timings.pairs_requested, 8u);  // 2 networks x 4 pairs
-  EXPECT_GE(timings.construction_seconds, 0.0);
-  EXPECT_GE(timings.oracle_seconds, 0.0);
-  EXPECT_GE(timings.routing_seconds, 0.0);
-  // Pair counts are deterministic, so a second run must agree exactly.
-  SweepTimings again;
-  run_sweep(config, {}, &again);
-  EXPECT_EQ(timings.pairs_routed, again.pairs_routed);
 }
 
 TEST(Experiment, SweepCellSeedMatchesSweepNetworks) {

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
+
+#include "support/sweep_compare.h"
 
 namespace spr {
 namespace {
@@ -37,10 +36,9 @@ TEST(JsonValue, DumpWritesNonFiniteNumbersAsNull) {
 TEST(ScenarioSuite, BuiltinRegistersTheNamedScenarios) {
   const auto& suite = ScenarioSuite::builtin();
   for (const char* name :
-       {"fig5-max-hops", "fig6-avg-hops", "fig7-path-length", "ablation",
-        "delivery", "stretch", "construction-cost", "hole-field",
-        "failure-dynamics", "mobile-stream", "streaming-delivery",
-        "mobility-rate", "sweep-scaling"}) {
+       {"figures", "ablation", "delivery", "stretch", "construction-cost",
+        "hole-field", "failure-dynamics", "mobile-stream",
+        "streaming-delivery", "mobility-rate"}) {
     EXPECT_NE(suite.find(name), nullptr) << name;
   }
   EXPECT_EQ(suite.find("no-such-scenario"), nullptr);
@@ -48,27 +46,6 @@ TEST(ScenarioSuite, BuiltinRegistersTheNamedScenarios) {
 
 TEST(ScenarioSuite, UnknownScenarioReturns2) {
   EXPECT_EQ(ScenarioSuite::builtin().run("no-such-scenario"), 2);
-}
-
-TEST(ScenarioSuite, SweepScalingVerifiesDeterminismAndWritesJson) {
-  std::string json_path =
-      testing::TempDir() + "/spr_scenario_scaling_test.json";
-  ScenarioOptions opts;
-  opts.networks = 2;
-  opts.pairs = 2;
-  opts.threads = 3;
-  opts.json_path = json_path;
-  ASSERT_EQ(ScenarioSuite::builtin().run("sweep-scaling", opts), 0);
-
-  std::ifstream in(json_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string json = buffer.str();
-  EXPECT_NE(json.find("\"scenario\":\"sweep-scaling\""), std::string::npos);
-  EXPECT_NE(json.find("\"bit_identical\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"speedup\":"), std::string::npos);
-  std::remove(json_path.c_str());
 }
 
 TEST(ScenarioSuite, SweepResultsIdenticalDetectsDivergence) {
@@ -79,24 +56,24 @@ TEST(ScenarioSuite, SweepResultsIdenticalDetectsDivergence) {
   config.schemes = SweepConfig::paper_schemes();
   auto a = run_sweep(config);
   auto b = run_sweep(config);
-  EXPECT_TRUE(sweep_results_identical(a, b));
+  EXPECT_TRUE(test::sweep_results_identical(a, b));
   b[0].by_scheme.at("GF").attempted += 1;
-  EXPECT_FALSE(sweep_results_identical(a, b));
+  EXPECT_FALSE(test::sweep_results_identical(a, b));
 }
 
 TEST(ScenarioSuite, SuggestsNearMatchesForUnknownNames) {
   const auto& suite = ScenarioSuite::builtin();
   // Prefix match.
-  auto by_prefix = suite.suggestions("fig6");
+  auto by_prefix = suite.suggestions("fig");
   ASSERT_FALSE(by_prefix.empty());
-  EXPECT_EQ(by_prefix.front(), "fig6-avg-hops");
+  EXPECT_EQ(by_prefix.front(), "figures");
   // Small typo (edit distance).
   auto by_typo = suite.suggestions("mobile-strem");
   ASSERT_FALSE(by_typo.empty());
   EXPECT_EQ(by_typo.front(), "mobile-stream");
-  auto by_typo2 = suite.suggestions("sweep-scalng");
+  auto by_typo2 = suite.suggestions("hole-fild");
   ASSERT_FALSE(by_typo2.empty());
-  EXPECT_EQ(by_typo2.front(), "sweep-scaling");
+  EXPECT_EQ(by_typo2.front(), "hole-field");
   // Nothing close.
   EXPECT_TRUE(suite.suggestions("zzzzzzzz").empty());
 }

@@ -28,6 +28,15 @@ TEST(GraphAlgos, BfsUnreachable) {
   EXPECT_FALSE(connected(g, 0, 1));
 }
 
+TEST(GraphAlgos, BfsHopsOutOfRangeSourceIsAllUnreachable) {
+  auto g = test::make_graph({{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}}, 12.0);
+  for (NodeId source : {NodeId{3}, NodeId{100}, kInvalidNode}) {
+    auto dist = bfs_hops(g, source);
+    ASSERT_EQ(dist.size(), g.size()) << source;
+    for (std::size_t d : dist) EXPECT_EQ(d, kUnreachableHops) << source;
+  }
+}
+
 TEST(GraphAlgos, ConnectedAgreesWithFullBfs) {
   // Components {0}, {2, 3} (split by the dead node 1), {4, 5, 6} and the
   // isolated node 7.

@@ -10,6 +10,10 @@
 /// the standalone bench binaries those scenarios replaced, run with 2
 /// networks x 3 pairs per point.
 ///
+/// The `figures` golden is the Fig. 5, 6 and 7 scenarios' output, captured
+/// one after the other with the same options before `figures` replaced
+/// them: one sweep per model now prints all three figures.
+///
 /// The goldens replay sweeps at tiny sizes; each test runs in well under a
 /// second.
 
@@ -28,11 +32,11 @@ int run_capturing(const char* name, const ScenarioOptions& opts,
   return code;
 }
 
-TEST(ConsoleGolden, Fig5MaxHops) {
+TEST(ConsoleGolden, Figures) {
   ScenarioOptions opts;
   opts.networks = 1; opts.pairs = 2; opts.seed = 7; opts.threads = 2;
   std::string captured;
-  ASSERT_EQ(run_capturing("fig5-max-hops", opts, captured), 0);
+  ASSERT_EQ(run_capturing("figures", opts, captured), 0);
   const std::string expected = R"GOLD(== Fig. 5: maximum number of hops of a GF, LGF, SLGF, SLGF2 routing ==
 
 Fig. 5 — IA (uniform) model, 1 networks x 2 pairs per point
@@ -61,6 +65,66 @@ nodes  GF  LGF  SLGF  SLGF2
   700   6    6     6      6
   750   9    9     9      9
   800  13   14    15     14
+delivery ratio per scheme (worst point):  GF>=1.00  LGF>=0.50  SLGF>=0.50  SLGF2>=1.00
+
+== Fig. 6: average number of hops of a GF, LGF, SLGF, SLGF2 routing ==
+
+Fig. 6 — IA (uniform) model, 1 networks x 2 pairs per point
+nodes    GF    LGF   SLGF  SLGF2
+--------------------------------
+  400  4.00   4.00   4.00   4.00
+  450  8.50  11.00  11.00  11.00
+  500  6.00   6.00   6.00   6.00
+  550  5.00   5.50   5.50   5.50
+  600  8.50   7.50   7.00   7.00
+  650  5.00   5.00   5.00   5.50
+  700  5.00   5.00   5.00   5.00
+  750  4.50   5.50   5.50   5.50
+  800  5.00   6.00   6.00   6.00
+delivery ratio per scheme (worst point):  GF>=1.00  LGF>=1.00  SLGF>=1.00  SLGF2>=1.00
+
+Fig. 6 — FA (forbidden areas) model, 1 networks x 2 pairs per point
+nodes     GF    LGF   SLGF  SLGF2
+---------------------------------
+  400   7.00   2.00   2.00   9.00
+  450  20.50   2.00   2.00   8.50
+  500   5.50   6.50   6.50   6.50
+  550   5.50   6.00   6.00   6.00
+  600   6.00   6.00   6.00   6.00
+  650  10.50  10.50  10.50  10.50
+  700   4.00   4.00   4.00   4.00
+  750   7.00   7.00   7.00   7.00
+  800  10.00  10.50  11.00  11.00
+delivery ratio per scheme (worst point):  GF>=1.00  LGF>=0.50  SLGF>=0.50  SLGF2>=1.00
+
+== Fig. 7: average length of a GF, LGF, SLGF, SLGF2 routing ==
+
+Fig. 7 — IA (uniform) model, 1 networks x 2 pairs per point
+nodes     GF    LGF   SLGF  SLGF2
+---------------------------------
+  400   67.3   67.3   65.8   65.8
+  450  127.3  146.5  146.5  146.5
+  500  102.3   89.6   89.6   89.6
+  550   80.8   81.4   81.4   81.4
+  600  123.3  117.1  109.8  109.8
+  650   81.7   75.1   75.1   82.1
+  700   78.9   73.4   73.4   73.4
+  750   75.4   79.6   79.6   79.6
+  800   85.5   90.0   90.0   90.0
+delivery ratio per scheme (worst point):  GF>=1.00  LGF>=1.00  SLGF>=1.00  SLGF2>=1.00
+
+Fig. 7 — FA (forbidden areas) model, 1 networks x 2 pairs per point
+nodes     GF    LGF   SLGF  SLGF2
+---------------------------------
+  400  107.4   27.8   27.8  125.9
+  450  178.3   31.2   31.2  131.6
+  500   85.4   86.8   86.8   86.8
+  550   92.2   91.1   91.1   91.1
+  600   90.2   90.2   90.2   90.2
+  650  163.8  163.5  159.3  159.3
+  700   61.9   62.7   62.7   62.7
+  750  106.2  105.4  105.4  105.4
+  800  149.9  148.7  148.8  152.9
 delivery ratio per scheme (worst point):  GF>=1.00  LGF>=0.50  SLGF>=0.50  SLGF2>=1.00
 
 )GOLD";

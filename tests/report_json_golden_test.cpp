@@ -1,13 +1,22 @@
 /// \file report_json_golden_test.cpp
 /// Byte-identity of the JSON artifacts: the documents JsonSink renders for
-/// the byte-stable scenarios (no wall-clock or thread-count value enters
-/// them), for a hand-built report that exercises every section kind, and
-/// the sweep slice file. The goldens are FNV-1a 64 hashes plus lengths of
+/// the scenarios, for a hand-built report that exercises every section
+/// kind, and the sweep slice file. No wall-clock or thread-count value
+/// enters a report, so every scenario's document is a pure function of its
+/// options and seed; the sweep scenarios are rendered at 1 and 4 threads
+/// against one golden. The goldens are FNV-1a 64 hashes plus lengths of
 /// captured documents (the hand-built report is verbatim), so any drift in
-/// key order, number formatting or escaping fails here.
+/// key order, number formatting, escaping or a single aggregate bit fails
+/// here.
+///
+/// `figures` runs at the paper's own scale (100 networks x 20 pairs per
+/// point, about 10 s in Release); Debug and sanitizer builds, which define
+/// SPR_DCHECK_ENABLED, run it at 5 networks per point against their own
+/// golden.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -41,28 +50,65 @@ void expect_golden(const std::string& document, Golden golden,
       << " length " << document.size();
 }
 
-std::string render_scenario(const char* name, const ScenarioOptions& opts) {
-  const Scenario* scenario = ScenarioSuite::builtin().find(name);
-  EXPECT_NE(scenario, nullptr) << name;
-  if (scenario == nullptr) return {};
+ScenarioReport build_report(const char* name, const ScenarioOptions& opts) {
   ScenarioReport report;
   report.scenario = name;
-  EXPECT_EQ(scenario->build(opts, report), 0) << name;
-  return JsonSink::render(report);
+  const Scenario* scenario = ScenarioSuite::builtin().find(name);
+  EXPECT_NE(scenario, nullptr) << name;
+  if (scenario != nullptr) {
+    EXPECT_EQ(scenario->build(opts, report), 0) << name;
+  }
+  return report;
+}
+
+std::string render_scenario(const char* name, const ScenarioOptions& opts) {
+  return JsonSink::render(build_report(name, opts));
+}
+
+/// Every count and every retained sample of every aggregate in the
+/// report's sweep sections, as little-endian bytes in section, point and
+/// label order. The document's stats form rounds: a one-ulp change to one
+/// of 2,000 samples rarely moves a mean, so the sweep goldens pin these
+/// bytes too.
+std::string sweep_sample_bytes(const ScenarioReport& report) {
+  std::string bytes;
+  auto put = [&](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<char>((word >> (8 * i)) & 0xff));
+    }
+  };
+  for (const SweepSection& section : report.sweeps) {
+    for (const SweepPoint& point : section.points) {
+      put(static_cast<std::uint64_t>(point.node_count));
+      for (const auto& [label, agg] : point.by_scheme) {
+        bytes += label;
+        put(agg.requested);
+        put(agg.attempted);
+        put(agg.delivered);
+        for (const Summary* summary :
+             {&agg.hops, &agg.length, &agg.stretch_hops, &agg.stretch_length,
+              &agg.perimeter_hops, &agg.backup_hops, &agg.local_minima}) {
+          put(summary->count());
+          for (double v : summary->values()) put(std::bit_cast<std::uint64_t>(v));
+        }
+      }
+    }
+  }
+  return bytes;
 }
 
 TEST(JsonGolden, StreamingDelivery) {
   ScenarioOptions opts;
   opts.networks = 1; opts.pairs = 4; opts.threads = 2;
   expect_golden(render_scenario("streaming-delivery", opts),
-                {0x6a37f1ff3359d9f5ULL, 31137}, "streaming-delivery");
+                {0x042485e7a23ae6eaULL, 31108}, "streaming-delivery");
 }
 
 TEST(JsonGolden, MobilityRate) {
   ScenarioOptions opts;
   opts.networks = 1; opts.pairs = 4; opts.threads = 2;
   expect_golden(render_scenario("mobility-rate", opts),
-                {0x171d6f4f2b8786d0ULL, 34681}, "mobility-rate");
+                {0x4cdd3773255fb1f8ULL, 34623}, "mobility-rate");
 }
 
 TEST(JsonGolden, FailureDynamics) {
@@ -77,6 +123,60 @@ TEST(JsonGolden, MobileStream) {
   opts.networks = 3; opts.seed = 9;
   expect_golden(render_scenario("mobile-stream", opts),
                 {0x585e4e19dae1ddd7ULL, 197}, "mobile-stream");
+}
+
+/// Builds `name` at 1 and 4 threads: both documents must match
+/// `document`, and both reports' sweep samples `samples`.
+void expect_sweep_golden(const char* name, ScenarioOptions opts,
+                         Golden document, Golden samples) {
+  for (int threads : {1, 4}) {
+    opts.threads = threads;
+    const ScenarioReport report = build_report(name, opts);
+    const std::string what =
+        std::string(name) + " threads=" + std::to_string(threads);
+    expect_golden(JsonSink::render(report), document, what.c_str());
+    expect_golden(sweep_sample_bytes(report), samples,
+                  (what + " samples").c_str());
+  }
+}
+
+#ifdef SPR_DCHECK_ENABLED
+constexpr int kFigureNetworks = 5;
+constexpr Golden kFiguresDocument{0x36024a4b88463913ULL, 58296};
+constexpr Golden kFiguresSamples{0xa4fb3e4a0fd25439ULL, 405804};
+#else
+constexpr int kFigureNetworks = 0;  // the scenario default: the paper's 100
+constexpr Golden kFiguresDocument{0x027646bec6cd0da1ULL, 60372};
+constexpr Golden kFiguresSamples{0x4a0942a7c27aaaa5ULL, 8001612};
+#endif
+
+/// Figs. 5-7 as the paper runs them: 9 node counts x 2 models, 20 pairs
+/// per network, base seed 2009.
+TEST(JsonGolden, FiguresAtPaperScale) {
+  ScenarioOptions opts;
+  opts.networks = kFigureNetworks;
+  expect_sweep_golden("figures", opts, kFiguresDocument, kFiguresSamples);
+}
+
+TEST(JsonGolden, Ablation) {
+  ScenarioOptions opts;
+  opts.networks = 1; opts.pairs = 2; opts.seed = 7;
+  expect_sweep_golden("ablation", opts, {0x73c98e9f23d038fcULL, 11015},
+                      {0x7ed40f94b88a09e8ULL, 2970});
+}
+
+TEST(JsonGolden, Stretch) {
+  ScenarioOptions opts;
+  opts.networks = 1; opts.pairs = 2; opts.seed = 7;
+  expect_sweep_golden("stretch", opts, {0x782a014a5f4680fcULL, 28407},
+                      {0x2279f5218dead961ULL, 7804});
+}
+
+TEST(JsonGolden, HoleField) {
+  ScenarioOptions opts;
+  opts.networks = 1; opts.pairs = 2; opts.seed = 7;
+  expect_sweep_golden("hole-field", opts, {0x88249e08731f3a37ULL, 8684},
+                      {0x8eac147a5b0c398cULL, 2370});
 }
 
 /// Every section kind a report can carry, in the order JsonSink writes
@@ -102,22 +202,20 @@ TEST(JsonGolden, HandBuiltReportCoversEverySection) {
   nested.set("k", JsonValue::of("v")).set("empty", JsonValue::array());
   report.param("nested", std::move(nested));
 
-  SweepTimings timings;
-  timings.construction_seconds = 1.25;
-  timings.pair_draw_seconds = 0.5;
-  timings.oracle_seconds = 2.0 / 3.0;
-  timings.routing_seconds = 0.125;
-  timings.pairs_requested = 20;
-  timings.pairs_routed = 19;
-  report.param("timings", to_json(timings));
+  JsonValue timings = JsonValue::object();
+  timings.set("construction_seconds", JsonValue::of(1.25))
+      .set("pair_draw_seconds", JsonValue::of(0.5))
+      .set("oracle_seconds", JsonValue::of(2.0 / 3.0))
+      .set("routing_seconds", JsonValue::of(0.125))
+      .set("pairs_requested", JsonValue::of(std::uint64_t{20}))
+      .set("pairs_routed", JsonValue::of(std::uint64_t{19}));
+  report.param("timings", std::move(timings));
 
   SweepSection section;
   section.model = DeployModel::kForbiddenAreas;
   section.networks_per_point = 2;
   section.pairs_per_network = 3;
   section.base_seed = 2009;
-  section.threads = 4;
-  section.wall_seconds = 0.75;
   SweepPoint point;
   point.node_count = 400;
   RouteAggregate agg;
@@ -144,8 +242,8 @@ TEST(JsonGolden, HandBuiltReportCoversEverySection) {
       R"GOLD("pair_draw_seconds":0.5,"oracle_seconds":0.66666666666666663,)GOLD"
       R"GOLD("routing_seconds":0.125,"pairs_requested":20,)GOLD"
       R"GOLD("pairs_routed":19},"models":[{"model":"FA","networks_per_point":2,)GOLD"
-      R"GOLD("pairs_per_network":3,"base_seed":2009,"threads":4,)GOLD"
-      R"GOLD("wall_seconds":0.75,"points":[{"nodes":400,)GOLD"
+      R"GOLD("pairs_per_network":3,"base_seed":2009,)GOLD"
+      R"GOLD("points":[{"nodes":400,)GOLD"
       R"GOLD("schemes":{"GF":{"requested":0,"attempted":0,"pair_shortfall":0,)GOLD"
       R"GOLD("delivered":0,"delivery_ratio":0,"hops":{"count":0,"mean":0,)GOLD"
       R"GOLD("min":0,"max":0,"stddev":0},"length":{"count":0,"mean":0,"min":0,)GOLD"

@@ -12,7 +12,7 @@
 #include <set>
 #include <utility>
 
-#include "core/scenario.h"
+#include "support/sweep_compare.h"
 #include "util/check.h"
 
 namespace spr {
@@ -171,7 +171,7 @@ TEST(Shards, SingleCellShardsMergeBitIdenticallyToRunSweep) {
   std::vector<SweepPoint> merged;
   std::string error;
   ASSERT_TRUE(merge_slices(std::move(shards), merged, &error)) << error;
-  EXPECT_TRUE(sweep_results_identical(in_process, merged));
+  EXPECT_TRUE(test::sweep_results_identical(in_process, merged));
 }
 
 TEST(Shards, UnevenShardingAlsoMergesIdentically) {
@@ -184,7 +184,7 @@ TEST(Shards, UnevenShardingAlsoMergesIdentically) {
   }
   std::vector<SweepPoint> merged;
   ASSERT_TRUE(merge_slices(std::move(shards), merged, nullptr));
-  EXPECT_TRUE(sweep_results_identical(in_process, merged));
+  EXPECT_TRUE(test::sweep_results_identical(in_process, merged));
 }
 
 TEST(Shards, MergeRejectsBadInput) {

@@ -54,7 +54,7 @@ TEST(JsonSinkTest, EveryBuiltinScenarioReportParses) {
 }
 
 TEST(JsonSinkTest, FigureReportKeepsTheLegacyShape) {
-  ScenarioReport report = build_report("fig6-avg-hops", tiny_options());
+  ScenarioReport report = build_report("figures", tiny_options());
   JsonValue parsed;
   ASSERT_TRUE(JsonValue::parse(JsonSink::render(report), parsed));
   const JsonValue& models = parsed.get("models");
@@ -118,8 +118,8 @@ TEST(CsvSinkTest, WritesEveryTable) {
 }
 
 TEST(SvgSinkTest, RendersOnePanelPerCurve) {
-  ScenarioReport report = build_report("fig6-avg-hops", tiny_options());
-  ASSERT_EQ(report.curves.size(), 2u);  // IA + FA panels
+  ScenarioReport report = build_report("figures", tiny_options());
+  ASSERT_EQ(report.curves.size(), 6u);  // Figs. 5-7 x (IA + FA) panels
   std::string svg = SvgSink::render(report);
   EXPECT_NE(svg.find("<svg"), std::string::npos);
   EXPECT_NE(svg.find("<polyline"), std::string::npos);
