@@ -11,7 +11,6 @@
 #include "sim/event_queue.h"
 #include "sim/tick_scheduler.h"
 #include "util/check.h"
-#include "util/flat_map.h"
 #include "util/task_pool.h"
 
 namespace spr {
@@ -36,9 +35,10 @@ WaypointConfig pin_field(WaypointConfig wc, const Rect& field) {
 /// parallel arrays. Flight f = p * n_schemes + k is scheme k's copy of
 /// packet p, so one tick-batch id addresses one copy and the final
 /// reduction walks the arrays in packet-major order. Stepper slots are
-/// pooled: armed in place via Router::restart_stepper at injection and at
-/// re-plans, released when the flight terminates — after the ramp-up the
-/// steady state allocates nothing.
+/// pooled: armed in place via Router::restart_stepper when a flight parked
+/// at injection first needs its own header (a re-plan, or a tick after a
+/// barrier that changed nothing), released when the flight terminates —
+/// after the ramp-up the steady state allocates nothing.
 struct FlightRecords {
   // Per packet.
   std::vector<double> inject_time;
@@ -53,8 +53,124 @@ struct FlightRecords {
   std::vector<std::uint32_t> replans;
   std::vector<double> length;  ///< across re-planned segments, meters
   std::vector<double> finish_time;
-  std::vector<RouteStepper> steppers;  ///< pooled slots, released when done
+  /// Pooled slots, released when done. An in-flight flight whose slot is
+  /// unarmed was parked from its group's trace: its hops / length /
+  /// local_minima hold the prefix it walked before the barrier, and the
+  /// trace holds the node it stopped at.
+  std::vector<RouteStepper> steppers;
 };
+
+/// No barrier ahead: every later instant stays in the current epoch.
+constexpr double kNoBarrier = std::numeric_limits<double>::infinity();
+
+/// Where a walk stands after some non-terminal step() calls.
+struct TracePoint {
+  NodeId node = kInvalidNode;
+  std::uint32_t local_minima = 0;
+  double length = 0.0;
+};
+
+/// The walk of one (scheme, pair) group in the current epoch. Copies of a
+/// group injected into the same epoch take the same deterministic walk
+/// (restart_stepper is bit-identical to a fresh stepper, property-tested
+/// per scheme), so one representative stepper walks it once, lazily, and
+/// every copy reads its state from the trace: a copy whose terminal call
+/// lands before the barrier finishes from the terminal record, and one
+/// that meets the barrier first parks without a stepper, holding only the
+/// trail point it reached. Each copy still accumulates its own hop
+/// instants (t = t + hop_delay), so finish times stay bit-identical, and
+/// copies injected later under the same barrier never need a deeper trail
+/// than the first (FP addition is monotone). A trace survives a wave that
+/// kills nothing.
+struct GroupTrace {
+  bool armed = false;
+  RouteStepper rep;  ///< the representative; released at its terminal call
+  std::size_t ttl = 0;      ///< the hop budget it was armed with
+  std::uint32_t calls = 0;  ///< step() calls the representative made
+  /// The barrier it has been stepped up to: every instant before it of
+  /// the first copy injected under it (-inf: not stepped yet).
+  double stepped_to = -kNoBarrier;
+  /// trail[c] is the state after c non-terminal calls, recorded only while
+  /// a barrier lies ahead (otherwise no copy can park).
+  std::vector<TracePoint> trail;
+  bool done = false;  ///< the terminal call is in: the record below holds
+  RouteStatus status = RouteStatus::kDeadEnd;
+  std::uint32_t hops = 0;
+  std::uint32_t local_minima = 0;
+  double length = 0.0;
+
+  void arm(const Router& router, NodeId s, NodeId d,
+           const RouteOptions& options, double barrier) {
+    armed = true;
+    stepped_to = -kNoBarrier;
+    calls = 0;
+    done = false;
+    trail.clear();
+    router.restart_stepper(rep, s, d, options);
+    rep.set_record_path(false);
+    ttl = rep.ttl_remaining();
+    if (barrier != kNoBarrier) trail.push_back(TracePoint{s, 0, 0.0});
+    // Degenerate (already at the destination / invalid sink): the walk
+    // ends without a call, at the injection instant.
+    if (!rep.in_flight()) close();
+  }
+
+  /// Steps the representative through every hop instant before `barrier`
+  /// of a copy injected at `now`, or to its terminal call.
+  void step_until(double now, double hop_delay, double barrier) {
+    stepped_to = barrier;
+    double at = now + hop_delay;
+    for (std::uint32_t c = 0; !done && at < barrier; ++c, at += hop_delay) {
+      if (c < calls) continue;
+      ++calls;
+      if (!rep.step()) {
+        close();
+      } else if (barrier != kNoBarrier) {
+        const PathResult& walk = rep.result();
+        trail.push_back(TracePoint{
+            rep.current(), static_cast<std::uint32_t>(walk.local_minima),
+            walk.length});
+      }
+    }
+  }
+
+  void close() {
+    const PathResult& walk = rep.result();
+    done = true;
+    status = walk.status;
+    hops = static_cast<std::uint32_t>(rep.hops_taken());
+    local_minima = static_cast<std::uint32_t>(walk.local_minima);
+    length = walk.length;
+    rep.release();
+  }
+};
+
+/// The hop instants a copy injected at `now` reaches along a trace: call
+/// c + 1 executes at t_c + hop_delay (t_0 = now), accumulated iteratively
+/// as a per-hop schedule pushes them, and only instants before `barrier`
+/// are taken.
+struct Reach {
+  std::uint32_t calls = 0;  ///< calls taken, at most the trace's
+  double last = 0.0;        ///< instant of the last one (now if none)
+  double next = 0.0;        ///< instant the next call would take
+};
+
+/// Out of line on purpose: inlined into the event loop, GCC kept this
+/// loop's instant chain on the stack, a store-load round trip per hop
+/// instant that made the barrier-free BM_StreamSimFlightRecord about 40%
+/// slower.
+[[gnu::noinline]] Reach reach(double now, double hop_delay, double barrier,
+                              std::uint32_t trace_calls) {
+  std::uint32_t calls = 0;
+  double last = now;
+  double next = now + hop_delay;
+  while (calls < trace_calls && next < barrier) {
+    last = next;
+    next = last + hop_delay;
+    ++calls;
+  }
+  return Reach{calls, last, next};
+}
 
 }  // namespace
 
@@ -112,6 +228,20 @@ std::string StreamConfig::validate() const {
       return os.str();
     }
   }
+  // A NaN time would reach the wave sort and the event queue, whose
+  // orderings need a strict weak order.
+  for (std::size_t i = 0; i < waves.size(); ++i) {
+    if (!(std::isfinite(waves[i].time) && waves[i].time >= 0.0)) {
+      std::ostringstream os;
+      os << "StreamConfig::waves[" << i
+         << "].time must be finite and >= 0, got " << waves[i].time;
+      return os.str();
+    }
+  }
+  if (packets < 0) {
+    return "StreamConfig::packets must be >= 0, got " +
+           std::to_string(packets);
+  }
   return {};
 }
 
@@ -124,7 +254,6 @@ StreamSim::StreamSim(Network initial, StreamConfig config)
   const std::string problem = config_.validate();
   SPR_CHECK(problem.empty(), problem);
   if (config_.schemes.empty()) config_.schemes = SweepConfig::paper_schemes();
-  if (config_.packets < 0) config_.packets = 0;
   // No endpoints means no traffic: clamp the packet count so the mobility
   // re-pin loop (which keeps firing while injections remain) terminates.
   if (config_.pairs.empty()) config_.packets = 0;
@@ -246,6 +375,21 @@ void StreamSim::run_flight_record() {
     }
   };
 
+  // One group trace per (scheme, pair), reset at every barrier that
+  // changes the substrate (see GroupTrace).
+  const std::size_t n_pairs = config_.pairs.size();
+  std::vector<GroupTrace> traces(n_schemes * n_pairs);
+  auto trace_of = [&traces, n_schemes, n_pairs](std::size_t f) -> GroupTrace& {
+    return traces[(f % n_schemes) * n_pairs + (f / n_schemes) % n_pairs];
+  };
+  auto reset_traces = [&traces]() {
+    for (GroupTrace& tr : traces) {
+      if (!tr.armed) continue;
+      tr.rep.release();
+      tr.armed = false;
+    }
+  };
+
   // Re-plans on a new substrate: the header state is gone with the old
   // substrate, so each in-flight copy re-plans from wherever it is with
   // whatever TTL it has left, or drops if its carrier died. Pending
@@ -259,9 +403,19 @@ void StreamSim::run_flight_record() {
         std::size_t f = p * n_schemes + k;
         if (rec.outcome[f] != StreamOutcome::kInFlight) continue;
         RouteStepper& slot = rec.steppers[f];
-        NodeId at = slot.current();
-        std::size_t budget = slot.ttl_remaining();
-        harvest_record(f);
+        NodeId at;
+        std::size_t budget;
+        if (slot.in_flight()) {
+          at = slot.current();
+          budget = slot.ttl_remaining();
+          harvest_record(f);
+        } else {
+          // Parked from its group's trace, which is reset only after this
+          // re-plan; its prefix is already accumulated.
+          const GroupTrace& tr = trace_of(f);
+          at = tr.trail[rec.hops[f]].node;
+          budget = tr.ttl - rec.hops[f];
+        }
         if (!net_.graph().alive(at)) {
           ++*dropped;
           finalize_record(f, StreamOutcome::kNodeFailed, when);
@@ -320,7 +474,6 @@ void StreamSim::run_flight_record() {
   // bit-identical; a hop instant that lands exactly on the barrier is not
   // taken — the survivor parks there and the barrier event (earlier seq,
   // pushed at setup / the previous re-pin) fires first.
-  constexpr double kNoBarrier = std::numeric_limits<double>::infinity();
   std::vector<double> wave_times;
   wave_times.reserve(wave_order.size());
   for (std::size_t wi : wave_order) {
@@ -336,35 +489,6 @@ void StreamSim::run_flight_record() {
       b = std::min(b, wave_times[wave_cursor]);
     }
     return b;
-  };
-
-  // Walk memo: scheme copies with identical endpoints injected into the
-  // same epoch take the same deterministic walk (restart_stepper is
-  // bit-identical to a fresh stepper, property-tested per scheme), so the
-  // first copy steps it and later copies replay the recorded aggregates —
-  // traffic cycling over few pairs pays one routed walk per (scheme, pair)
-  // per epoch instead of one per flight. Replay re-accumulates the hop
-  // instants iteratively, so finish times and latencies stay bit-identical;
-  // a walk that would cross the epoch barrier is not replayed (the copy
-  // steps for real and parks, keeping its own header state). Cleared at
-  // every substrate change alongside rebuild_routers().
-  struct WalkMemo {
-    RouteStatus status = RouteStatus::kDeadEnd;
-    std::uint32_t hops = 0;
-    std::uint32_t local_minima = 0;
-    /// step() calls of the walk: hops, plus one for the terminal
-    /// no-move call of a dead end — the count of hop instants occupied.
-    std::uint32_t step_calls = 0;
-    double length = 0.0;
-  };
-  FlatMap64<WalkMemo> walk_memo;
-  const std::size_t n_nodes = net_.graph().size();
-  // The injective (scheme, src, dst) -> u64 encoding needs
-  // n_schemes * n_nodes^2 to fit; beyond that the memo just switches off.
-  const bool memo_ok =
-      n_nodes > 0 && n_schemes <= (~std::uint64_t{0} - 1) / n_nodes / n_nodes;
-  auto memo_key = [n_nodes](std::size_t k, NodeId s, NodeId d) {
-    return (static_cast<std::uint64_t>(k) * n_nodes + s) * n_nodes + d;
   };
 
   std::size_t injected_count = 0;
@@ -407,77 +531,38 @@ void StreamSim::run_flight_record() {
             finalize_record(f, StreamOutcome::kNodeFailed, now);
             continue;
           }
-          RouteStepper& slot = rec.steppers[f];
           const double barrier = next_barrier();
-          const std::uint64_t key =
-              memo_ok ? memo_key(k, rec.src[p], rec.dst[p]) : 0;
-          if (memo_ok) {
-            // A stored walk is always non-degenerate (it armed in flight),
-            // and degeneracy depends only on (s, d, graph size), which the
-            // memo's epoch holds fixed — so a hit can skip arming entirely.
-            if (const WalkMemo* m = walk_memo.find(key)) {
-              double t = now + config_.hop_delay;
-              bool fits = t < barrier;
-              for (std::uint32_t c = 1; fits && c < m->step_calls; ++c) {
-                t += config_.hop_delay;
-                fits = t < barrier;
-              }
-              if (fits) {  // the whole walk lands inside this epoch
-                rec.hops[f] += m->hops;
-                rec.length[f] += m->length;
-                rec.local_minima[f] += m->local_minima;
-                finalize_record(f, outcome_of(m->status), t);
-                final_instant = std::max(final_instant, t);
-                continue;
-              }
-              // Crosses the barrier: the flight must park with real header
-              // state mid-walk, so it steps for real below.
-            }
+          GroupTrace& tr = trace_of(f);
+          if (!tr.armed) {
+            tr.arm(*routers_[k], rec.src[p], rec.dst[p],
+                   config_.route_options, barrier);
           }
-          routers_[k]->restart_stepper(slot, rec.src[p], rec.dst[p],
-                                       config_.route_options);
-          slot.set_record_path(false);
-          if (!slot.in_flight()) {
-            RouteStatus status = slot.result().status;
-            harvest_record(f);
-            finalize_record(f, outcome_of(status), now);
+          // The first copy under this barrier steps the representative as
+          // deep as it needs; later ones need no more (see GroupTrace).
+          const double hop_delay = config_.hop_delay;
+          if (tr.stepped_to != barrier) tr.step_until(now, hop_delay, barrier);
+          // The copy's hop instants, the same iterative walk as the kTick
+          // loop below.
+          const Reach r = reach(now, hop_delay, barrier, tr.calls);
+          if (tr.done && r.calls == tr.calls) {  // the terminal call's instant
+            rec.hops[f] = tr.hops;
+            rec.length[f] = tr.length;
+            rec.local_minima[f] = tr.local_minima;
+            final_instant = std::max(final_instant, r.last);
+            finalize_record(f, outcome_of(tr.status), r.last);
             continue;
           }
-          // Fast-forward the fresh flight through its epoch right here,
-          // while its slot and header are cache-hot: injections are not
-          // barriers, so every hop instant strictly before the next
-          // barrier may execute now (the same instant walk as the kTick
-          // loop below, starting at now + hop_delay). A flight that never
-          // meets a barrier never enters the tick ring at all.
-          double t = now + config_.hop_delay;
-          for (;;) {
-            if (!(t < barrier)) {  // parked; the tick ring takes over
-              schedule_flight(f, t);
-              ++live_;
-              break;
-            }
-            if (!slot.step()) {  // terminal step executed at instant t
-              RouteStatus status = slot.result().status;
-              if (memo_ok) {
-                WalkMemo& m = walk_memo.find_or_insert(key, WalkMemo{});
-                m.status = status;
-                m.hops = static_cast<std::uint32_t>(slot.hops_taken());
-                m.local_minima =
-                    static_cast<std::uint32_t>(slot.result().local_minima);
-                // A dead end's terminal step() call moves nothing but
-                // occupies one hop instant; delivery / TTL expiry happen on
-                // a counted hop.
-                m.step_calls =
-                    m.hops + (status == RouteStatus::kDeadEnd ? 1u : 0u);
-                m.length = slot.result().length;
-              }
-              harvest_record(f);
-              finalize_record(f, outcome_of(status), t);
-              final_instant = std::max(final_instant, t);
-              break;
-            }
-            t += config_.hop_delay;
-          }
+          // Parks at r.next, after r.calls non-terminal calls. A copy that
+          // never meets a barrier never enters the tick ring at all; this
+          // one gets a header only if it reaches a tick without a re-plan
+          // (see kTick).
+          SPR_DCHECK(r.calls < tr.trail.size(), "trace trail too short");
+          const TracePoint& at = tr.trail[r.calls];
+          rec.hops[f] = r.calls;
+          rec.length[f] = at.length;
+          rec.local_minima[f] = at.local_minima;
+          schedule_flight(f, r.next);
+          ++live_;
         }
         break;
       }
@@ -490,7 +575,27 @@ void StreamSim::run_flight_record() {
             ticks.take(static_cast<std::uint32_t>(timed.event.index));
         active.clear();
         for (std::uint32_t f : batch) {
-          if (rec.outcome[f] == StreamOutcome::kInFlight) active.push_back(f);
+          if (rec.outcome[f] != StreamOutcome::kInFlight) continue;
+          RouteStepper& slot = rec.steppers[f];
+          if (!slot.in_flight()) {
+            // Parked from a trace, and the barrier it met changed nothing:
+            // it needs a real header now, so replay its prefix on its own
+            // slot — the stepper then carries the whole walk, and the
+            // aggregates go back to the fresh flight's zeros.
+            const std::size_t p = f / n_schemes;
+            routers_[f % n_schemes]->restart_stepper(
+                slot, rec.src[p], rec.dst[p], config_.route_options);
+            slot.set_record_path(false);
+            for (std::uint32_t c = 0; c < rec.hops[f]; ++c) slot.step();
+            SPR_DCHECK(
+                slot.in_flight() &&
+                    slot.current() == trace_of(f).trail[rec.hops[f]].node,
+                "prefix replay diverged from the group trace");
+            rec.hops[f] = 0;
+            rec.length[f] = 0.0;
+            rec.local_minima[f] = 0;
+          }
+          active.push_back(f);
         }
         const double barrier = next_barrier();
         const double hop_delay = config_.hop_delay;
@@ -588,9 +693,9 @@ void StreamSim::run_flight_record() {
         net_ = std::move(degraded);
         oracle_ready_ = false;
         rebuild_routers();
-        walk_memo.clear();  // memoized walks referenced the old substrate
         replan_records(now, &record.packets_in_flight,
                        &record.packets_dropped);
+        reset_traces();  // traced walks referenced the old substrate
         stats_.waves.push_back(std::move(record));
         break;
       }
@@ -621,9 +726,9 @@ void StreamSim::run_flight_record() {
         net_ = std::move(moved);
         oracle_ready_ = false;
         rebuild_routers();
-        walk_memo.clear();  // memoized walks referenced the old substrate
         replan_records(now, &record.packets_in_flight,
                        &record.packets_dropped);
+        reset_traces();  // traced walks referenced the old substrate
         ++stats_.repins;
         stats_.repin_records.push_back(std::move(record));
         if (injected_count < n_packets || live_ > 0) {

@@ -59,9 +59,15 @@
 /// event heap carries one event per distinct tick time plus the sparse
 /// control events, not one event per flight-hop. Between two topology
 /// barriers (waves, re-pins) a flight's walk depends on nothing else, so a
-/// batch fast-forwards each flight up to the next barrier, and copies with
-/// the same (scheme, source, destination) in one epoch replay a memoized
-/// walk. With StreamConfig::threads > 1 each tick's batch is stepped in
+/// batch fast-forwards each flight up to the next barrier. Injection steps
+/// no flight at all: the copies of one (scheme, pair) group in one epoch
+/// share a *group trace*, walked once by a representative stepper, lazily
+/// and only as deep as the copy being injected needs. A copy whose walk
+/// ends before the next barrier finishes from the trace's terminal record;
+/// one that meets the barrier parks without a stepper at its point on the
+/// trace (node, hops, length, local minima). A barrier that changes the
+/// substrate re-plans it from there; at a wave that kills nothing it
+/// rebuilds its header at its next tick by replaying that prefix. With StreamConfig::threads > 1 each tick's batch is stepped in
 /// parallel on a TaskPool and merged in flight-id order; results are
 /// bit-identical across thread counts. StreamStats::events counts the
 /// heap events actually popped (ticks + control events).
@@ -218,9 +224,10 @@ struct StreamConfig {
   int threads = 1;
 
   /// Empty when the config is usable, else a message naming the first bad
-  /// field: hop_delay, packet_interval, mobility_interval and mobility_dt
-  /// must each be finite and >= 0 (0 stays legal — a burst of injections,
-  /// or mobility off). The StreamSim constructor SPR_CHECKs it.
+  /// field: hop_delay, packet_interval, mobility_interval, mobility_dt and
+  /// every waves[i].time must each be finite and >= 0 (0 stays legal — a
+  /// burst of injections, or mobility off), and packets must be >= 0. The
+  /// StreamSim constructor SPR_CHECKs it.
   std::string validate() const;
 };
 

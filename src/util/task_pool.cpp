@@ -21,6 +21,8 @@ int TaskPool::hardware_threads() noexcept {
 }
 
 TaskPool::TaskPool(int threads) {
+  SPR_CHECK(threads <= kMaxThreads, "TaskPool asked for ", threads,
+            " threads; the most is ", kMaxThreads);
   int count = threads <= 0 ? hardware_threads() : threads;
   workers_.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {

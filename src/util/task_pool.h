@@ -28,7 +28,13 @@ class TaskPool {
  public:
   using Task = std::function<void()>;
 
-  /// `threads == 0` uses the hardware concurrency (at least 1). A pool of
+  /// The most worker threads a pool may be asked for. A pool starts its
+  /// threads up front, so an unbounded count would ask the OS for that many
+  /// before any work is done.
+  static constexpr int kMaxThreads = 256;
+
+  /// `threads <= 0` uses the hardware concurrency (at least 1); more than
+  /// kMaxThreads fails an SPR_CHECK before any worker starts. A pool of
   /// size 1 still runs tasks on its single worker thread; use
   /// `parallel_for(1, ...)`-style inline loops for a strictly serial path.
   explicit TaskPool(int threads = 0);

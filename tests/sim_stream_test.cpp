@@ -460,6 +460,78 @@ TEST(StreamSim, PooledEpochOracleMatchesPerHopReferenceOverManyPairs) {
   }
 }
 
+/// The group-trace paths against the per-hop reference: a duplicate pair
+/// (two groups, one walk), copies that park from a trace at a biting wave
+/// and are re-planned from their trail point, copies that park at a wave
+/// that kills nothing (already-dead and out-of-range ids) or at an empty
+/// one and must rebuild their header at the next tick, and a re-pin —
+/// across seeds, two hop delays (0.3 keeps the hop instants off the
+/// binary grid) and thread counts.
+TEST(StreamSim, GroupTraceMatchesPerHopReferenceAcrossBarriers) {
+  for (std::uint64_t seed : {23u, 61u, 83u}) {
+    for (double hop_delay : {0.5, 0.3}) {
+      auto run = [seed, hop_delay](bool per_hop, int threads) {
+        Network net =
+            test::random_network(500, seed, DeployModel::kForbiddenAreas);
+        Rng rng(seed);
+        StreamConfig config;
+        for (int trial = 0; trial < 100 && config.pairs.size() < 6;
+             ++trial) {
+          auto pair = net.random_connected_interior_pair(rng);
+          if (pair.first != kInvalidNode) config.pairs.push_back(pair);
+        }
+        config.pairs.push_back(config.pairs.front());
+        config.packets = 120;
+        config.packet_interval = 0.1;
+        config.hop_delay = hop_delay;
+        std::vector<bool> endpoint(net.graph().size(), false);
+        for (const auto& [s, d] : config.pairs) {
+          endpoint[s] = endpoint[d] = true;
+        }
+        auto biting = [&](double time, NodeId first) {
+          StreamWave wave;
+          wave.time = time;
+          for (NodeId u = first; u < net.graph().size(); u += 17) {
+            if (!endpoint[u]) wave.casualties.push_back(u);
+          }
+          return wave;
+        };
+        StreamWave first = biting(2.0, 0);
+        StreamWave no_op = first;  // every casualty is already dead
+        no_op.time = 4.0;
+        no_op.casualties.push_back(
+            static_cast<NodeId>(net.graph().size() + 5));
+        StreamWave empty;
+        empty.time = 5.5;
+        config.waves = {first, no_op, empty, biting(7.0, 8)};
+        config.mobility_interval = 9.0;
+        config.mobility_dt = 10.0;
+        config.threads = threads;
+        StreamStats stats =
+            per_hop ? test::run_stream_per_hop(std::move(net), config)
+                    : StreamSim(std::move(net), config).run();
+        stats.events = 0;  // the one field the engines legitimately differ on
+        return stats;
+      };
+      StreamStats ref = run(true, 1);
+      std::string serial = test::stream_full_json(run(false, 1));
+      std::string pooled = test::stream_full_json(run(false, 4));
+      EXPECT_EQ(serial, test::stream_full_json(ref))
+          << "seed " << seed << " hop_delay " << hop_delay;
+      EXPECT_EQ(pooled, serial) << "seed " << seed << " hop_delay "
+                                << hop_delay
+                                << ": thread count changed the report";
+      // Every barrier kind fired with copies in flight.
+      ASSERT_EQ(ref.waves.size(), 4u);
+      EXPECT_GT(ref.waves[0].packets_in_flight, 0u) << "seed " << seed;
+      EXPECT_EQ(ref.waves[1].casualties, 0u) << "seed " << seed;
+      EXPECT_EQ(ref.waves[2].casualties, 0u) << "seed " << seed;
+      EXPECT_GT(ref.waves[3].packets_in_flight, 0u) << "seed " << seed;
+      EXPECT_GT(ref.repins, 0u) << "seed " << seed;
+    }
+  }
+}
+
 /// The old O(n * |pairs|) candidate scan of spread_failure_waves, kept as
 /// the reference for the endpoint bit vector that replaced it.
 std::vector<StreamWave> spread_failure_waves_by_scan(
@@ -535,8 +607,8 @@ TEST(SpreadFailureWaves, EqualsTheEndpointScan) {
   }
 }
 
-/// A NaN, infinite or negative time in StreamConfig is named by
-/// validate(); zero stays legal.
+/// A NaN, infinite or negative time in StreamConfig — a wave's included —
+/// and a negative packet count are named by validate(); zero stays legal.
 TEST(StreamConfigValidate, NamesTheBadField) {
   const std::pair<double StreamConfig::*, const char*> fields[] = {
       {&StreamConfig::hop_delay, "hop_delay"},
@@ -557,6 +629,24 @@ TEST(StreamConfigValidate, NamesTheBadField) {
           << name << " = " << value;
     }
   }
+  for (double value : {std::numeric_limits<double>::quiet_NaN(), -0.25,
+                       std::numeric_limits<double>::infinity()}) {
+    StreamConfig bad;
+    bad.waves.resize(3);
+    bad.waves[0].time = 1.0;
+    bad.waves[2].time = value;
+    EXPECT_NE(bad.validate().find("waves[2].time"), std::string::npos)
+        << "waves[2].time = " << value;
+  }
+  StreamConfig zero_waves;
+  zero_waves.waves.resize(2);  // both at time 0
+  EXPECT_EQ(zero_waves.validate(), "");
+  StreamConfig no_packets;
+  no_packets.packets = 0;
+  EXPECT_EQ(no_packets.validate(), "");
+  StreamConfig negative_packets;
+  negative_packets.packets = -3;
+  EXPECT_NE(negative_packets.validate().find("packets"), std::string::npos);
 }
 
 /// Builds a StreamSim over a small network with one time field broken.
@@ -601,6 +691,33 @@ TEST(StreamConfigValidateDeathTest, MobilityDt) {
                "mobility_dt");
   EXPECT_DEATH(construct_with(&StreamConfig::mobility_dt, -0.5),
                "mobility_dt");
+}
+
+TEST(StreamConfigValidateDeathTest, WaveTime) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto construct_with_wave_at = [](double time) {
+    StreamConfig config;
+    config.pairs.emplace_back(NodeId{1}, NodeId{2});
+    config.packets = 5;
+    StreamWave wave;
+    wave.time = time;
+    config.waves.push_back(wave);
+    StreamSim sim(test::random_network(300, 5), config);
+  };
+  EXPECT_DEATH(construct_with_wave_at(std::numeric_limits<double>::quiet_NaN()),
+               "waves\\[0\\]\\.time");
+  EXPECT_DEATH(construct_with_wave_at(-1.0), "waves\\[0\\]\\.time");
+}
+
+TEST(StreamConfigValidateDeathTest, NegativePackets) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto construct_with_packets = [](int packets) {
+    StreamConfig config;
+    config.pairs.emplace_back(NodeId{1}, NodeId{2});
+    config.packets = packets;
+    StreamSim sim(test::random_network(300, 5), config);
+  };
+  EXPECT_DEATH(construct_with_packets(-1), "packets");
 }
 
 /// The streaming-delivery scenario's JSON report is byte-identical across

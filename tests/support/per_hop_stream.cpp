@@ -11,6 +11,7 @@
 #include "routing/router.h"
 #include "safety/labeling.h"
 #include "sim/event_queue.h"
+#include "util/check.h"
 
 namespace spr::test {
 
@@ -66,13 +67,14 @@ void finalize(Flight& flight, StreamOutcome outcome, double now) {
 StreamStats run_stream_per_hop(Network initial, const StreamConfig& base) {
   // Constructor-time normalization, exactly as StreamSim does it.
   StreamConfig config = base;
+  const std::string problem = config.validate();
+  SPR_CHECK(problem.empty(), problem);
   Network net = std::move(initial);
   WaypointConfig waypoint = config.waypoint;
   waypoint.field = net.deployment().field;
   WaypointModel mobility(net.deployment().positions, waypoint,
                          Rng(config.seed ^ 0x5712));
   if (config.schemes.empty()) config.schemes = SweepConfig::paper_schemes();
-  if (config.packets < 0) config.packets = 0;
   if (config.pairs.empty()) config.packets = 0;
   unsigned needs = Network::kNeedsNone;
   for (const auto& spec : config.schemes) {

@@ -4,7 +4,7 @@
 /// The per-hop reference for StreamSim: the same stream semantics (see
 /// sim/stream_sim.h) executed the direct way — one heap event per flight
 /// per hop, one heap-allocated RouteStepper per in-flight copy, no tick
-/// batching, no epoch fast-forward, no walk memo. Built only on the
+/// batching, no epoch fast-forward, no group trace. Built only on the
 /// library's public API, it is the oracle the flight-record engine's
 /// equivalence tests compare against: everything in the returned
 /// StreamStats except `events` must match StreamSim byte for byte.

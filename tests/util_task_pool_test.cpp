@@ -4,15 +4,35 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "util/check.h"
 
 namespace spr {
 namespace {
 
 TEST(TaskPool, HardwareThreadsAtLeastOne) {
   EXPECT_GE(TaskPool::hardware_threads(), 1);
+}
+
+/// Threads of this process, as Linux lists them.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(TaskPool, RejectsMoreThanMaxThreadsBeforeStartingAny) {
+  ScopedCheckHandler guard(&throwing_check_handler);
+  const std::size_t before = process_threads();
+  EXPECT_THROW(TaskPool pool(TaskPool::kMaxThreads + 1), CheckError);
+  EXPECT_EQ(process_threads(), before);
 }
 
 TEST(TaskPool, DefaultsToHardwareThreads) {

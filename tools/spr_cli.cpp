@@ -40,6 +40,7 @@
 #include "stats/table.h"
 #include "util/flags.h"
 #include "util/svg.h"
+#include "util/task_pool.h"
 
 namespace {
 
@@ -68,18 +69,14 @@ bool count_at_least(const char* flag, int value, int least) {
   return false;
 }
 
-/// The most sweep / scenario worker threads a run may ask for. A pool
-/// starts its threads up front, so an unbounded --threads would ask the
-/// OS for that many before any work is done.
-constexpr int kMaxThreads = 256;
-
-/// Rejects a --threads value outside [0, kMaxThreads] (0 = hardware),
-/// naming the flag on stderr like the parser's own usage errors.
+/// Rejects a --threads value outside [0, TaskPool::kMaxThreads]
+/// (0 = hardware), naming the flag on stderr like the parser's own usage
+/// errors.
 bool threads_in_range(int threads) {
-  if (threads >= 0 && threads <= kMaxThreads) return true;
+  if (threads >= 0 && threads <= TaskPool::kMaxThreads) return true;
   std::fprintf(stderr,
                "bad value '%d' for flag --threads: need 0 (hardware) to %d\n",
-               threads, kMaxThreads);
+               threads, TaskPool::kMaxThreads);
   return false;
 }
 
