@@ -471,7 +471,7 @@ BENCHMARK(BM_StreamSimCell);
 /// labeling cost, pure stepping + scheduling) over 16 far pairs of a
 /// constant-degree 10^4-node field, serial or on a 4-worker pool. Network
 /// construction is excluded from the timed region; the `events` counter
-/// shows the heap traffic (one tick event per distinct hop instant).
+/// shows the engine's work units (injections, barriers, step batches).
 void stream_sim_bench(benchmark::State& state, int threads) {
   const int packets = static_cast<int>(state.range(0));
   Deployment dep = make_scaled_deployment(10000, DeployModel::kForbiddenAreas);

@@ -84,7 +84,7 @@ class GfRouter final : public Router {
   OverlayProvider overlay_provider_;
   BoundHoleProvider boundhole_provider_;
   // Atomic lazy caches so concurrent steppers sharing this router (the
-  // flight-record engine's parallel tick advance) can race into the first
+  // flight-record engine's parallel step batches) can race into the first
   // local minimum safely: the providers are memoized behind call_once
   // (Network's lazy accessors), so concurrent resolvers store the same
   // pointer and hole-free traffic still never builds either structure.

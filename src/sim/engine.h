@@ -10,12 +10,10 @@
 /// nothing was sent) or a round cap, and accounts messages and rounds —
 /// the construction-cost experiment reads these counters.
 ///
-/// Rounds sit on the shared discrete-event core (sim/event_queue.h): a
-/// broadcast in round r pushes one delivery event per neighbor at virtual
-/// time r+1, and the engine drains the queue up to the current round into
-/// the inboxes before activating the nodes. The queue's FIFO tie-breaking
-/// preserves the classic inbox order (senders in node-id order, neighbors
-/// in sorted order).
+/// A broadcast in round r appends one message per neighbor to that
+/// neighbor's next-round inbox, and the two inbox sets swap between
+/// rounds. Nodes run in id order, so every inbox lists its messages by
+/// sender id (one per sender).
 
 #include <cstddef>
 #include <functional>
@@ -26,7 +24,6 @@
 
 #include "graph/node.h"
 #include "graph/unit_disk.h"
-#include "sim/event_queue.h"
 
 namespace spr {
 
@@ -63,25 +60,12 @@ class RoundEngine {
   /// alive node each round (round 0 has empty inboxes, letting nodes send
   /// their initial broadcasts).
   EngineStats run(const Process& process, std::size_t max_rounds) {
-    struct Delivery {
-      NodeId target;
-      Incoming message;
-    };
     const std::size_t n = graph_.size();
-    std::vector<std::vector<Incoming>> inbox(n);
-    EventQueue<Delivery> queue;
-    SimClock clock;
+    std::vector<std::vector<Incoming>> inbox(n);  // sent last round
+    std::vector<std::vector<Incoming>> next(n);   // sent this round
     EngineStats stats;
     for (std::size_t round = 0; round < max_rounds; ++round) {
       ++stats.rounds;
-      // Deliver everything scheduled for this round (sent last round).
-      // Round times are small exact integers, so the comparison is exact.
-      while (!queue.empty() &&
-             queue.top().time <= static_cast<double>(round)) {
-        auto timed = queue.pop();
-        clock.advance_to(timed.time);
-        inbox[timed.event.target].push_back(std::move(timed.event.message));
-      }
       bool any_sent = false;
       for (NodeId u = 0; u < n; ++u) {
         if (!graph_.alive(u)) continue;
@@ -90,8 +74,7 @@ class RoundEngine {
           any_sent = true;
           ++stats.broadcasts;
           for (NodeId v : graph_.neighbors(u)) {
-            queue.push(static_cast<double>(round + 1),
-                       Delivery{v, Incoming{u, *out}});
+            next[v].push_back(Incoming{u, *out});
             // Counted at send (= sum of sender degrees), matching the
             // engine's historical accounting even when the round cap
             // leaves the final sends undelivered.
@@ -99,8 +82,9 @@ class RoundEngine {
           }
         }
       }
-      for (auto& box : inbox) box.clear();
       if (!any_sent) break;  // quiescent: nothing in flight
+      for (auto& box : inbox) box.clear();
+      inbox.swap(next);
     }
     return stats;
   }

@@ -8,8 +8,6 @@
 #include <sstream>
 
 #include "graph/graph_algos.h"
-#include "sim/event_queue.h"
-#include "sim/tick_scheduler.h"
 #include "util/check.h"
 #include "util/task_pool.h"
 
@@ -33,19 +31,18 @@ WaypointConfig pin_field(WaypointConfig wc, const Rect& field) {
 
 /// The flight records of one run: per-packet and per-flight state in
 /// parallel arrays. Flight f = p * n_schemes + k is scheme k's copy of
-/// packet p, so one tick-batch id addresses one copy and the final
-/// reduction walks the arrays in packet-major order. Stepper slots are
-/// pooled: armed in place via Router::restart_stepper when a flight parked
-/// at injection first needs its own header (a re-plan, or a tick after a
-/// barrier that changed nothing), released when the flight terminates —
-/// after the ramp-up the steady state allocates nothing.
+/// packet p, so one id addresses one copy and the final reduction walks
+/// the arrays in packet-major order. Stepper slots are pooled: armed in
+/// place via Router::restart_stepper when a flight parked at injection
+/// first needs its own header (a re-plan, or a step batch after a barrier
+/// that changed nothing), released when the flight terminates — after the
+/// ramp-up the steady state allocates nothing.
 struct FlightRecords {
   // Per packet.
   std::vector<double> inject_time;
   std::vector<NodeId> src;
   std::vector<NodeId> dst;
   std::vector<std::size_t> oracle_hops;  ///< BFS optimum; 0 = unreachable
-  std::vector<unsigned char> injected;
   // Per flight (packet-major).
   std::vector<StreamOutcome> outcome;
   std::vector<std::uint32_t> hops;          ///< across re-planned segments
@@ -53,6 +50,11 @@ struct FlightRecords {
   std::vector<std::uint32_t> replans;
   std::vector<double> length;  ///< across re-planned segments, meters
   std::vector<double> finish_time;
+  /// While in flight, the instant of the next call (its pending hop).
+  std::vector<double> next_at;
+  /// Set at a re-pin for a copy whose pending hop falls on the next
+  /// re-pin's instant: that call precedes that re-pin.
+  std::vector<unsigned char> early;
   /// Pooled slots, released when done. An in-flight flight whose slot is
   /// unarmed was parked from its group's trace: its hops / length /
   /// local_minima hold the prefix it walked before the barrier, and the
@@ -155,7 +157,7 @@ struct Reach {
   double next = 0.0;        ///< instant the next call would take
 };
 
-/// Out of line on purpose: inlined into the event loop, GCC kept this
+/// Out of line on purpose: inlined into the injection loop, GCC kept this
 /// loop's instant chain on the stack, a store-load round trip per hop
 /// instant that made the barrier-free BM_StreamSimFlightRecord about 40%
 /// slower.
@@ -214,6 +216,12 @@ std::vector<StreamWave> spread_failure_waves(
 }
 
 std::string StreamConfig::validate() const {
+  auto not_finite_nonnegative = [](const char* field, double value) {
+    std::ostringstream os;
+    os << "StreamConfig::" << field << " must be finite and >= 0, got "
+       << value;
+    return os.str();
+  };
   const std::pair<const char*, double> times[] = {
       {"hop_delay", hop_delay},
       {"packet_interval", packet_interval},
@@ -222,13 +230,32 @@ std::string StreamConfig::validate() const {
   };
   for (const auto& [field, value] : times) {
     if (!(std::isfinite(value) && value >= 0.0)) {
+      return not_finite_nonnegative(field, value);
+    }
+  }
+  // The waypoint process runs only with mobility on. A NaN speed would
+  // reach UnitDiskGraph's finite-position check at the first re-pin, and a
+  // negative one walks nodes away from their waypoints, out of the field.
+  if (mobility_interval > 0.0) {
+    const std::pair<const char*, double> motion[] = {
+        {"waypoint.min_speed_mps", waypoint.min_speed_mps},
+        {"waypoint.max_speed_mps", waypoint.max_speed_mps},
+        {"waypoint.pause_s", waypoint.pause_s},
+    };
+    for (const auto& [field, value] : motion) {
+      if (!(std::isfinite(value) && value >= 0.0)) {
+        return not_finite_nonnegative(field, value);
+      }
+    }
+    if (waypoint.min_speed_mps > waypoint.max_speed_mps) {
       std::ostringstream os;
-      os << "StreamConfig::" << field << " must be finite and >= 0, got "
-         << value;
+      os << "StreamConfig::waypoint.min_speed_mps must be <= max_speed_mps, "
+            "got "
+         << waypoint.min_speed_mps << " > " << waypoint.max_speed_mps;
       return os.str();
     }
   }
-  // A NaN time would reach the wave sort and the event queue, whose
+  // A NaN time would reach the wave sort and the barrier loop, whose
   // orderings need a strict weak order.
   for (std::size_t i = 0; i < waves.size(); ++i) {
     if (!(std::isfinite(waves[i].time) && waves[i].time >= 0.0)) {
@@ -302,14 +329,6 @@ StreamStats StreamSim::run() {
 }
 
 void StreamSim::run_flight_record() {
-  struct Ev {
-    enum class Kind : unsigned char { kInject, kTick, kWave, kRepin };
-    Kind kind = Kind::kInject;
-    std::size_t index = 0;  ///< packet / tick-bucket slot / wave id
-  };
-  EventQueue<Ev> queue;
-  SimClock clock;
-
   const std::size_t n_schemes = config_.schemes.size();
   const std::size_t n_packets = static_cast<std::size_t>(config_.packets);
   const std::size_t n_flights = n_packets * n_schemes;
@@ -319,13 +338,14 @@ void StreamSim::run_flight_record() {
   rec.src.assign(n_packets, kInvalidNode);
   rec.dst.assign(n_packets, kInvalidNode);
   rec.oracle_hops.assign(n_packets, 0);
-  rec.injected.assign(n_packets, 0);
   rec.outcome.assign(n_flights, StreamOutcome::kInFlight);
   rec.hops.assign(n_flights, 0);
   rec.local_minima.assign(n_flights, 0);
   rec.replans.assign(n_flights, 0);
   rec.length.assign(n_flights, 0.0);
   rec.finish_time.assign(n_flights, 0.0);
+  rec.next_at.assign(n_flights, 0.0);
+  rec.early.assign(n_flights, 0);
   rec.steppers.resize(n_flights);
   for (std::size_t p = 0; p < n_packets; ++p) {
     const auto& pair = config_.pairs[p % config_.pairs.size()];
@@ -336,9 +356,9 @@ void StreamSim::run_flight_record() {
   // Stepping is read-only on the shared router/network structures: every
   // scheme's eager needs are forced in the constructor, and GF's lazy
   // recovery caches resolve atomically through Network's call_once
-  // accessors, so each tick's batch can fan out across a pool without any
-  // up-front priming; the merge below is serial and batch-ordered, so the
-  // run is bit-identical across thread counts. The same pool runs each
+  // accessors, so each step batch can fan out across a pool without any
+  // up-front priming; the merge below is serial and in flight-id order, so
+  // the run is bit-identical across thread counts. The same pool runs each
   // epoch's hop oracle (build_epoch_oracle), which writes one slot per
   // pair and is just as thread-count independent.
   std::optional<TaskPool> pool;
@@ -361,20 +381,6 @@ void StreamSim::run_flight_record() {
     rec.steppers[f].release();  // header + buffers
   };
 
-  // The tick ring: flights due at the same exact instant share one bucket
-  // and one kTick heap event, pushed when the bucket is created — i.e. at
-  // the same pop instant a one-event-per-hop schedule would push that
-  // time's first hop event, so tick-vs-control tie order keeps the
-  // (time, seq) semantics of the file comment.
-  TickBuckets ticks(256);
-  auto schedule_flight = [&ticks, &queue](std::size_t f, double when) {
-    TickBuckets::Scheduled scheduled =
-        ticks.schedule(when, static_cast<std::uint32_t>(f));
-    if (scheduled.created) {
-      queue.push(when, Ev{Ev::Kind::kTick, scheduled.slot});
-    }
-  };
-
   // One group trace per (scheme, pair), reset at every barrier that
   // changes the substrate (see GroupTrace).
   const std::size_t n_pairs = config_.pairs.size();
@@ -390,364 +396,330 @@ void StreamSim::run_flight_record() {
     }
   };
 
+  // The copies in flight, in flight-id order: injections append (ids grow
+  // with the packet), and every pass that finalizes copies compacts it.
+  std::vector<std::uint32_t> live;
+  auto drop_finished = [&rec, &live]() {
+    std::erase_if(live, [&rec](std::uint32_t f) {
+      return rec.outcome[f] != StreamOutcome::kInFlight;
+    });
+  };
+
+  // The run ends at the last instant anything happens: an injection, a
+  // barrier, a terminal call, or the pending call of a copy a barrier
+  // finalized (a per-hop schedule still pops that stale hop event).
+  double horizon = 0.0;
+
   // Re-plans on a new substrate: the header state is gone with the old
   // substrate, so each in-flight copy re-plans from wherever it is with
-  // whatever TTL it has left, or drops if its carrier died. Pending
-  // tick-batch entries keep firing and are filtered as stale once a flight
-  // finalizes — no ring surgery.
+  // whatever TTL it has left, or drops if its carrier died. Its pending
+  // call instant stays as it was.
   auto replan_records = [&](double when, std::size_t* in_flight,
                             std::size_t* dropped) {
-    for (std::size_t p = 0; p < n_packets; ++p) {
-      if (!rec.injected[p]) continue;
-      for (std::size_t k = 0; k < n_schemes; ++k) {
-        std::size_t f = p * n_schemes + k;
-        if (rec.outcome[f] != StreamOutcome::kInFlight) continue;
-        RouteStepper& slot = rec.steppers[f];
-        NodeId at;
-        std::size_t budget;
-        if (slot.in_flight()) {
-          at = slot.current();
-          budget = slot.ttl_remaining();
-          harvest_record(f);
-        } else {
-          // Parked from its group's trace, which is reset only after this
-          // re-plan; its prefix is already accumulated.
-          const GroupTrace& tr = trace_of(f);
-          at = tr.trail[rec.hops[f]].node;
-          budget = tr.ttl - rec.hops[f];
-        }
-        if (!net_.graph().alive(at)) {
-          ++*dropped;
-          finalize_record(f, StreamOutcome::kNodeFailed, when);
-          --live_;
-          continue;
-        }
-        ++*in_flight;
-        ++rec.replans[f];
-        routers_[k]->restart_stepper(slot, at, rec.dst[p],
-                                     config_.route_options, budget);
-        slot.set_record_path(false);
-        if (!slot.in_flight()) {
-          // Degenerate re-plan (already at the destination / spent budget).
-          RouteStatus status = slot.result().status;
-          harvest_record(f);
-          finalize_record(f, outcome_of(status), when);
-          --live_;
-        }
+    auto finalize_pending = [&](std::size_t f, StreamOutcome outcome) {
+      finalize_record(f, outcome, when);
+      horizon = std::max(horizon, rec.next_at[f]);
+    };
+    for (std::uint32_t f : live) {
+      const std::size_t k = f % n_schemes;
+      RouteStepper& slot = rec.steppers[f];
+      NodeId at;
+      std::size_t budget;
+      if (slot.in_flight()) {
+        at = slot.current();
+        budget = slot.ttl_remaining();
+        harvest_record(f);
+      } else {
+        // Parked from its group's trace, which is reset only after this
+        // re-plan; its prefix is already accumulated.
+        const GroupTrace& tr = trace_of(f);
+        at = tr.trail[rec.hops[f]].node;
+        budget = tr.ttl - rec.hops[f];
       }
+      if (!net_.graph().alive(at)) {
+        ++*dropped;
+        finalize_pending(f, StreamOutcome::kNodeFailed);
+        continue;
+      }
+      ++*in_flight;
+      ++rec.replans[f];
+      routers_[k]->restart_stepper(slot, at, rec.dst[f / n_schemes],
+                                   config_.route_options, budget);
+      slot.set_record_path(false);
+      if (!slot.in_flight()) {
+        // Degenerate re-plan (already at the destination / spent budget).
+        RouteStatus status = slot.result().status;
+        harvest_record(f);
+        finalize_pending(f, outcome_of(status));
+      }
+    }
+    drop_finished();
+  };
+
+  // Packet p enters at `now`, at or before `barrier`, the next barrier.
+  // Its copies finish or park from their groups' traces; none steps.
+  auto inject = [&](std::size_t p, double now, double barrier) {
+    ++stats_.events;
+    horizon = std::max(horizon, now);
+    rec.inject_time[p] = now;
+    // The hop-optimal baseline is pinned at injection time: stretch
+    // measures what the scheme paid relative to the network the packet
+    // was handed to, before any mid-flight wave degraded it. The epoch's
+    // oracles are batched at the first injection after each topology
+    // change (build_epoch_oracle).
+    if (rec.src[p] < net_.graph().size() &&
+        rec.dst[p] < net_.graph().size() && net_.graph().alive(rec.src[p])) {
+      if (!oracle_ready_) build_epoch_oracle(pool ? &*pool : nullptr);
+      rec.oracle_hops[p] = oracle_cache_[p % config_.pairs.size()];
+    }
+    for (std::size_t k = 0; k < n_schemes; ++k) {
+      const std::size_t f = p * n_schemes + k;
+      if (rec.src[p] >= net_.graph().size() ||
+          !net_.graph().alive(rec.src[p])) {
+        finalize_record(f, StreamOutcome::kNodeFailed, now);
+        continue;
+      }
+      GroupTrace& tr = trace_of(f);
+      if (!tr.armed) {
+        tr.arm(*routers_[k], rec.src[p], rec.dst[p], config_.route_options,
+               barrier);
+      }
+      // The first copy under this barrier steps the representative as
+      // deep as it needs; later ones need no more (see GroupTrace).
+      const double hop_delay = config_.hop_delay;
+      if (tr.stepped_to != barrier) tr.step_until(now, hop_delay, barrier);
+      // The copy's call instants, the same iterative walk as step_live.
+      const Reach r = reach(now, hop_delay, barrier, tr.calls);
+      if (tr.done && r.calls == tr.calls) {  // the terminal call's instant
+        rec.hops[f] = tr.hops;
+        rec.length[f] = tr.length;
+        rec.local_minima[f] = tr.local_minima;
+        horizon = std::max(horizon, r.last);
+        finalize_record(f, outcome_of(tr.status), r.last);
+        continue;
+      }
+      // Parks at r.next, after r.calls non-terminal calls, and gets a
+      // header only if it reaches a step batch without a re-plan (see
+      // step_live).
+      SPR_DCHECK(r.calls < tr.trail.size(), "trace trail too short");
+      const TracePoint& at = tr.trail[r.calls];
+      rec.hops[f] = r.calls;
+      rec.length[f] = at.length;
+      rec.local_minima[f] = at.local_minima;
+      rec.next_at[f] = r.next;
+      live.push_back(static_cast<std::uint32_t>(f));
     }
   };
 
-  // The whole input timeline, scheduled up front: injections, then the
-  // failure waves in time order, then the first re-pin. Same-instant ties
-  // resolve by push order: an injection due exactly at a wave's timestamp
-  // fires before it, while a tick due at that instant (pushed mid-run,
-  // later sequence number) fires after it.
-  if (!config_.pairs.empty()) {
-    oracle_ready_ = false;
-    for (std::size_t p = 0; p < n_packets; ++p) {
-      queue.push(static_cast<double>(p) * config_.packet_interval,
-                 Ev{Ev::Kind::kInject, p});
+  // One step batch: every live copy due before `barrier` advances through
+  // all its call instants strictly before it — between two barriers a
+  // copy's walk is a pure function of its own state. The instants
+  // accumulate iteratively (t = t + hop_delay), exactly as a per-hop
+  // schedule pushes hop events, so finish times stay bit-identical. A copy
+  // whose next instant lands on or after the barrier parks there, and one
+  // that lands exactly on it takes that call after the barrier, except a
+  // copy flagged `early` at a re-pin (see apply_repin).
+  std::vector<std::uint32_t> active;
+  auto step_live = [&](double barrier, bool repin) {
+    active.clear();
+    for (std::uint32_t f : live) {
+      const double at = rec.next_at[f];
+      if (!(at < barrier || (repin && at == barrier && rec.early[f]))) {
+        continue;
+      }
+      RouteStepper& slot = rec.steppers[f];
+      if (!slot.in_flight()) {
+        // Parked from a trace, and the barrier it met changed nothing: it
+        // needs a real header now, so replay its prefix on its own slot —
+        // the stepper then carries the whole walk, and the aggregates go
+        // back to the fresh flight's zeros.
+        const std::size_t p = f / n_schemes;
+        routers_[f % n_schemes]->restart_stepper(slot, rec.src[p], rec.dst[p],
+                                                 config_.route_options);
+        slot.set_record_path(false);
+        for (std::uint32_t c = 0; c < rec.hops[f]; ++c) slot.step();
+        SPR_DCHECK(slot.in_flight() &&
+                       slot.current() == trace_of(f).trail[rec.hops[f]].node,
+                   "prefix replay diverged from the group trace");
+        rec.hops[f] = 0;
+        rec.length[f] = 0.0;
+        rec.local_minima[f] = 0;
+      }
+      active.push_back(f);
     }
-  }
+    if (active.empty()) return;
+    ++stats_.events;
+    const double hop_delay = config_.hop_delay;
+    // Leaves the copy's next call instant (parked) or its terminal call's
+    // instant (done) in next_at.
+    auto advance_flight = [&rec, &active, barrier, hop_delay](std::size_t i) {
+      const std::uint32_t f = active[i];
+      RouteStepper& slot = rec.steppers[f];
+      double t = rec.next_at[f];
+      while (slot.step()) {
+        const double tn = t + hop_delay;
+        if (!(tn < barrier)) {
+          rec.next_at[f] = tn;
+          return;
+        }
+        t = tn;
+      }
+      rec.next_at[f] = t;
+    };
+    // Step phase: flights are independent between barriers — disjoint
+    // per-flight state, read-only shared substrate. The grain scales with
+    // the batch (a few blocks per worker) so a 10^5-flight batch submits
+    // tens of tasks, not thousands; work stealing absorbs the per-flight
+    // walk-length imbalance.
+    constexpr std::size_t kMinGrain = 32;
+    if (pool.has_value() && active.size() >= 2 * kMinGrain) {
+      const std::size_t grain =
+          std::max(kMinGrain, active.size() / (pool->thread_count() * 4));
+      parallel_for_blocked(&*pool, active.size(), grain,
+                           [&advance_flight](std::size_t begin,
+                                             std::size_t end) {
+                             for (std::size_t i = begin; i < end; ++i) {
+                               advance_flight(i);
+                             }
+                           });
+    } else {
+      for (std::size_t i = 0; i < active.size(); ++i) advance_flight(i);
+    }
+    // Merge phase, serial in flight-id order: finished flights finalize at
+    // their terminal instants; survivors stay live.
+    for (std::uint32_t f : active) {
+      RouteStepper& slot = rec.steppers[f];
+      if (slot.in_flight()) continue;
+      RouteStatus status = slot.result().status;
+      harvest_record(f);
+      finalize_record(f, outcome_of(status), rec.next_at[f]);
+      horizon = std::max(horizon, rec.next_at[f]);
+    }
+    drop_finished();
+  };
+
+  auto apply_wave = [&](const StreamWave& wave, double now) {
+    std::vector<NodeId> casualties;
+    casualties.reserve(wave.casualties.size());
+    for (NodeId u : wave.casualties) {
+      if (u < net_.graph().size() && net_.graph().alive(u)) {
+        casualties.push_back(u);
+      }
+    }
+    WaveRecord record;
+    record.time = now;
+    record.casualties = casualties.size();
+    if (casualties.empty()) {
+      // Nothing actually died (already dead / out of range / an empty
+      // schedule slot): record the wave but leave the substrate and every
+      // in-flight header untouched — a no-op wave must not force phantom
+      // re-plans.
+      stats_.waves.push_back(std::move(record));
+      return;
+    }
+    routers_.clear();  // routers reference the outgoing substrate
+    Network degraded = net_.with_failures(casualties, &record.relabel);
+    if (config_.verify_relabeling && degraded.has_safety()) {
+      SafetyInfo fresh =
+          compute_safety(degraded.graph(), degraded.interest_area());
+      record.verified = true;
+      record.matches_full_recompute = fresh == degraded.safety();
+    }
+    net_ = std::move(degraded);
+    oracle_ready_ = false;
+    rebuild_routers();
+    replan_records(now, &record.packets_in_flight, &record.packets_dropped);
+    reset_traces();  // traced walks referenced the old substrate
+    stats_.waves.push_back(std::move(record));
+  };
+
+  // The re-pin chain: the first at mobility_interval, each later one
+  // scheduled when the previous fires, while traffic remains.
+  double next_repin = config_.mobility_interval > 0.0 && n_packets > 0
+                          ? config_.mobility_interval
+                          : kNoBarrier;
+  std::size_t next_packet = 0;  // the next packet to inject
+
+  auto apply_repin = [&](double now) {
+    // Positions changed: the snapshot *continues incrementally*
+    // (Network::with_moves) — the spatial grid relocates, the adjacency is
+    // patched from the edge delta, and the safety labeling continues
+    // bidirectionally from the previous fixpoint (update_safety_after_moves:
+    // removals demote, additions promote). Nodes killed by earlier failure
+    // waves stay dead (aliveness carries over) and the interest-area band
+    // carries over.
+    mobility_.advance(config_.mobility_dt);
+    routers_.clear();
+    RepinRecord record;
+    record.time = now;
+    EdgeDiff diff;
+    Network moved =
+        net_.with_moves(mobility_.positions(), &record.relabel, &diff);
+    record.moved = diff.moved_nodes;
+    record.edges_added = diff.added.size();
+    record.edges_removed = diff.removed.size();
+    if (config_.verify_relabeling && moved.has_safety()) {
+      SafetyInfo fresh = compute_safety(moved.graph(), moved.interest_area());
+      record.verified = true;
+      record.matches_full_recompute = fresh == moved.safety();
+    }
+    net_ = std::move(moved);
+    oracle_ready_ = false;
+    rebuild_routers();
+    replan_records(now, &record.packets_in_flight, &record.packets_dropped);
+    reset_traces();  // traced walks referenced the old substrate
+    ++stats_.repins;
+    stats_.repin_records.push_back(std::move(record));
+    next_repin = next_packet < n_packets || !live.empty()
+                     ? now + config_.mobility_interval
+                     : kNoBarrier;
+    // The next re-pin is scheduled only now, so a per-hop schedule orders
+    // a hop already pending at its instant before it: those copies take
+    // that call on the current substrate, then the re-pin lands.
+    for (std::uint32_t f : live) rec.early[f] = rec.next_at[f] == next_repin;
+  };
+
+  // The barriers in time order — waves before a re-pin at the same
+  // instant, same-instant waves in schedule order — and before each, every
+  // injection due at or before it (an injection at a barrier's instant
+  // sees the pre-barrier substrate), then one step batch up to it.
   std::vector<std::size_t> wave_order(config_.waves.size());
   std::iota(wave_order.begin(), wave_order.end(), std::size_t{0});
   std::stable_sort(wave_order.begin(), wave_order.end(),
                    [this](std::size_t a, std::size_t b) {
                      return config_.waves[a].time < config_.waves[b].time;
                    });
-  for (std::size_t wi : wave_order) {
-    queue.push(config_.waves[wi].time, Ev{Ev::Kind::kWave, wi});
-  }
-  if (config_.mobility_interval > 0.0 && n_packets > 0) {
-    queue.push(config_.mobility_interval, Ev{Ev::Kind::kRepin, 0});
-  }
-
-  // Epoch barriers: the only events that can change what a flight observes
-  // are the substrate mutations (waves and re-pins) — injections spawn new
-  // flights but never touch active ones. Between one barrier and the next,
-  // every flight's walk is a pure function of its own state, so a tick
-  // batch may fast-forward each flight through ALL its hop instants
-  // strictly before the barrier instead of one hop per tick. The instant
-  // sequence accumulates iteratively (t = t + hop_delay), exactly as a
-  // one-event-per-hop schedule pushes hop events, so finish times stay
-  // bit-identical; a hop instant that lands exactly on the barrier is not
-  // taken — the survivor parks there and the barrier event (earlier seq,
-  // pushed at setup / the previous re-pin) fires first.
-  std::vector<double> wave_times;
-  wave_times.reserve(wave_order.size());
-  for (std::size_t wi : wave_order) {
-    wave_times.push_back(config_.waves[wi].time);
-  }
   std::size_t wave_cursor = 0;
-  double next_repin = config_.mobility_interval > 0.0 && n_packets > 0
-                          ? config_.mobility_interval
-                          : kNoBarrier;
-  auto next_barrier = [&]() {
-    double b = next_repin;
-    if (wave_cursor < wave_times.size()) {
-      b = std::min(b, wave_times[wave_cursor]);
+  for (;;) {
+    const StreamWave* wave =
+        wave_cursor < wave_order.size()
+            ? &config_.waves[wave_order[wave_cursor]]
+            : nullptr;
+    const bool wave_next = wave != nullptr && wave->time <= next_repin;
+    const double barrier = wave_next ? wave->time : next_repin;
+    for (; next_packet < n_packets; ++next_packet) {
+      const double now =
+          static_cast<double>(next_packet) * config_.packet_interval;
+      if (now > barrier) break;
+      inject(next_packet, now, barrier);
     }
-    return b;
-  };
-
-  std::size_t injected_count = 0;
-  live_ = 0;
-  std::vector<std::uint32_t> active;  // this tick's surviving batch
-  std::vector<double> finish_at;      // per-active final-step instant
-  // The latest fast-forwarded terminal instant. The run ends at the
-  // slowest flight's terminal hop, but fast-forwarded hops never become
-  // heap events, so that instant is tracked here and folded into
-  // virtual_time after the drain.
-  double final_instant = 0.0;
-
-  while (!queue.empty()) {
-    auto timed = queue.pop();
-    clock.advance_to(timed.time);
-    const double now = clock.now();
+    step_live(barrier, !wave_next);
+    if (barrier == kNoBarrier) break;  // the batch ran every copy to its end
     ++stats_.events;
-
-    switch (timed.event.kind) {
-      case Ev::Kind::kInject: {
-        const std::size_t p = timed.event.index;
-        rec.injected[p] = 1;
-        rec.inject_time[p] = now;
-        ++injected_count;
-        // The hop-optimal baseline is pinned at injection time: stretch
-        // measures what the scheme paid relative to the network the packet
-        // was handed to, before any mid-flight wave degraded it. The
-        // epoch's oracles are batched at the first injection after each
-        // topology change (build_epoch_oracle).
-        if (rec.src[p] < net_.graph().size() &&
-            rec.dst[p] < net_.graph().size() &&
-            net_.graph().alive(rec.src[p])) {
-          if (!oracle_ready_) build_epoch_oracle(pool ? &*pool : nullptr);
-          rec.oracle_hops[p] = oracle_cache_[p % config_.pairs.size()];
-        }
-        for (std::size_t k = 0; k < n_schemes; ++k) {
-          std::size_t f = p * n_schemes + k;
-          if (rec.src[p] >= net_.graph().size() ||
-              !net_.graph().alive(rec.src[p])) {
-            finalize_record(f, StreamOutcome::kNodeFailed, now);
-            continue;
-          }
-          const double barrier = next_barrier();
-          GroupTrace& tr = trace_of(f);
-          if (!tr.armed) {
-            tr.arm(*routers_[k], rec.src[p], rec.dst[p],
-                   config_.route_options, barrier);
-          }
-          // The first copy under this barrier steps the representative as
-          // deep as it needs; later ones need no more (see GroupTrace).
-          const double hop_delay = config_.hop_delay;
-          if (tr.stepped_to != barrier) tr.step_until(now, hop_delay, barrier);
-          // The copy's hop instants, the same iterative walk as the kTick
-          // loop below.
-          const Reach r = reach(now, hop_delay, barrier, tr.calls);
-          if (tr.done && r.calls == tr.calls) {  // the terminal call's instant
-            rec.hops[f] = tr.hops;
-            rec.length[f] = tr.length;
-            rec.local_minima[f] = tr.local_minima;
-            final_instant = std::max(final_instant, r.last);
-            finalize_record(f, outcome_of(tr.status), r.last);
-            continue;
-          }
-          // Parks at r.next, after r.calls non-terminal calls. A copy that
-          // never meets a barrier never enters the tick ring at all; this
-          // one gets a header only if it reaches a tick without a re-plan
-          // (see kTick).
-          SPR_DCHECK(r.calls < tr.trail.size(), "trace trail too short");
-          const TracePoint& at = tr.trail[r.calls];
-          rec.hops[f] = r.calls;
-          rec.length[f] = at.length;
-          rec.local_minima[f] = at.local_minima;
-          schedule_flight(f, r.next);
-          ++live_;
-        }
-        break;
-      }
-      case Ev::Kind::kTick: {
-        // One epoch round: every copy due at this instant advances through
-        // every hop instant strictly before the next barrier (see above).
-        // Stale ids (finalized by a wave/re-pin since they were scheduled)
-        // just evaporate.
-        const std::vector<std::uint32_t>& batch =
-            ticks.take(static_cast<std::uint32_t>(timed.event.index));
-        active.clear();
-        for (std::uint32_t f : batch) {
-          if (rec.outcome[f] != StreamOutcome::kInFlight) continue;
-          RouteStepper& slot = rec.steppers[f];
-          if (!slot.in_flight()) {
-            // Parked from a trace, and the barrier it met changed nothing:
-            // it needs a real header now, so replay its prefix on its own
-            // slot — the stepper then carries the whole walk, and the
-            // aggregates go back to the fresh flight's zeros.
-            const std::size_t p = f / n_schemes;
-            routers_[f % n_schemes]->restart_stepper(
-                slot, rec.src[p], rec.dst[p], config_.route_options);
-            slot.set_record_path(false);
-            for (std::uint32_t c = 0; c < rec.hops[f]; ++c) slot.step();
-            SPR_DCHECK(
-                slot.in_flight() &&
-                    slot.current() == trace_of(f).trail[rec.hops[f]].node,
-                "prefix replay diverged from the group trace");
-            rec.hops[f] = 0;
-            rec.length[f] = 0.0;
-            rec.local_minima[f] = 0;
-          }
-          active.push_back(f);
-        }
-        const double barrier = next_barrier();
-        const double hop_delay = config_.hop_delay;
-        finish_at.assign(active.size(), 0.0);
-        // Every flight walks the same instant sequence t0 = now,
-        // t_{j+1} = t_j + hop_delay, so each one that outlives the epoch
-        // parks at the same first instant >= barrier and the whole batch
-        // re-buckets together.
-        auto advance_flight = [&rec, &finish_at, &active, now, barrier,
-                               hop_delay](std::size_t i) {
-          RouteStepper& slot = rec.steppers[active[i]];
-          double t = now;
-          while (slot.step()) {
-            const double tn = t + hop_delay;
-            if (!(tn < barrier)) return;  // parked; merge re-buckets it
-            t = tn;
-          }
-          finish_at[i] = t;  // instant of the final (terminal) step
-        };
-        // Step phase: flights are independent between barriers — disjoint
-        // per-flight state, read-only shared substrate. The grain scales
-        // with the batch (a few blocks per worker) so a 10^5-flight tick
-        // submits tens of tasks, not thousands; work stealing absorbs the
-        // per-flight epoch-length imbalance.
-        constexpr std::size_t kMinGrain = 32;
-        if (pool.has_value() && active.size() >= 2 * kMinGrain) {
-          const std::size_t grain =
-              std::max(kMinGrain, active.size() / (pool->thread_count() * 4));
-          parallel_for_blocked(&*pool, active.size(), grain,
-                               [&advance_flight](std::size_t begin,
-                                                 std::size_t end) {
-                                 for (std::size_t i = begin; i < end; ++i) {
-                                   advance_flight(i);
-                                 }
-                               });
-        } else {
-          for (std::size_t i = 0; i < active.size(); ++i) advance_flight(i);
-        }
-        // The shared park instant: first hop instant >= barrier, by the
-        // same iterative accumulation as advance_flight. Only needed when a
-        // survivor exists, which requires a finite barrier and a growing
-        // instant sequence (hop_delay 0 steps flights to terminal at one
-        // instant).
-        double park = now + hop_delay;
-        if (hop_delay > 0.0 && barrier != kNoBarrier) {
-          while (park < barrier) park += hop_delay;
-        }
-        // Merge phase, serial in batch (= schedule) order: survivors
-        // reschedule at the park instant, finished flights finalize at
-        // their recorded terminal instants.
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          const std::uint32_t f = active[i];
-          RouteStepper& slot = rec.steppers[f];
-          if (slot.in_flight()) {
-            schedule_flight(f, park);
-          } else {
-            RouteStatus status = slot.result().status;
-            harvest_record(f);
-            finalize_record(f, outcome_of(status), finish_at[i]);
-            final_instant = std::max(final_instant, finish_at[i]);
-            --live_;
-          }
-        }
-        break;
-      }
-      case Ev::Kind::kWave: {
-        ++wave_cursor;  // this barrier has fired, whether or not it bites
-        const StreamWave& wave = config_.waves[timed.event.index];
-        std::vector<NodeId> casualties;
-        casualties.reserve(wave.casualties.size());
-        for (NodeId u : wave.casualties) {
-          if (u < net_.graph().size() && net_.graph().alive(u)) {
-            casualties.push_back(u);
-          }
-        }
-        WaveRecord record;
-        record.time = now;
-        record.casualties = casualties.size();
-        if (casualties.empty()) {
-          // Nothing actually died (already dead / out of range / an empty
-          // schedule slot): record the wave but leave the substrate and
-          // every in-flight header untouched — a no-op wave must not
-          // force phantom re-plans.
-          stats_.waves.push_back(std::move(record));
-          break;
-        }
-        routers_.clear();  // routers reference the outgoing substrate
-        Network degraded = net_.with_failures(casualties, &record.relabel);
-        if (config_.verify_relabeling && degraded.has_safety()) {
-          SafetyInfo fresh =
-              compute_safety(degraded.graph(), degraded.interest_area());
-          record.verified = true;
-          record.matches_full_recompute = fresh == degraded.safety();
-        }
-        net_ = std::move(degraded);
-        oracle_ready_ = false;
-        rebuild_routers();
-        replan_records(now, &record.packets_in_flight,
-                       &record.packets_dropped);
-        reset_traces();  // traced walks referenced the old substrate
-        stats_.waves.push_back(std::move(record));
-        break;
-      }
-      case Ev::Kind::kRepin: {
-        // Positions changed: the snapshot *continues incrementally*
-        // (Network::with_moves) — the spatial grid relocates, the
-        // adjacency is patched from the edge delta, and the safety
-        // labeling continues bidirectionally from the previous fixpoint
-        // (update_safety_after_moves: removals demote, additions promote).
-        // Nodes killed by earlier failure waves stay dead (aliveness
-        // carries over) and the interest-area band carries over.
-        mobility_.advance(config_.mobility_dt);
-        routers_.clear();
-        RepinRecord record;
-        record.time = now;
-        EdgeDiff diff;
-        Network moved =
-            net_.with_moves(mobility_.positions(), &record.relabel, &diff);
-        record.moved = diff.moved_nodes;
-        record.edges_added = diff.added.size();
-        record.edges_removed = diff.removed.size();
-        if (config_.verify_relabeling && moved.has_safety()) {
-          SafetyInfo fresh =
-              compute_safety(moved.graph(), moved.interest_area());
-          record.verified = true;
-          record.matches_full_recompute = fresh == moved.safety();
-        }
-        net_ = std::move(moved);
-        oracle_ready_ = false;
-        rebuild_routers();
-        replan_records(now, &record.packets_in_flight,
-                       &record.packets_dropped);
-        reset_traces();  // traced walks referenced the old substrate
-        ++stats_.repins;
-        stats_.repin_records.push_back(std::move(record));
-        if (injected_count < n_packets || live_ > 0) {
-          next_repin = now + config_.mobility_interval;
-          queue.push(next_repin, Ev{Ev::Kind::kRepin, 0});
-        } else {
-          next_repin = kNoBarrier;
-        }
-        break;
-      }
+    horizon = std::max(horizon, barrier);
+    if (wave_next) {
+      ++wave_cursor;
+      apply_wave(*wave, barrier);
+    } else {
+      apply_repin(barrier);
     }
   }
 
-  stats_.virtual_time = std::max(clock.now(), final_instant);
+  stats_.virtual_time = horizon;
 
   // Per-scheme totals in packet-major order — a deterministic reduction
-  // independent of how the event timeline interleaved.
+  // independent of how the timeline interleaved.
   for (std::size_t p = 0; p < n_packets; ++p) {
-    if (!rec.injected[p]) continue;
     for (std::size_t k = 0; k < n_schemes; ++k) {
       std::size_t f = p * n_schemes + k;
       StreamSchemeStats& s = stats_.schemes[k];
@@ -772,7 +744,7 @@ void StreamSim::run_flight_record() {
           ++s.node_failed;
           break;
         case StreamOutcome::kDeadEnd:
-        case StreamOutcome::kInFlight:  // unreachable: the queue drained
+        case StreamOutcome::kInFlight:  // unreachable: the last batch ran all
           ++s.dead_end;
           break;
       }

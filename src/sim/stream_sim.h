@@ -5,15 +5,15 @@
 /// The paper motivates safety-based routing with *dynamic* holes — node
 /// failures, power exhaustion, jamming — yet an atomic `Router::route`
 /// call can only ever see a frozen snapshot. StreamSim puts packet
-/// injections, per-hop packet movement, and world changes on one shared
-/// timeline (sim/event_queue.h), so failures land *between the hops* of
-/// in-flight packets:
+/// injections, per-hop packet movement, and world changes on one
+/// timeline, so failures land *between the hops* of in-flight packets:
 ///
-///  * injection events — packet i enters at its source at
-///    `i * packet_interval`, one in-flight copy per scheme (the comparison
-///    is paired, as everywhere else in the library);
-///  * hop events — one in-flight copy advances one hop
-///    (RouteStepper::step) per `hop_delay` of transmission time;
+///  * injections — packet i enters at its source at `i * packet_interval`,
+///    one in-flight copy per scheme (the comparison is paired, as
+///    everywhere else in the library);
+///  * hops — one in-flight copy advances one hop (RouteStepper::step) per
+///    `hop_delay` of transmission time; call c + 1 of a copy injected at
+///    t_0 executes at t_{c+1} = t_c + hop_delay, accumulated iteratively;
 ///  * failure waves — a batch of nodes dies (Network::with_failures): the
 ///    safety labeling continues *incrementally* from the previous fixpoint
 ///    (update_safety_after_failures; IncrementalStats recorded per wave),
@@ -28,7 +28,9 @@
 ///    The paper's "position-dependent information needs to re-constitute"
 ///    regime, collapsed into a local update wave; each re-pin is recorded
 ///    as a RepinRecord, optionally cross-checked against a from-scratch
-///    compute_safety (StreamConfig::verify_relabeling).
+///    compute_safety (StreamConfig::verify_relabeling). The first re-pin
+///    fires at `mobility_interval`, and each one schedules the next while
+///    traffic remains.
 ///
 /// Semantics at a topology change: the packet header travels with the
 /// packet, but the substrate under it changed — each in-flight copy
@@ -41,43 +43,51 @@
 /// Injection semantics are fully defined — never UB: a packet whose source
 /// is dead at injection time (killed by an earlier wave), or whose source
 /// id is out of range, is counted as a kNodeFailed drop for every scheme.
-/// Same-instant ties resolve by FIFO push order (sim/event_queue.h): an
-/// injection scheduled at exactly a wave's timestamp fires *before* the
-/// wave (both are pushed up front, injections first), sees the pre-wave
-/// substrate, and its copies are then immediately re-planned — or dropped,
-/// if the wave killed their carrier — by the wave itself.
+///
+/// Same-instant ties, as a per-hop schedule that pushes every event
+/// up front or when its predecessor fires would order them:
+///  * an injection at a barrier's (wave's or re-pin's) instant goes before
+///    it, sees the pre-barrier substrate, and its copies are then
+///    re-planned — or dropped, if the wave killed their carrier — by it;
+///  * waves at one instant go in schedule order, all before a re-pin at
+///    that instant;
+///  * a hop at a barrier's instant goes after it — except a hop that was
+///    already pending when the previous re-pin fired and scheduled this
+///    one (possible once hop_delay >= mobility_interval): it goes after
+///    the waves at that instant and before the re-pin.
 ///
 /// Determinism: the simulation draws randomness only from its own seeded
 /// streams, so a run is a pure function of (initial network, StreamConfig)
 /// — byte-identical reports across reruns and across sweep thread counts
 /// (tests enforce this).
 ///
-/// Engine: per-flight state lives in SoA flight records, and stepper slots
-/// are pooled (reset in place on re-plan; zero steady-state allocation).
-/// Because every hop costs the same `hop_delay`, all copies due at the
-/// same instant advance in one *tick* batch (sim/tick_scheduler.h): the
-/// event heap carries one event per distinct tick time plus the sparse
-/// control events, not one event per flight-hop. Between two topology
-/// barriers (waves, re-pins) a flight's walk depends on nothing else, so a
-/// batch fast-forwards each flight up to the next barrier. Injection steps
-/// no flight at all: the copies of one (scheme, pair) group in one epoch
-/// share a *group trace*, walked once by a representative stepper, lazily
-/// and only as deep as the copy being injected needs. A copy whose walk
-/// ends before the next barrier finishes from the trace's terminal record;
-/// one that meets the barrier parks without a stepper at its point on the
-/// trace (node, hops, length, local minima). A barrier that changes the
-/// substrate re-plans it from there; at a wave that kills nothing it
-/// rebuilds its header at its next tick by replaying that prefix. With StreamConfig::threads > 1 each tick's batch is stepped in
-/// parallel on a TaskPool and merged in flight-id order; results are
-/// bit-identical across thread counts. StreamStats::events counts the
-/// heap events actually popped (ticks + control events).
+/// Engine: the run goes barrier to barrier. Only waves and re-pins change
+/// what a copy observes, so between two of them every copy's walk is a
+/// pure function of its own state. Before each barrier the engine injects
+/// every packet due at or before it, then advances every copy due before
+/// it through all its hop instants before it in one *step batch*, then
+/// applies it. Per-flight state lives in SoA flight records, and stepper
+/// slots are pooled (reset in place on re-plan; zero steady-state
+/// allocation). Injection steps no flight at all: the copies of one
+/// (scheme, pair) group in one epoch share a *group trace*, walked once by
+/// a representative stepper, lazily and only as deep as the copy being
+/// injected needs. A copy whose walk ends before the next barrier finishes
+/// from the trace's terminal record; one that meets the barrier parks
+/// without a stepper at its point on the trace (node, hops, length, local
+/// minima). A barrier that changes the substrate re-plans it from there; at
+/// a wave that kills nothing it rebuilds its header in its next step batch
+/// by replaying that prefix. With StreamConfig::threads > 1 each batch is
+/// stepped in parallel on a TaskPool and merged in flight-id order;
+/// results are bit-identical across thread counts. StreamStats::events
+/// counts injections, barriers and non-empty step batches.
 ///
 /// Stretch oracle: `stretch_hops` divides a delivered copy's hops by the
 /// BFS optimum of its pair on the substrate it was injected into. That
 /// optimum is computed once per topology epoch — at the first injection
 /// after the start, a wave or a re-pin — for every pair at once: one
 /// bidirectional hop-distance search per pair (hop_distances,
-/// graph/graph_algos.h), fanned out over the same pool that steps the ticks.
+/// graph/graph_algos.h), fanned out over the same pool that steps the
+/// batches.
 ///
 /// The direct one-heap-event-per-hop execution of the same semantics lives
 /// in tests/support/per_hop_stream.h as the reference this engine is
@@ -184,8 +194,12 @@ struct StreamSchemeStats {
 
 /// The full result of one stream run.
 struct StreamStats {
-  double virtual_time = 0.0;  ///< timestamp of the last event
-  std::size_t events = 0;     ///< events processed
+  /// The last instant anything happened: an injection, a barrier, a
+  /// copy's terminal hop, or the pending hop of a copy a barrier ended.
+  double virtual_time = 0.0;
+  /// Engine work units: injections + barriers + step batches (the per-hop
+  /// reference counts one per injection, hop, wave and re-pin).
+  std::size_t events = 0;
   std::size_t repins = 0;     ///< mobility re-pins performed
   std::vector<WaveRecord> waves;
   std::vector<RepinRecord> repin_records;  ///< one per re-pin, in time order
@@ -218,7 +232,7 @@ struct StreamConfig {
   /// against a from-scratch compute_safety on the changed graph
   /// (WaveRecord::verified / RepinRecord::verified).
   bool verify_relabeling = false;
-  /// Worker threads stepping each tick's batch and computing each
+  /// Worker threads stepping each step batch and computing each
   /// epoch's hop oracle (<= 1 = serial on the calling thread).
   /// Bit-identical results across thread counts.
   int threads = 1;
@@ -226,7 +240,9 @@ struct StreamConfig {
   /// Empty when the config is usable, else a message naming the first bad
   /// field: hop_delay, packet_interval, mobility_interval, mobility_dt and
   /// every waves[i].time must each be finite and >= 0 (0 stays legal — a
-  /// burst of injections, or mobility off), and packets must be >= 0. The
+  /// burst of injections, or mobility off), and packets must be >= 0. With
+  /// mobility on (mobility_interval > 0), waypoint's speeds and pause_s
+  /// must be finite and >= 0 too, with min_speed_mps <= max_speed_mps. The
   /// StreamSim constructor SPR_CHECKs it.
   std::string validate() const;
 };
@@ -256,8 +272,8 @@ class StreamSim {
   void run_flight_record();
   /// Fills oracle_cache_ for the current topology epoch: the exact hop
   /// distance of every pair (hop_distances, a bidirectional BFS per pair),
-  /// fanned out over `pool` — the stepping pool, idle while the event loop
-  /// injects — or serial when it is null. Unreachable pairs get 0.
+  /// fanned out over `pool` — the stepping pool, idle while packets are
+  /// injected — or serial when it is null. Unreachable pairs get 0.
   void build_epoch_oracle(TaskPool* pool);
 
   Network net_;
@@ -270,7 +286,6 @@ class StreamSim {
   /// build_epoch_oracle.
   std::vector<std::size_t> oracle_cache_;
   bool oracle_ready_ = false;
-  std::size_t live_ = 0;  ///< copies currently in flight
   StreamStats stats_;
   bool ran_ = false;
 };

@@ -101,7 +101,7 @@ TEST(JsonGolden, StreamingDelivery) {
   ScenarioOptions opts;
   opts.networks = 1; opts.pairs = 4; opts.threads = 2;
   expect_golden(render_scenario("streaming-delivery", opts),
-                {0x042485e7a23ae6eaULL, 31108}, "streaming-delivery");
+                {0x62cf70f3375894b9ULL, 31108}, "streaming-delivery");
 }
 
 TEST(JsonGolden, MobilityRate) {

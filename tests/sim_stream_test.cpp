@@ -343,8 +343,8 @@ TEST(StreamSim, MobilityRepinsRebuildTheSnapshot) {
 /// The acceptance contract of the flight-record engine: everything in
 /// StreamStats except `events` is byte-identical to the per-hop reference
 /// (tests/support/per_hop_stream.h) — across seeds, failure waves, mobility re-pins, their
-/// combination, and thread counts — and tick batching pops strictly fewer
-/// heap events than one-event-per-hop.
+/// combination, and thread counts — and running barrier to barrier counts
+/// strictly fewer events than one event per hop.
 TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
   struct Case {
     std::uint64_t seed;
@@ -386,21 +386,21 @@ TEST(StreamSim, FlightRecordEngineMatchesPerHopReferenceByteForByte) {
       return test::stream_full_json(stats);
     };
     std::size_t ref_events = 0;
-    std::size_t tick_events = 0;
+    std::size_t serial_events = 0;
     std::size_t threaded_events = 0;
     std::string ref = run(true, 1, &ref_events);
-    std::string tick = run(false, 1, &tick_events);
+    std::string serial = run(false, 1, &serial_events);
     std::string threaded = run(false, 4, &threaded_events);
     const char* shape = c.waves ? (c.mobility ? "waves+mobility" : "waves")
                                 : (c.mobility ? "mobility" : "plain");
-    EXPECT_EQ(tick, ref) << "seed " << c.seed << " " << shape;
-    EXPECT_EQ(threaded, tick) << "seed " << c.seed << " " << shape
-                              << ": thread count changed the report";
-    EXPECT_EQ(threaded_events, tick_events) << "seed " << c.seed << " "
-                                            << shape;
-    // With a shared hop_delay the dyadic tick times collide across flights,
-    // so batching must collapse the heap traffic, not just relabel it.
-    EXPECT_LT(tick_events, ref_events) << "seed " << c.seed << " " << shape;
+    EXPECT_EQ(serial, ref) << "seed " << c.seed << " " << shape;
+    EXPECT_EQ(threaded, serial) << "seed " << c.seed << " " << shape
+                                << ": thread count changed the report";
+    EXPECT_EQ(threaded_events, serial_events) << "seed " << c.seed << " "
+                                              << shape;
+    // One step batch per barrier interval replaces every per-hop event, so
+    // the engine's event count must collapse, not just relabel the hops.
+    EXPECT_LT(serial_events, ref_events) << "seed " << c.seed << " " << shape;
   }
 }
 
@@ -464,7 +464,7 @@ TEST(StreamSim, PooledEpochOracleMatchesPerHopReferenceOverManyPairs) {
 /// (two groups, one walk), copies that park from a trace at a biting wave
 /// and are re-planned from their trail point, copies that park at a wave
 /// that kills nothing (already-dead and out-of-range ids) or at an empty
-/// one and must rebuild their header at the next tick, and a re-pin —
+/// one and must rebuild their header in the next step batch, and a re-pin —
 /// across seeds, two hop delays (0.3 keeps the hop instants off the
 /// binary grid) and thread counts.
 TEST(StreamSim, GroupTraceMatchesPerHopReferenceAcrossBarriers) {
@@ -529,6 +529,109 @@ TEST(StreamSim, GroupTraceMatchesPerHopReferenceAcrossBarriers) {
       EXPECT_GT(ref.waves[3].packets_in_flight, 0u) << "seed " << seed;
       EXPECT_GT(ref.repins, 0u) << "seed " << seed;
     }
+  }
+}
+
+/// The run ends at the last instant anything is scheduled for, and that can
+/// be the pending hop of a copy a barrier dropped: the per-hop reference
+/// still pops that stale hop event. Here the last wave lands after the last
+/// injection on a re-pin's instant and kills every node, so every carrier
+/// drops with a hop pending at most hop_delay later (0.3 keeps the instants
+/// off the binary grid), and no re-pin follows; an earlier wave shares the
+/// first re-pin's instant. The engine must report the same virtual_time.
+TEST(StreamSim, VirtualTimeCoversTheStaleHopOfADroppedCopy) {
+  for (std::uint64_t seed : {23u, 61u}) {
+    auto run = [seed](bool per_hop, int threads) {
+      Network net =
+          test::random_network(500, seed, DeployModel::kForbiddenAreas);
+      Rng rng(seed);
+      StreamConfig config;
+      for (int trial = 0; trial < 100 && config.pairs.size() < 4; ++trial) {
+        auto pair = net.random_connected_interior_pair(rng);
+        if (pair.first != kInvalidNode) config.pairs.push_back(pair);
+      }
+      config.packets = 10;
+      config.packet_interval = 0.5;  // the last injection is at 4.5
+      config.hop_delay = 0.3;
+      config.mobility_interval = 2.5;  // re-pins at 2.5 and 5.0
+      config.mobility_dt = 10.0;
+      std::vector<bool> endpoint(net.graph().size(), false);
+      for (const auto& [s, d] : config.pairs) {
+        endpoint[s] = endpoint[d] = true;
+      }
+      StreamWave on_repin;
+      on_repin.time = 2.5;
+      for (NodeId u = 0; u < net.graph().size(); u += 17) {
+        if (!endpoint[u]) on_repin.casualties.push_back(u);
+      }
+      StreamWave kill_all;
+      kill_all.time = 5.0;
+      for (NodeId u = 0; u < net.graph().size(); ++u) {
+        kill_all.casualties.push_back(u);
+      }
+      config.waves = {on_repin, kill_all};
+      config.threads = threads;
+      StreamStats stats =
+          per_hop ? test::run_stream_per_hop(std::move(net), config)
+                  : StreamSim(std::move(net), config).run();
+      stats.events = 0;  // the one field the engines legitimately differ on
+      return stats;
+    };
+    StreamStats ref = run(true, 1);
+    ASSERT_EQ(ref.waves.size(), 2u);
+    ASSERT_EQ(ref.repins, 2u) << "seed " << seed;
+    EXPECT_GT(ref.waves[1].packets_dropped, 0u) << "seed " << seed;
+    EXPECT_GT(ref.virtual_time, ref.repin_records.back().time)
+        << "seed " << seed << ": the last event is not a stale hop";
+    std::string want = test::stream_full_json(ref);
+    EXPECT_EQ(test::stream_full_json(run(false, 1)), want) << "seed " << seed;
+    EXPECT_EQ(test::stream_full_json(run(false, 4)), want) << "seed " << seed;
+  }
+}
+
+/// A hop and a re-pin on the same instant: the re-pin after next is
+/// scheduled only when a re-pin fires, so a hop already pending for that
+/// instant (scheduled at or before the previous re-pin) takes its step
+/// first, on the old substrate, while one scheduled later steps after it.
+/// With hop_delay >= mobility_interval both orders occur — injections on
+/// re-pin instants and copies stepping at one — and the engine must follow
+/// the per-hop reference through every one of them.
+TEST(StreamSim, HopOnAReplanInstantMatchesPerHopReference) {
+  struct Case {
+    double hop_delay;
+    double mobility_interval;
+  };
+  for (const Case c : {Case{0.5, 0.5}, Case{0.75, 0.25}}) {
+    auto run = [c](bool per_hop, int threads) {
+      Network net = test::random_network(400, 23, DeployModel::kForbiddenAreas);
+      Rng rng(23);
+      StreamConfig config;
+      for (int trial = 0; trial < 100 && config.pairs.size() < 3; ++trial) {
+        auto pair = net.random_connected_interior_pair(rng);
+        if (pair.first != kInvalidNode) config.pairs.push_back(pair);
+      }
+      config.packets = 8;
+      config.packet_interval = 1.0;
+      config.hop_delay = c.hop_delay;
+      config.mobility_interval = c.mobility_interval;
+      config.mobility_dt = 10.0;
+      config.waypoint.max_speed_mps = 4.0;
+      config.threads = threads;
+      StreamStats stats =
+          per_hop ? test::run_stream_per_hop(std::move(net), config)
+                  : StreamSim(std::move(net), config).run();
+      stats.events = 0;  // the one field the engines legitimately differ on
+      return stats;
+    };
+    StreamStats ref = run(true, 1);
+    EXPECT_GT(ref.repins, 0u);
+    std::string want = test::stream_full_json(ref);
+    EXPECT_EQ(test::stream_full_json(run(false, 1)), want)
+        << "hop_delay " << c.hop_delay << " mobility_interval "
+        << c.mobility_interval;
+    EXPECT_EQ(test::stream_full_json(run(false, 4)), want)
+        << "hop_delay " << c.hop_delay << " mobility_interval "
+        << c.mobility_interval;
   }
 }
 
@@ -647,6 +750,40 @@ TEST(StreamConfigValidate, NamesTheBadField) {
   StreamConfig negative_packets;
   negative_packets.packets = -3;
   EXPECT_NE(negative_packets.validate().find("packets"), std::string::npos);
+
+  // The waypoint process is checked only when mobility is on.
+  const std::pair<double WaypointConfig::*, const char*> motion[] = {
+      {&WaypointConfig::min_speed_mps, "waypoint.min_speed_mps"},
+      {&WaypointConfig::max_speed_mps, "waypoint.max_speed_mps"},
+      {&WaypointConfig::pause_s, "waypoint.pause_s"},
+  };
+  for (const auto& [field, name] : motion) {
+    for (double value : {std::numeric_limits<double>::quiet_NaN(), -0.25,
+                         std::numeric_limits<double>::infinity()}) {
+      StreamConfig bad;
+      bad.waypoint.*field = value;
+      EXPECT_EQ(bad.validate(), "") << "mobility off: " << name;
+      bad.mobility_interval = 2.0;
+      EXPECT_NE(bad.validate().find(name), std::string::npos)
+          << name << " = " << value;
+    }
+  }
+  StreamConfig still;  // nodes that never move or never pause are legal
+  still.mobility_interval = 2.0;
+  still.waypoint.min_speed_mps = 0.0;
+  still.waypoint.max_speed_mps = 0.0;
+  still.waypoint.pause_s = 0.0;
+  EXPECT_EQ(still.validate(), "");
+  StreamConfig backwards;  // the -50/-40 case, and its positive mirror
+  backwards.mobility_interval = 2.0;
+  backwards.waypoint.min_speed_mps = -50.0;
+  backwards.waypoint.max_speed_mps = -40.0;
+  EXPECT_NE(backwards.validate().find("waypoint.min_speed_mps"),
+            std::string::npos);
+  backwards.waypoint.min_speed_mps = 50.0;
+  backwards.waypoint.max_speed_mps = 40.0;
+  EXPECT_NE(backwards.validate().find("waypoint.min_speed_mps"),
+            std::string::npos);
 }
 
 /// Builds a StreamSim over a small network with one time field broken.
@@ -707,6 +844,24 @@ TEST(StreamConfigValidateDeathTest, WaveTime) {
   EXPECT_DEATH(construct_with_wave_at(std::numeric_limits<double>::quiet_NaN()),
                "waves\\[0\\]\\.time");
   EXPECT_DEATH(construct_with_wave_at(-1.0), "waves\\[0\\]\\.time");
+}
+
+TEST(StreamConfigValidateDeathTest, WaypointSpeed) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto construct_with_speeds = [](double min_speed, double max_speed) {
+    StreamConfig config;
+    config.pairs.emplace_back(NodeId{1}, NodeId{2});
+    config.packets = 5;
+    config.mobility_interval = 1.0;
+    config.waypoint.min_speed_mps = min_speed;
+    config.waypoint.max_speed_mps = max_speed;
+    StreamSim sim(test::random_network(300, 5), config);
+  };
+  EXPECT_DEATH(
+      construct_with_speeds(0.5, std::numeric_limits<double>::quiet_NaN()),
+      "waypoint\\.max_speed_mps");
+  EXPECT_DEATH(construct_with_speeds(-50.0, -40.0),
+               "waypoint\\.min_speed_mps");
 }
 
 TEST(StreamConfigValidateDeathTest, NegativePackets) {

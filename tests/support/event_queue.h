@@ -1,16 +1,15 @@
 #pragma once
 
 /// \file event_queue.h
-/// The shared discrete-event core: a deterministic timed event queue and a
-/// virtual clock. Every simulator in the library — the round engine
-/// (sim/engine.h) and the streaming-delivery simulator (sim/stream_sim.h) —
-/// schedules on this one timeline abstraction with one tie-breaking rule.
+/// A deterministic timed event queue and a virtual clock, the timeline of
+/// the per-hop stream reference (support/per_hop_stream.h), which pushes
+/// one event per injection, hop, wave and re-pin. StreamSim itself runs
+/// barrier to barrier and needs no heap; the reference's push order is the
+/// definition of its same-instant tie rules.
 ///
 /// Determinism: events are totally ordered by (time, insertion sequence),
 /// so two events at the same instant pop in the order they were pushed.
-/// Runs that push the same events in the same order are bit-identical,
-/// which is what the engine's fixpoint tests and the streaming scenario's
-/// reproducibility guarantee rest on.
+/// Runs that push the same events in the same order are bit-identical.
 
 #include <algorithm>
 #include <cstddef>
@@ -18,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-namespace spr {
+namespace spr::test {
 
 /// Virtual simulation clock. Advances monotonically as events are
 /// consumed; never runs backwards even if asked to.
@@ -82,4 +81,4 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-}  // namespace spr
+}  // namespace spr::test

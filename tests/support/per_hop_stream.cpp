@@ -10,7 +10,7 @@
 #include "mobility/waypoint.h"
 #include "routing/router.h"
 #include "safety/labeling.h"
-#include "sim/event_queue.h"
+#include "support/event_queue.h"
 #include "util/check.h"
 
 namespace spr::test {

@@ -1,11 +1,11 @@
-#include "sim/event_queue.h"
+#include "support/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
-namespace spr {
+namespace spr::test {
 namespace {
 
 TEST(EventQueue, PopsInTimeOrder) {
@@ -55,4 +55,4 @@ TEST(SimClock, AdvancesMonotonically) {
 }
 
 }  // namespace
-}  // namespace spr
+}  // namespace spr::test
