@@ -1,8 +1,9 @@
 /// \file bench_micro.cpp
-/// google-benchmark microbenchmarks for the substrate: unit-disk graph
-/// construction, planarization, safety labeling (centralized fixpoint and
-/// distributed protocol), BOUNDHOLE, per-packet routing of each scheme, and
-/// the streaming simulator with its per-epoch hop oracle.
+/// google-benchmark microbenchmarks for the substrate: FA deployment,
+/// unit-disk graph construction, planarization, safety labeling
+/// (centralized fixpoint and distributed protocol), BOUNDHOLE, per-packet
+/// routing of each scheme, and the streaming simulator with its per-epoch
+/// hop oracle.
 
 #include <benchmark/benchmark.h>
 
@@ -53,15 +54,33 @@ Deployment make_scaled_deployment(int n, DeployModel model) {
   return deploy(config, rng);
 }
 
+/// Unit-disk construction, serial: the paper's IA sizes, and a 10^5-node
+/// scaled FA field, the world build's second stage (the block row builder
+/// over the cell-ordered grid).
 void BM_UnitDiskBuild(benchmark::State& state) {
-  Deployment dep = make_deployment(static_cast<int>(state.range(0)),
-                                   DeployModel::kIdeal);
+  const int n = static_cast<int>(state.range(0));
+  Deployment dep = n > 1000
+                       ? make_scaled_deployment(n, DeployModel::kForbiddenAreas)
+                       : make_deployment(n, DeployModel::kIdeal);
   for (auto _ : state) {
     UnitDiskGraph g(dep.positions, dep.radio_range, dep.field);
     benchmark::DoNotOptimize(g.edge_count());
   }
 }
-BENCHMARK(BM_UnitDiskBuild)->Arg(400)->Arg(800);
+BENCHMARK(BM_UnitDiskBuild)->Arg(400)->Arg(800)->Arg(100000);
+
+/// The FA deployment on a 10^5-node scaled field, the world build's first
+/// stage: forbidden areas, then rejection sampling, where every drawn point
+/// pays one bounding-box test per area and only points near an area pay
+/// its edges.
+void BM_Deploy(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Deployment dep = make_scaled_deployment(n, DeployModel::kForbiddenAreas);
+    benchmark::DoNotOptimize(dep.positions.data());
+  }
+}
+BENCHMARK(BM_Deploy)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_GabrielOverlay(benchmark::State& state) {
   Deployment dep = make_deployment(static_cast<int>(state.range(0)),

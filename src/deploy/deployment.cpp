@@ -1,3 +1,12 @@
+/// \file deployment.cpp
+/// The IA and FA deployment draws. FA rejection sampling tests every drawn
+/// point against every forbidden area, and most points lie far from all of
+/// them: Polygon::contains rejects a point outside an area's inflated
+/// bounding box with one box test, so only points near an area pay its
+/// per-edge boundary test and ray cast. The gate changes no answer, so the
+/// RNG draws and the positions are those of an ungated sampler, bit for bit
+/// (tests/support/deploy_reference.h).
+
 #include "deploy/deployment.h"
 
 #include <algorithm>

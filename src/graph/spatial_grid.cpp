@@ -7,9 +7,9 @@
 
 namespace spr {
 
-SpatialGrid::SpatialGrid(std::vector<Vec2> points, Rect bounds,
+SpatialGrid::SpatialGrid(std::span<const Vec2> points, Rect bounds,
                          double cell_size)
-    : points_(std::move(points)), bounds_(bounds), cell_size_(cell_size) {
+    : bounds_(bounds), cell_size_(cell_size) {
   SPR_CHECK(std::isfinite(cell_size) && cell_size > 0.0,
             "SpatialGrid: cell size ", cell_size, " is not finite and positive");
   // Counted in double, then capped at kMaxCells by growing the cell side:
@@ -41,43 +41,60 @@ SpatialGrid::SpatialGrid(std::vector<Vec2> points, Rect bounds,
 
   // CSR build: count per cell, prefix-sum into offsets, then fill. Filling
   // in ascending id order keeps each cell's ids sorted.
-  auto cell_index = [&](Vec2 p) {
-    return static_cast<size_t>(cell_row(p.y)) * static_cast<size_t>(cols_) +
-           static_cast<size_t>(cell_col(p.x));
-  };
   std::vector<std::size_t> counts(cell_count, 0);
-  for (const Vec2& p : points_) ++counts[cell_index(p)];
+  for (const Vec2& p : points) ++counts[cell_index(p)];
   cell_offsets_.assign(cell_count + 1, 0);
   for (std::size_t i = 0; i < cell_count; ++i) {
     cell_offsets_[i + 1] = cell_offsets_[i] + counts[i];
   }
-  cell_ids_.resize(points_.size());
-  std::vector<std::size_t> cursor(cell_offsets_.begin(),
-                                  cell_offsets_.end() - 1);
-  for (NodeId id = 0; id < points_.size(); ++id) {
-    cell_ids_[cursor[cell_index(points_[id])]++] = id;
+  cell_ids_.resize(points.size());
+  cell_points_.resize(points.size());
+  std::vector<std::size_t>& cursor = counts;
+  std::copy(cell_offsets_.begin(), cell_offsets_.end() - 1, cursor.begin());
+  for (NodeId id = 0; id < points.size(); ++id) {
+    const std::size_t slot = cursor[cell_index(points[id])]++;
+    cell_ids_[slot] = id;
+    cell_points_[slot] = points[id];
   }
 }
 
-void SpatialGrid::relocate(std::span<const NodeId> ids,
-                           std::span<const Vec2> new_positions) {
-  auto cell_index = [&](Vec2 p) {
-    return static_cast<size_t>(cell_row(p.y)) * static_cast<size_t>(cols_) +
-           static_cast<size_t>(cell_col(p.x));
-  };
+std::size_t SpatialGrid::slot_of(std::size_t cell, NodeId id) const noexcept {
+  const auto begin = cell_ids_.begin() +
+                     static_cast<std::ptrdiff_t>(cell_offsets_[cell]);
+  const auto end = cell_ids_.begin() +
+                   static_cast<std::ptrdiff_t>(cell_offsets_[cell + 1]);
+  return static_cast<std::size_t>(std::lower_bound(begin, end, id) -
+                                  cell_ids_.begin());
+}
 
+void SpatialGrid::relocate(std::span<const NodeId> ids,
+                           std::span<const Vec2> from,
+                           std::span<const Vec2> to) {
   // Per moved point: the cell it leaves and the cell it joins. Points that
   // stay in their cell only need the coordinate update.
-  std::vector<std::pair<std::size_t, NodeId>> leavers, joiners;
+  struct Joiner {
+    std::size_t cell;
+    NodeId id;
+    Vec2 at;
+    bool operator<(const Joiner& o) const noexcept {
+      return cell != o.cell ? cell < o.cell : id < o.id;
+    }
+  };
+  std::vector<std::pair<std::size_t, NodeId>> leavers;
+  std::vector<Joiner> joiners;
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    NodeId id = ids[i];
-    if (id >= points_.size()) continue;
-    std::size_t from = cell_index(points_[id]);
-    std::size_t to = cell_index(new_positions[i]);
-    points_[id] = new_positions[i];
-    if (from != to) {
-      leavers.emplace_back(from, id);
-      joiners.emplace_back(to, id);
+    const NodeId id = ids[i];
+    if (id >= point_count()) continue;
+    const std::size_t old_cell = cell_index(from[i]);
+    const std::size_t new_cell = cell_index(to[i]);
+    SPR_DCHECK(slot_of(old_cell, id) < cell_offsets_[old_cell + 1] &&
+                   cell_ids_[slot_of(old_cell, id)] == id,
+               "SpatialGrid::relocate: point ", id, " is not at its `from`");
+    if (old_cell == new_cell) {
+      cell_points_[slot_of(old_cell, id)] = to[i];
+    } else {
+      leavers.emplace_back(old_cell, id);
+      joiners.push_back(Joiner{new_cell, id, to[i]});
     }
   }
   if (leavers.empty()) return;
@@ -86,48 +103,49 @@ void SpatialGrid::relocate(std::span<const NodeId> ids,
 
   // One compaction pass over the cells: untouched cells block-copy, touched
   // cells merge (old ids minus leavers) with their sorted joiners. Both
-  // inputs are ascending, so each cell stays sorted.
+  // inputs are ascending, so each cell stays sorted; every coordinate moves
+  // with its id.
   const std::size_t cell_count =
       static_cast<size_t>(cols_) * static_cast<size_t>(rows_);
   std::vector<std::size_t> new_offsets(cell_count + 1, 0);
   std::vector<NodeId> new_ids(cell_ids_.size());
+  std::vector<Vec2> new_points(cell_points_.size());
   std::size_t li = 0, ji = 0, write = 0;
   for (std::size_t c = 0; c < cell_count; ++c) {
     new_offsets[c] = write;
-    std::span<const NodeId> old_ids{cell_ids_.data() + cell_offsets_[c],
-                                    cell_offsets_[c + 1] - cell_offsets_[c]};
+    const std::size_t begin = cell_offsets_[c], end = cell_offsets_[c + 1];
     bool touched = (li < leavers.size() && leavers[li].first == c) ||
-                   (ji < joiners.size() && joiners[ji].first == c);
+                   (ji < joiners.size() && joiners[ji].cell == c);
     if (!touched) {
-      std::copy(old_ids.begin(), old_ids.end(), new_ids.begin() + write);
-      write += old_ids.size();
+      std::copy(cell_ids_.begin() + static_cast<std::ptrdiff_t>(begin),
+                cell_ids_.begin() + static_cast<std::ptrdiff_t>(end),
+                new_ids.begin() + static_cast<std::ptrdiff_t>(write));
+      std::copy(cell_points_.begin() + static_cast<std::ptrdiff_t>(begin),
+                cell_points_.begin() + static_cast<std::ptrdiff_t>(end),
+                new_points.begin() + static_cast<std::ptrdiff_t>(write));
+      write += end - begin;
       continue;
     }
-    std::size_t oi = 0;
-    while (oi < old_ids.size() || (ji < joiners.size() && joiners[ji].first == c)) {
-      // Next survivor from the old list (skipping this cell's leavers).
-      NodeId old_next = kInvalidNode;
-      while (oi < old_ids.size()) {
-        if (li < leavers.size() && leavers[li].first == c &&
-            leavers[li].second == old_ids[oi]) {
-          ++li;
-          ++oi;
-          continue;
-        }
-        old_next = old_ids[oi];
-        break;
+    std::size_t k = begin;
+    while (k < end || (ji < joiners.size() && joiners[ji].cell == c)) {
+      // Next survivor from the old slots (skipping this cell's leavers).
+      while (k < end && li < leavers.size() && leavers[li].first == c &&
+             leavers[li].second == cell_ids_[k]) {
+        ++li;
+        ++k;
       }
-      NodeId join_next = (ji < joiners.size() && joiners[ji].first == c)
-                             ? joiners[ji].second
-                             : kInvalidNode;
+      const NodeId old_next = k < end ? cell_ids_[k] : kInvalidNode;
+      const NodeId join_next = (ji < joiners.size() && joiners[ji].cell == c)
+                                   ? joiners[ji].id
+                                   : kInvalidNode;
       if (old_next == kInvalidNode && join_next == kInvalidNode) break;
       if (join_next == kInvalidNode ||
           (old_next != kInvalidNode && old_next < join_next)) {
-        new_ids[write++] = old_next;
-        ++oi;
+        new_ids[write] = old_next;
+        new_points[write++] = cell_points_[k++];
       } else {
-        new_ids[write++] = join_next;
-        ++ji;
+        new_ids[write] = join_next;
+        new_points[write++] = joiners[ji++].at;
       }
     }
     // Any leavers of this cell not consumed above (they sorted past the old
@@ -137,6 +155,7 @@ void SpatialGrid::relocate(std::span<const NodeId> ids,
   new_offsets[cell_count] = write;
   cell_offsets_ = std::move(new_offsets);
   cell_ids_ = std::move(new_ids);
+  cell_points_ = std::move(new_points);
 }
 
 namespace {
@@ -164,12 +183,22 @@ void SpatialGrid::query_radius(Vec2 center, double radius, NodeId exclude,
   int r0 = cell_row(center.y - radius), r1 = cell_row(center.y + radius);
   double radius_sq = radius * radius;
   for (int r = r0; r <= r1; ++r) {
-    for (int c = c0; c <= c1; ++c) {
-      for (NodeId id : cell(c, r)) {
-        if (id == exclude) continue;
-        if (distance_sq(points_[id], center) <= radius_sq) out.push_back(id);
-      }
+    // Cells c0..c1 of row r are adjacent cells, hence one slot range. Every
+    // candidate is written and the write cursor advances only on a hit: no
+    // branch on a distance test that fails about two times in three.
+    const std::size_t row = static_cast<size_t>(r) * static_cast<size_t>(cols_);
+    const std::size_t begin = cell_offsets_[row + static_cast<size_t>(c0)];
+    const std::size_t end = cell_offsets_[row + static_cast<size_t>(c1) + 1];
+    std::size_t write = out.size();
+    out.resize(write + (end - begin));
+    NodeId* dst = out.data();
+    for (std::size_t k = begin; k < end; ++k) {
+      dst[write] = cell_ids_[k];
+      write += static_cast<std::size_t>(
+          (distance_sq(cell_points_[k], center) <= radius_sq) &
+          (cell_ids_[k] != exclude));
     }
+    out.resize(write);
   }
 }
 

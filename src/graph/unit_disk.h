@@ -4,6 +4,13 @@
 /// The wireless substrate: a unit-disk graph G = (V, E) where an undirected
 /// edge uv exists iff |L(u) - L(v)| <= range (all sensors share one
 /// communication range, as the paper assumes).
+///
+/// One row builder (unit_disk.cpp) fills the CSR for construction, for the
+/// `with_moves` cutover and for the moved rows of its patch. It allocates no
+/// vector per node: each block of 256 rows runs its radius queries, alive
+/// filters and in-place row sorts into one block-local buffer and records
+/// its row degrees; a prefix sum places the blocks, and a pooled pass copies
+/// each block into the flat adjacency array.
 
 #include <atomic>
 #include <cstddef>
@@ -46,10 +53,10 @@ bool edge_diff_normalized(const EdgeDiff& diff);
 /// no incident edges (failure waves, the failure-dynamics scenario and
 /// tests).
 ///
-/// Construction can be parallelized by passing a `build_pool`: the per-node
-/// radius queries fan out over the pool and the sorted per-node lists merge
-/// into CSR in node-id order, so the resulting graph is bit-identical to a
-/// serial build. The pool is only used during construction (never stored).
+/// Construction can be parallelized by passing a `build_pool`: the row
+/// blocks fan out over the pool, and each lands at the CSR offset its
+/// position in id order gives it, so the resulting graph is bit-identical to
+/// a serial build. The pool is only used during construction (never stored).
 /// Callers running *on* a pool worker (e.g. sweep cells) must pass nullptr —
 /// blocking on the same pool from one of its workers deadlocks.
 class UnitDiskGraph {

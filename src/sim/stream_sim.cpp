@@ -280,6 +280,22 @@ StreamSim::StreamSim(Network initial, StreamConfig config)
                 Rng(config_.seed ^ 0x5712)) {
   const std::string problem = config_.validate();
   SPR_CHECK(problem.empty(), problem);
+  // The barrier loop orders hop instants against barriers with `<`, and an
+  // instant that overflows to +inf is never below the +inf "no barrier".
+  // A copy's instants are its injection plus at most one TTL of hops,
+  // summed one at a time; twice the product bounds that sum's rounding.
+  const double last_injection =
+      static_cast<double>(std::max(config_.packets - 1, 0)) *
+      config_.packet_interval;
+  const double ttl_hops =
+      static_cast<double>(config_.route_options.ttl_factor) *
+      static_cast<double>(std::max<std::size_t>(net_.graph().size(), 1));
+  SPR_CHECK(std::isfinite(last_injection + 2.0 * ttl_hops * config_.hop_delay),
+            "StreamConfig::hop_delay ", config_.hop_delay,
+            " overflows the hop instants: ", ttl_hops,
+            " hops after the last injection (at ", last_injection,
+            " with packet_interval ", config_.packet_interval,
+            ") pass the largest double");
   if (config_.schemes.empty()) config_.schemes = SweepConfig::paper_schemes();
   // No endpoints means no traffic: clamp the packet count so the mobility
   // re-pin loop (which keeps firing while injections remain) terminates.

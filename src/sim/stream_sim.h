@@ -253,7 +253,9 @@ class StreamSim {
  public:
   /// `initial` is consumed; structures any scheme needs are forced up
   /// front so wave relabeling continues from a built fixpoint. `config`
-  /// must pass StreamConfig::validate (SPR_CHECK).
+  /// must pass StreamConfig::validate, and every hop instant must be
+  /// finite: the last injection plus a full TTL (ttl_factor * n hops) at
+  /// hop_delay, with slack for the iterative sum (both SPR_CHECK).
   StreamSim(Network initial, StreamConfig config);
   ~StreamSim();
 

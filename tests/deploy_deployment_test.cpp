@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "support/deploy_reference.h"
 #include "test_helpers.h"
 #include "util/check.h"
 
@@ -202,6 +206,82 @@ TEST(Deployment, CustomField) {
   Rng rng(11);
   Deployment d = deploy(config, rng);
   for (Vec2 p : d.positions) EXPECT_TRUE(config.field.contains(p));
+}
+
+/// Every coordinate's bit pattern, so that equality means bit identity.
+std::vector<std::uint64_t> coordinate_bits(const std::vector<Vec2>& points) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(2 * points.size());
+  for (Vec2 p : points) {
+    bits.push_back(std::bit_cast<std::uint64_t>(p.x));
+    bits.push_back(std::bit_cast<std::uint64_t>(p.y));
+  }
+  return bits;
+}
+
+/// deploy's box-gated forbidden-area test against the ungated rejection
+/// sampler (tests/support/deploy_reference.h): the same areas and positions
+/// bit for bit, and the same number of RNG draws, over many seeds of the
+/// paper's FA model and over hostile FA configs. The tiny field is a few
+/// boundary tolerances wide, so many draws land within 1e-9 outside an
+/// area's bounding box, where only the tolerance rejects them; the far
+/// field sits at 1e9, where rounding dwarfs the tolerance.
+TEST(Deployment, GatedSamplerEqualsUngatedReference) {
+  struct Case {
+    const char* name;
+    DeploymentConfig config;
+    int seeds;
+  };
+  auto fa = [](int n) {
+    DeploymentConfig c;
+    c.model = DeployModel::kForbiddenAreas;
+    c.node_count = n;
+    return c;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"paper", fa(600), 40});
+  DeploymentConfig no_margin = fa(600);
+  no_margin.forbidden_margin = 0.0;
+  cases.push_back({"no margin", no_margin, 10});
+  DeploymentConfig max_extent = fa(600);
+  max_extent.min_forbidden_extent = max_extent.max_forbidden_extent = 160.0;
+  max_extent.min_forbidden_areas = max_extent.max_forbidden_areas = 5;
+  cases.push_back({"max extent", max_extent, 10});
+  DeploymentConfig rects = fa(600);
+  rects.irregular_fraction = 0.0;
+  cases.push_back({"rectangles only", rects, 10});
+  DeploymentConfig stars = fa(600);
+  stars.irregular_fraction = 1.0;
+  cases.push_back({"irregular only", stars, 10});
+  DeploymentConfig tiny = fa(2000);
+  tiny.field = Rect::from_bounds({0.0, 0.0}, {4e-8, 4e-8});
+  tiny.min_forbidden_extent = 5e-9;
+  tiny.max_forbidden_extent = 3e-8;
+  tiny.forbidden_margin = 0.0;
+  cases.push_back({"tiny field", tiny, 5});
+  DeploymentConfig far = fa(600);
+  far.field = Rect::from_bounds({1e9, 1e9}, {1e9 + 200.0, 1e9 + 200.0});
+  cases.push_back({"far field", far, 5});
+  for (const Case& c : cases) {
+    for (int seed = 1; seed <= c.seeds; ++seed) {
+      Rng gated_rng(static_cast<std::uint64_t>(seed));
+      Rng ungated_rng(static_cast<std::uint64_t>(seed));
+      Deployment gated = deploy(c.config, gated_rng);
+      Deployment ungated = test::deploy_ungated(c.config, ungated_rng);
+      ASSERT_EQ(gated.forbidden_areas.size(), ungated.forbidden_areas.size())
+          << c.name << " seed " << seed;
+      for (std::size_t a = 0; a < gated.forbidden_areas.size(); ++a) {
+        EXPECT_EQ(coordinate_bits(gated.forbidden_areas[a].vertices()),
+                  coordinate_bits(ungated.forbidden_areas[a].vertices()))
+            << c.name << " seed " << seed << " area " << a;
+      }
+      EXPECT_EQ(coordinate_bits(gated.positions),
+                coordinate_bits(ungated.positions))
+          << c.name << " seed " << seed;
+      EXPECT_EQ(gated_rng.next_u64(), ungated_rng.next_u64())
+          << c.name << " seed " << seed << ": the draw counts differ";
+    }
+  }
 }
 
 }  // namespace

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "deploy/rng.h"
 #include "graph/quadrant_csr.h"
 #include "test_helpers.h"
 #include "util/check.h"
+#include "util/task_pool.h"
 
 namespace spr {
 namespace {
@@ -209,6 +212,113 @@ TEST(UnitDisk, WithMovesRejectsNonFiniteMovedPosition) {
   EXPECT_THROW(g.with_moves(one), CheckError);
   std::vector<Vec2> all{{2.0, 2.0}, {6.0, nan}, {8.0, 8.0}};
   EXPECT_THROW(g.with_moves(all), CheckError);
+}
+
+/// Brute-force rows: every alive v != u within range of an alive u, by
+/// the grid's own predicate (squared distance against squared range).
+std::vector<std::vector<NodeId>> brute_force_rows(
+    const std::vector<Vec2>& points, double range,
+    const std::vector<bool>& alive) {
+  std::vector<std::vector<NodeId>> rows(points.size());
+  for (NodeId u = 0; u < points.size(); ++u) {
+    if (!alive[u]) continue;
+    for (NodeId v = 0; v < points.size(); ++v) {
+      if (v != u && alive[v] &&
+          distance_sq(points[v], points[u]) <= range * range) {
+        rows[u].push_back(v);
+      }
+    }
+  }
+  return rows;
+}
+
+void expect_rows(const UnitDiskGraph& g,
+                 const std::vector<std::vector<NodeId>>& rows,
+                 const std::string& what) {
+  ASSERT_EQ(g.size(), rows.size()) << what;
+  std::size_t offset = 0;
+  for (NodeId u = 0; u < g.size(); ++u) {
+    ASSERT_EQ(g.neighbor_offset(u), offset) << what << " node " << u;
+    auto row = g.neighbors(u);
+    ASSERT_EQ(std::vector<NodeId>(row.begin(), row.end()), rows[u])
+        << what << " node " << u;
+    offset += row.size();
+  }
+  EXPECT_EQ(g.directed_edge_count(), offset) << what;
+}
+
+/// Uniform points over a field sized for a mean degree near 15, every
+/// seventh node dead; from 256 nodes on, the first 90 crowd into a 5 m
+/// square, so their rows outgrow the rank sort and take std::sort.
+struct Field {
+  std::vector<Vec2> points;
+  std::vector<bool> alive;
+  Rect bounds;
+};
+
+Field random_field(std::size_t n, std::uint64_t seed) {
+  Field f;
+  const double side = 20.0 * std::sqrt(static_cast<double>(n) / 3.0 + 1.0);
+  f.bounds = Rect::from_bounds({0.0, 0.0}, {side, side});
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double extent = n >= 256 && i < 90 ? 5.0 : side;
+    f.points.push_back({rng.uniform(0.0, extent), rng.uniform(0.0, extent)});
+    f.alive.push_back(i % 7 != 3);
+  }
+  return f;
+}
+
+/// The block row builder against brute force: sizes around the 256-row
+/// block (one short, exact, one over, and twice that, where the pool takes
+/// over) and 10^4 nodes, with dead nodes, serial and on pools of 1, 2 and
+/// 4 workers: offsets and rows equal.
+TEST(UnitDisk, BlockBuiltRowsEqualBruteForce) {
+  constexpr double kRange = 20.0;
+  for (std::size_t n : {0u, 1u, 255u, 256u, 257u, 511u, 512u, 513u, 10000u}) {
+    const Field f = random_field(n, 31 + n);
+    const auto rows = brute_force_rows(f.points, kRange, f.alive);
+    const std::string what = "n=" + std::to_string(n);
+    expect_rows(UnitDiskGraph(f.points, kRange, f.bounds, f.alive), rows,
+                what + " serial");
+    for (int threads : {1, 2, 4}) {
+      TaskPool pool(threads);
+      expect_rows(UnitDiskGraph(f.points, kRange, f.bounds, f.alive, &pool),
+                  rows, what + " pool " + std::to_string(threads));
+    }
+  }
+}
+
+/// with_moves' moved rows come from the same builder: its patch path (a
+/// tenth of the nodes move) and its cutover (four fifths move) each equal
+/// a fresh build and brute force, serial and pooled, dead nodes included.
+TEST(UnitDisk, WithMovesPatchAndCutoverEqualFreshBuild) {
+  constexpr double kRange = 20.0;
+  const Field f = random_field(10000, 77);
+  const UnitDiskGraph base(f.points, kRange, f.bounds, f.alive);
+  for (std::size_t stride : {10u, 1u}) {
+    Rng rng(stride);
+    std::vector<Vec2> moved = f.points;
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+      if (stride == 1 ? i % 5 == 0 : i % stride != 0) continue;
+      moved[i] = {std::clamp(moved[i].x + rng.uniform(-15.0, 15.0), 0.0,
+                             f.bounds.hi().x),
+                  std::clamp(moved[i].y + rng.uniform(-15.0, 15.0), 0.0,
+                             f.bounds.hi().y)};
+    }
+    const auto rows = brute_force_rows(moved, kRange, f.alive);
+    const std::string what = stride == 10 ? "patch" : "cutover";
+    const UnitDiskGraph fresh(moved, kRange, f.bounds, f.alive);
+    expect_rows(fresh, rows, what + " fresh");
+    EdgeDiff diff;
+    expect_rows(base.with_moves(moved, &diff), rows, what + " serial");
+    EXPECT_EQ(2 * diff.moved_nodes > f.points.size(), stride == 1) << what;
+    for (int threads : {1, 2, 4}) {
+      TaskPool pool(threads);
+      expect_rows(base.with_moves(moved, nullptr, &pool), rows,
+                  what + " pool " + std::to_string(threads));
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "support/per_hop_stream.h"
 #include "support/stream_json.h"
 #include "test_helpers.h"
+#include "util/check.h"
 
 namespace spr {
 namespace {
@@ -633,6 +634,126 @@ TEST(StreamSim, HopOnAReplanInstantMatchesPerHopReference) {
         << "hop_delay " << c.hop_delay << " mobility_interval "
         << c.mobility_interval;
   }
+}
+
+/// Hop instants that overflow: with hop_delay = 1e308 a copy's second hop
+/// instant is +inf, which no barrier comparison can order against the +inf
+/// "no barrier", so the constructor rejects the config and names
+/// hop_delay; so it does when the injections themselves overflow. At 1e300 a full TTL of a 400-node stream (3200 hops) stays
+/// finite: the stream runs, across a wave, exactly as the per-hop
+/// reference does.
+TEST(StreamSim, HopDelayWhoseInstantsOverflowIsRejected) {
+  auto config_for = [](const Network& net, double hop_delay) {
+    StreamConfig config;
+    auto [s, d] = far_pair(net, 23);
+    config.pairs.emplace_back(s, d);
+    config.packets = 2;
+    config.hop_delay = hop_delay;
+    return config;
+  };
+  {
+    ScopedCheckHandler guard(&throwing_check_handler);
+    Network net = test::random_network(400, 23);
+    StreamConfig config = config_for(net, 1e308);
+    try {
+      StreamSim sim(std::move(net), config);
+      ADD_FAILURE() << "hop_delay 1e308 was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("hop_delay"), std::string::npos)
+          << e.what();
+    }
+    // The last injection itself past the largest double: the instants
+    // overflow whatever the hop delay.
+    Network net2 = test::random_network(400, 23);
+    StreamConfig late = config_for(net2, 0.5);
+    late.packets = 3;
+    late.packet_interval = 1e308;
+    EXPECT_THROW(StreamSim(std::move(net2), late), CheckError);
+  }
+  auto run = [&config_for](bool per_hop, int threads) {
+    Network net = test::random_network(400, 23);
+    StreamConfig config = config_for(net, 1e300);
+    StreamWave wave;
+    wave.time = 5.0;
+    for (NodeId u = 0; u < net.graph().size(); u += 23) {
+      if (u != config.pairs[0].first && u != config.pairs[0].second) {
+        wave.casualties.push_back(u);
+      }
+    }
+    config.waves.push_back(std::move(wave));
+    config.threads = threads;
+    StreamStats stats =
+        per_hop ? test::run_stream_per_hop(std::move(net), config)
+                : StreamSim(std::move(net), config).run();
+    stats.events = 0;  // the one field the engines legitimately differ on
+    return stats;
+  };
+  StreamStats ref = run(true, 1);
+  ASSERT_EQ(ref.waves.size(), 1u);
+  EXPECT_GT(ref.waves[0].packets_in_flight, 0u);
+  EXPECT_GT(ref.virtual_time, 1e300);
+  std::string want = test::stream_full_json(ref);
+  EXPECT_EQ(test::stream_full_json(run(false, 1)), want);
+  EXPECT_EQ(test::stream_full_json(run(false, 4)), want);
+}
+
+/// A corridor of `k` nodes 0.8 ranges apart on a line, so each hears only
+/// its line neighbours, then two nodes far off it that hear nobody: an
+/// unreachable sink (id k) and a spare (id k + 1).
+Network corridor_network(int k) {
+  Deployment d;
+  d.radio_range = 20.0;
+  d.field = Rect::from_bounds({0.0, 0.0}, {16.0 * (k + 1), 100.0});
+  for (int i = 0; i < k; ++i) d.positions.push_back({16.0 * (i + 1), 10.0});
+  d.positions.push_back({16.0 * (k / 2), 90.0});
+  d.positions.push_back({16.0 * (k / 2) + 50.0, 90.0});
+  return Network(std::move(d));
+}
+
+/// The TTL budget a copy parked from its group's trace carries across a
+/// biting barrier. With ttl_factor 1 the corridor's TTL is its node count,
+/// 42 hops; GF's walk to the unreachable sink goes greedy to the
+/// corridor's middle and then tours the corridor's face, so it needs more
+/// than that and expires at the last hop of its budget. Every copy is
+/// parked from a trace when the wave (which kills only the spare) re-plans
+/// it, so the budget it re-plans with decides when it expires, and the
+/// last expiry is the run's virtual_time.
+TEST(StreamSim, TraceParkedCopyKeepsItsTtlBudgetAcrossABarrier) {
+  constexpr int kCorridor = 40;
+  auto run = [](bool per_hop, int threads) {
+    Network net = corridor_network(kCorridor);
+    StreamConfig config;
+    config.pairs = {{NodeId{0}, NodeId{kCorridor}},
+                    {NodeId{0}, NodeId{kCorridor - 1}}};
+    config.route_options.ttl_factor = 1;
+    config.packets = 4;
+    config.packet_interval = 1.0;
+    config.hop_delay = 1.0;
+    StreamWave wave;
+    wave.time = 10.5;
+    wave.casualties.push_back(NodeId{kCorridor + 1});
+    config.waves.push_back(std::move(wave));
+    config.threads = threads;
+    StreamStats stats =
+        per_hop ? test::run_stream_per_hop(std::move(net), config)
+                : StreamSim(std::move(net), config).run();
+    stats.events = 0;  // the one field the engines legitimately differ on
+    return stats;
+  };
+  StreamStats ref = run(true, 1);
+  ASSERT_EQ(ref.waves.size(), 1u);
+  EXPECT_EQ(ref.waves[0].casualties, 1u);
+  EXPECT_EQ(ref.waves[0].packets_in_flight, 16u);  // every copy
+  std::size_t expired = 0, delivered = 0;
+  for (const StreamSchemeStats& scheme : ref.schemes) {
+    expired += scheme.ttl_expired;
+    delivered += scheme.delivered;
+  }
+  EXPECT_GT(expired, 0u);
+  EXPECT_GT(delivered, 0u);
+  std::string want = test::stream_full_json(ref);
+  EXPECT_EQ(test::stream_full_json(run(false, 1)), want);
+  EXPECT_EQ(test::stream_full_json(run(false, 4)), want);
 }
 
 /// The old O(n * |pairs|) candidate scan of spread_failure_waves, kept as
